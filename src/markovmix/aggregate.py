@@ -109,17 +109,6 @@ class AggregateModel:
             raise ParameterError("aggregate model conditions on exactly one word")
         return self.pair_prob(context[0], word)
 
-    def pair_prob_many(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        """Vectorized pair_prob over parallel id arrays."""
-        return np.einsum(
-            "ec,ec->e", self.class_given_word[w1], self.word_given_class[:, w2].T
-        )
-
-    def row(self, w1: int) -> np.ndarray:
-        """Full conditional distribution over successors of w1."""
-        self._check_id(w1)
-        return self.class_given_word[w1] @ self.word_given_class
-
     def class_assignments(self) -> list[tuple[int, int, float]]:
         """Per word: (word id, most probable class, its probability).
 
@@ -159,43 +148,56 @@ class AggregateModel:
 
 
 class _BigramTable:
-    """Bigram entries in row-sorted and column-sorted order for the E-step.
+    """Sorted bigram entries, cut into chunks for the E-step.
 
-    Grouped segment boundaries let each chunk reduce into whole rows/columns,
-    so chunked accumulation matches sequential accumulation exactly up to
-    float addition order.
+    Entries are in (w1, w2) order.  A chunk is one slice of them, capped so
+    its dense (entries x C) posterior block holds at most _CHUNK_CELLS cells
+    even when C approaches V.  Each chunk carries, computed once, the row
+    segments of its slice and the stable column order that groups its
+    entries by w2, so one posterior block per chunk feeds both the row and
+    the column reductions.
     """
 
     def __init__(self, counts: NgramCounts):
         if not counts.bigrams:
             raise DataError("no bigram events")
-        items = sorted(counts.bigrams.items())
-        self.rows = np.array([w1 for (w1, _), _ in items], dtype=np.int64)
-        self.cols = np.array([w2 for (_, w2), _ in items], dtype=np.int64)
-        self.vals = np.array([n for _, n in items], dtype=np.float64)
+        pairs = np.array(list(counts.bigrams), dtype=np.int64).reshape(-1, 2)
+        vals = np.fromiter(counts.bigrams.values(), dtype=np.float64, count=len(pairs))
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        self.rows = pairs[order, 0]
+        self.cols = pairs[order, 1]
+        self.vals = vals[order]
         self.total = float(self.vals.sum())
-        # Column-sorted permutation for the emission-matrix pass.
+        self._chunks: dict[int, list[_Chunk]] = {}
+
+    def chunks(self, n_classes: int) -> list["_Chunk"]:
+        if n_classes not in self._chunks:
+            step = max(1, _CHUNK_CELLS // n_classes)
+            self._chunks[n_classes] = [
+                _Chunk(self, slice(i, min(i + step, len(self.rows))))
+                for i in range(0, len(self.rows), step)
+            ]
+        return self._chunks[n_classes]
+
+
+class _Chunk:
+    """One slice of a _BigramTable with its row and column segments."""
+
+    def __init__(self, table: _BigramTable, sl: slice):
+        self.rows = table.rows[sl]
+        self.cols = table.cols[sl]
+        self.vals = table.vals[sl]
+        self.row_ids, self.row_starts = np.unique(self.rows, return_index=True)
         self.col_order = np.argsort(self.cols, kind="stable")
+        self.col_ids, self.col_starts = np.unique(
+            self.cols[self.col_order], return_index=True
+        )
 
-    def chunk_slices(self, n_classes: int):
-        step = max(256, _CHUNK_CELLS // max(1, n_classes))
-        return [
-            slice(i, min(i + step, len(self.rows)))
-            for i in range(0, len(self.rows), step)
-        ]
-
-
-def _posterior_chunk(cgw, wgc_t, rows, cols, vals):
-    """Joint P(c, w2 | w1) per entry, its sum (= model bigram prob), and the
-    count-weighted normalized posterior.  `wgc_t` is the emission matrix
-    transposed once per pass so the per-entry gather is contiguous."""
-    joint = cgw[rows] * wgc_t[cols]
-    denom = joint.sum(axis=1)
-    pos = denom > 0.0
-    weighted = np.zeros_like(joint)
-    if pos.any():
-        weighted[pos] = joint[pos] * (vals[pos] / denom[pos])[:, None]
-    return denom, pos, weighted
+    def joint(self, cgw: np.ndarray, wgc_t: np.ndarray) -> np.ndarray:
+        """Joint P(c, w2 | w1) per entry; its row sums are the model's bigram
+        probabilities.  `wgc_t` is the emission matrix transposed once per
+        pass so the per-entry gather is contiguous."""
+        return cgw[self.rows] * wgc_t[self.cols]
 
 
 def log_likelihood(model: AggregateModel, counts: NgramCounts) -> float:
@@ -207,11 +209,10 @@ def log_likelihood(model: AggregateModel, counts: NgramCounts) -> float:
 def _log_likelihood_table(model: AggregateModel, table: _BigramTable) -> float:
     wgc_t = np.ascontiguousarray(model.word_given_class.T)
     ll = 0.0
-    for sl in table.chunk_slices(model.n_classes):
-        denom, pos, _ = _posterior_chunk(
-            model.class_given_word, wgc_t, table.rows[sl], table.cols[sl], table.vals[sl]
-        )
-        ll += float(table.vals[sl][pos] @ np.log(denom[pos]))
+    for chunk in table.chunks(model.n_classes):
+        denom = chunk.joint(model.class_given_word, wgc_t).sum(axis=1)
+        pos = denom > 0.0
+        ll += float(chunk.vals[pos] @ np.log(denom[pos]))
     return ll
 
 
@@ -232,33 +233,35 @@ def _em_step_table(
     model: AggregateModel, table: _BigramTable
 ) -> tuple[AggregateModel, float]:
     V, C = model.class_given_word.shape
-    cgw = model.class_given_word
     wgc_t = np.ascontiguousarray(model.word_given_class.T)
     num_cgw = np.zeros((V, C))
-    num_wgc = np.zeros((C, V))
+    # Emission numerators accumulate word-major, so each chunk adds whole
+    # contiguous rows instead of strided columns.
+    num_wgc_t = np.zeros((V, C))
     ll = 0.0
 
-    # Row pass: membership numerators and the log-likelihood.
-    for sl in table.chunk_slices(C):
-        rows, vals = table.rows[sl], table.vals[sl]
-        denom, pos, weighted = _posterior_chunk(cgw, wgc_t, rows, table.cols[sl], vals)
-        ll += float(vals[pos] @ np.log(denom[pos]))
-        uniq, starts = np.unique(rows, return_index=True)
-        num_cgw[uniq] += np.add.reduceat(weighted, starts, axis=0)
-
-    # Column pass: emission numerators, over the column-sorted permutation.
-    order = table.col_order
-    rows_o, cols_o, vals_o = table.rows[order], table.cols[order], table.vals[order]
-    for sl in table.chunk_slices(C):
-        _, _, weighted = _posterior_chunk(cgw, wgc_t, rows_o[sl], cols_o[sl], vals_o[sl])
-        uniq, starts = np.unique(cols_o[sl], return_index=True)
-        num_wgc[:, uniq] += np.add.reduceat(weighted, starts, axis=0).T
+    for chunk in table.chunks(C):
+        # The joint block becomes the count-weighted posterior in place; rows
+        # whose model probability is zero are all-zero and stay so.
+        block = chunk.joint(model.class_given_word, wgc_t)
+        denom = block.sum(axis=1)
+        pos = denom > 0.0
+        ll += float(chunk.vals[pos] @ np.log(denom[pos]))
+        scale = np.zeros_like(denom)
+        np.divide(chunk.vals, denom, out=scale, where=pos)
+        block *= scale[:, None]
+        num_cgw[chunk.row_ids] += np.add.reduceat(block, chunk.row_starts, axis=0)
+        num_wgc_t[chunk.col_ids] += np.add.reduceat(
+            block[chunk.col_order], chunk.col_starts, axis=0
+        )
 
     new_cgw = model.class_given_word.copy()
     row_mass = num_cgw.sum(axis=1)
     touched = row_mass > 0.0
     new_cgw[touched] = num_cgw[touched] / row_mass[touched, None]
 
+    num_wgc = np.ascontiguousarray(num_wgc_t.T)
+    del num_wgc_t
     new_wgc = model.word_given_class.copy()
     class_mass = num_wgc.sum(axis=1)
     alive = class_mass > 0.0

@@ -59,7 +59,6 @@ class RunConfig:
     unseen: str = ""
     top_n: int = 300
     list_size: int = 50
-    workers: int = 0  # 0 means all available cores
     vocab_out: str = ""
     counts_out: str = ""
     model_out: str = ""
@@ -130,10 +129,6 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise ParameterError("missing required option --%s" % name.replace("_", "-"))
 
 
-def _effective_workers(cfg: RunConfig) -> int:
-    return cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
-
-
 def _load_sentences(path: str, vocab: Vocabulary):
     return tokenize_corpus(read_lines(path), vocab)
 
@@ -154,9 +149,7 @@ def cmd_prepare(cfg: RunConfig) -> None:
     lines = read_lines(cfg.input)
     vocab = build_vocabulary(lines, cfg.vocab_size)
     sentences = tokenize_corpus(lines, vocab)
-    counts = count_ngrams(
-        sentences, vocab, cfg.max_order, skips, workers=_effective_workers(cfg)
-    )
+    counts = count_ngrams(sentences, vocab, cfg.max_order, skips)
     vocab.save(cfg.vocab_out)
     counts.save(cfg.counts_out)
 
@@ -454,7 +447,6 @@ _INT_OPTS = (
     "gt_threshold",
     "top_n",
     "list_size",
-    "workers",
 )
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 from .errors import DataError, ParameterError
 
@@ -170,22 +171,6 @@ class NgramCounts:
                 self.skips[k][(padded[i - k], w)] += 1
             self.total += 1
 
-    def __add__(self, other: "NgramCounts") -> "NgramCounts":
-        if (self.vocab_size, self.max_order, self.skip_ks) != (
-            other.vocab_size,
-            other.max_order,
-            other.skip_ks,
-        ):
-            raise ParameterError("cannot merge counts with different configurations")
-        merged = NgramCounts(self.vocab_size, self.max_order, self.skip_ks)
-        merged.unigrams = self.unigrams + other.unigrams
-        merged.bigrams = self.bigrams + other.bigrams
-        merged.trigrams = self.trigrams + other.trigrams
-        for k in self.skip_ks:
-            merged.skips[k] = self.skips[k] + other.skips[k]
-        merged.total = self.total + other.total
-        return merged
-
     def bigram_row_totals(self) -> Counter:
         totals: Counter[int] = Counter()
         for (w1, _), n in self.bigrams.items():
@@ -219,53 +204,142 @@ class NgramCounts:
 
     @classmethod
     def load(cls, path) -> "NgramCounts":
+        """Read the save format; a malformed file raises DataError."""
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
-            if header[:2] != ["NGRAM-COUNTS", "v1"]:
-                raise DataError("not a counts file: %s" % path)
-            fields = dict(part.split("=", 1) for part in header[2:])
+            body = fh.read()
+        if header[:2] != ["NGRAM-COUNTS", "v1"]:
+            raise DataError("not a counts file: %s" % path)
+        lines: dict[str, list[str]] = {tag: [] for tag in _LINE_FIELDS}
+        for line in body.splitlines():
+            tag, _, rest = line.partition(" ")
+            rows = lines.get(tag)
+            if rows is not None:
+                rows.append(rest)
+            elif line.strip():
+                raise DataError("unrecognized counts line %r" % line)
+        fields = dict(part.partition("=")[::2] for part in header[2:])
+        try:
             max_order = int(fields["order"])
-            skip_ks = tuple(
-                int(k) for k in fields["skips"].split(",") if k
-            )
-            counts = None
-            vocab_size = 0
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                tag = parts[0]
-                if tag == "V":
-                    vocab_size = int(parts[1])
-                    counts = cls(vocab_size, max_order, skip_ks)
-                elif counts is None:
-                    raise DataError("counts file missing V header line: %s" % path)
-                elif tag == "N":
-                    counts.total = int(parts[1])
-                elif tag == "U":
-                    counts.unigrams[int(parts[1])] = int(parts[2])
-                elif tag == "B":
-                    counts.bigrams[(int(parts[1]), int(parts[2]))] = int(parts[3])
-                elif tag == "T":
-                    counts.trigrams[(int(parts[1]), int(parts[2]), int(parts[3]))] = int(
-                        parts[4]
-                    )
-                elif tag == "S":
-                    counts.skips[int(parts[1])][(int(parts[2]), int(parts[3]))] = int(
-                        parts[4]
-                    )
-                else:
-                    raise DataError("unrecognized counts line %r" % line.rstrip())
-        if counts is None:
-            raise DataError("counts file missing V header line: %s" % path)
+            skip_ks = tuple(int(k) for k in fields["skips"].split(",") if k)
+            tables = {tag: _int_rows(tag, rows) for tag, rows in lines.items()}
+        except KeyError as exc:
+            raise DataError("counts file header lacks %s=: %s" % (exc.args[0], path))
+        except ValueError as exc:
+            raise DataError("malformed counts file %s: %s" % (path, exc))
+        if len(tables["V"]) != 1 or tables["V"][0, 0] < 1:
+            raise DataError("counts file needs exactly one positive V line: %s" % path)
+        vocab_size = int(tables["V"][0, 0])
+        try:
+            counts = cls(vocab_size, max_order, skip_ks)
+        except ParameterError as exc:
+            raise DataError("counts file %s: %s" % (path, exc))
+        U, B, T, S = (tables[tag] for tag in "UBTS")
+        for ids in (U[:, :1], B[:, :2], T[:, :3], S[:, 1:3]):
+            if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+                raise DataError(
+                    "counts file %s: word id out of range [0, %d)" % (path, vocab_size)
+                )
+        if not np.isin(S[:, 0], counts.skip_ks).all():
+            raise DataError("counts file %s: skip distance not in its header" % path)
+        if any(t.size and t[:, -1].min() < 1 for t in (U, B, T, S)):
+            raise DataError("counts file %s: counts must be positive" % path)
+        if len(tables["N"]):
+            counts.total = int(tables["N"][-1, 0])
+        counts.unigrams = Counter(dict(zip(U[:, 0].tolist(), U[:, 1].tolist())))
+        counts.bigrams = _keyed_counter(B)
+        counts.trigrams = _keyed_counter(T)
+        for k in counts.skip_ks:
+            counts.skips[k] = _keyed_counter(S[S[:, 0] == k, 1:])
         return counts
 
 
-def _count_shard(args) -> NgramCounts:
-    sentences, vocab_size, max_order, skip_ks = args
-    counts = NgramCounts(vocab_size, max_order, skip_ks)
-    for s in sentences:
-        counts.add_sentence(s)
+# Integer fields after the tag on each counts-file line.
+_LINE_FIELDS = {"V": 1, "N": 1, "U": 2, "B": 3, "T": 4, "S": 4}
+
+
+def _int_rows(tag: str, rows: list[str]) -> np.ndarray:
+    """Parse the single-space-separated fields of one tag's lines; ValueError
+    unless every line holds exactly its integer fields."""
+    n_fields = _LINE_FIELDS[tag]
+    flat = " ".join(rows).split()
+    if len(flat) != n_fields * len(rows) or (
+        rows and (np.char.count(np.array(rows), " ") != n_fields - 1).any()
+    ):
+        raise ValueError("%s lines need %d fields after the tag" % (tag, n_fields))
+    return np.array(flat, dtype=np.int64).reshape(len(rows), n_fields)
+
+
+def _keyed_counter(rows: np.ndarray) -> Counter:
+    """Counter from rows of (id, ..., id, count), keyed by the id tuple."""
+    columns = [col.tolist() for col in rows.T]
+    return Counter(dict(zip(zip(*columns[:-1]), columns[-1])))
+
+
+def _event_windows(sentences: Iterable[TokenSentence], width: int) -> np.ndarray:
+    """Every prediction event as one row of an (events, width + 1) int64 array.
+
+    Row t holds w_{t-width} .. w_{t-1}, w_t: the padded walk of
+    NgramCounts.add_sentence (width start markers, the sentence, the end
+    marker), in sentence order and then position order.
+    """
+    sentences = list(sentences)
+    events_per = np.fromiter(
+        (len(s) + 1 for s in sentences), dtype=np.int64, count=len(sentences)
+    )
+    words = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain(s, (END_ID,)) for s in sentences),
+        dtype=np.int64,
+        count=int(events_per.sum()),
+    )
+    # In the padded stream, sentence i's events follow (i + 1) * width pads.
+    sentence_of = np.repeat(np.arange(len(sentences), dtype=np.int64), events_per)
+    event_pos = np.arange(len(words), dtype=np.int64) + width * (sentence_of + 1)
+    stream = np.full(len(words) + width * len(sentences), START_ID, dtype=np.int64)
+    stream[event_pos] = words
+    return stream[event_pos[:, None] + np.arange(-width, 1, dtype=np.int64)]
+
+
+def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
+    """ParameterError unless every id lies in [0, V); an id outside would
+    alias another id's int64 key."""
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise ParameterError("word ids must lie in [0, %d)" % vocab_size)
+
+
+def _tally(keys: np.ndarray, decode) -> Counter:
+    """Counter of int64 keys in first-occurrence order, as add_sentence fills it."""
+    uniq, first, n = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first, kind="stable")
+    return Counter(dict(zip(decode(uniq[order]), n[order].tolist())))
+
+
+def _count_windows(counts: NgramCounts, windows: np.ndarray) -> NgramCounts:
+    """Fill empty counts from an _event_windows array of width counts.pad."""
+    V = counts.vocab_size
+    pad = counts.pad
+    # Every interior id is predicted once, so the last column holds them all.
+    w = windows[:, pad]
+    _check_ids(w, V)
+    if V ** max(counts.max_order, 2) >= 2**63:
+        raise ParameterError("vocabulary of %d ids is too large for int64 keys" % V)
+
+    def pairs(keys):
+        return zip((keys // V).tolist(), (keys % V).tolist())
+
+    def triples(keys):
+        return zip((keys // (V * V)).tolist(), (keys // V % V).tolist(), (keys % V).tolist())
+
+    counts.unigrams = _tally(w, np.ndarray.tolist)
+    if counts.max_order >= 2:
+        counts.bigrams = _tally(windows[:, pad - 1] * V + w, pairs)
+    if counts.max_order >= 3:
+        counts.trigrams = _tally(
+            (windows[:, pad - 2] * V + windows[:, pad - 1]) * V + w, triples
+        )
+    for k in counts.skip_ks:
+        counts.skips[k] = _tally(windows[:, pad - k] * V + w, pairs)
+    counts.total = len(windows)
     return counts
 
 
@@ -274,34 +348,17 @@ def count_ngrams(
     vocab: Vocabulary,
     max_order: int = 2,
     skips: Iterable[int] = (1,),
-    workers: int = 1,
 ) -> NgramCounts:
-    """Accumulate n-gram and skip-k counts over tokenized sentences.
+    """Count n-grams and skip-k pairs over tokenized sentences.
 
-    With workers > 1 the sentence stream is sharded across processes and the
-    shard counts merged by entrywise addition; the result is identical to
-    sequential counting.
+    Each n-gram and skip pair is encoded as one int64 key, (w1*V + w2)*V + w3
+    for a trigram, and the keys are counted with np.unique.  The Counters
+    equal those of an add_sentence loop, down to their iteration order (first
+    occurrence).  Raises ParameterError for an id outside [0, V), which would
+    otherwise alias another key.
     """
-    skip_ks = tuple(sorted(set(skips)))
-    if workers > 1:
-        sentences = list(sentences)
-        shard_size = max(1, (len(sentences) + workers - 1) // workers)
-        shards = [
-            (sentences[i : i + shard_size], len(vocab), max_order, skip_ks)
-            for i in range(0, len(sentences), shard_size)
-        ]
-        if len(shards) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_count_shard, shards))
-            merged = parts[0]
-            for part in parts[1:]:
-                merged = merged + part
-            return merged
-        sentences = iter(shards[0][0]) if shards else iter(())
-    counts = NgramCounts(len(vocab), max_order, skip_ks)
-    for s in sentences:
-        counts.add_sentence(s)
-    return counts
+    counts = NgramCounts(len(vocab), max_order, tuple(skips))
+    return _count_windows(counts, _event_windows(sentences, counts.pad))
 
 
 def padded_events(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -188,17 +187,5 @@ def bigram_seen_predicate(counts: NgramCounts) -> Callable[[tuple[int, ...], int
 
     def seen(ctx: tuple[int, ...], word: int) -> bool:
         return (ctx[-1], word) in pairs
-
-    return seen
-
-
-def trigram_seen_predicate(
-    trigrams: Counter,
-) -> Callable[[tuple[int, ...], int], bool]:
-    """Seen = the trigram survived in the (possibly truncated) table."""
-    triples = set(trigrams)
-
-    def seen(ctx: tuple[int, ...], word: int) -> bool:
-        return (ctx[-2], ctx[-1], word) in triples
 
     return seen

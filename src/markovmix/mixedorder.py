@@ -17,7 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 from .aggregate import TrainingTrace
-from .corpus import END_ID, START_ID, NgramCounts, TokenSentence
+from .corpus import (
+    END_ID,
+    START_ID,
+    NgramCounts,
+    TokenSentence,
+    _check_ids,
+    _count_windows,
+    _event_windows,
+)
 from .errors import DataError, NumericError, ParameterError
 
 MAX_COMPONENTS = 8  # model size grows as m * V^2
@@ -138,37 +146,35 @@ class MixedOrderModel:
 class _EventTable:
     """Flattened prediction events against a fixed transition sparsity.
 
-    For event t and component k the table records the conditioning id
-    w_{t-k} and the position of the pair (w_{t-k}, w_t) inside the per-k
-    value arrays (-1 when the pair is not stored, contributing zero).
+    Built from an (events, m + 1) array of corpus._event_windows.  For event
+    t and component k the table records the conditioning id w_{t-k} in
+    ctx[t, k-1] and, in pair_idx[t, k-1], the position of the pair
+    (w_{t-k}, w_t) among the sorted per-k pairs (-1 when the pair is not
+    stored, contributing zero).  Pairs are encoded as int64 keys w1*V + w2
+    and located with np.searchsorted.
     """
 
-    def __init__(self, model: MixedOrderModel, sentences: list[TokenSentence]):
+    def __init__(self, model: MixedOrderModel, windows: np.ndarray):
         m = model.order
+        V = model.vocab_size
         self.pairs: list[list[tuple[int, int]]] = []
         self.pair_rows: list[np.ndarray] = []
-        index: list[dict[tuple[int, int], int]] = []
-        for rows in model.matrices:
-            pairs = [
-                (w1, w2) for w1 in sorted(rows) for w2 in sorted(rows[w1])
-            ]
+        _check_ids(windows, V)
+        # Column m holds w_t and column m-k holds w_{t-k}.
+        self.ctx = np.ascontiguousarray(windows[:, m - 1 :: -1])
+        self.pair_idx = np.empty_like(self.ctx)
+        words = windows[:, m]
+        for k, rows in enumerate(model.matrices):
+            pairs = [(w1, w2) for w1 in sorted(rows) for w2 in sorted(rows[w1])]
             self.pairs.append(pairs)
-            self.pair_rows.append(np.array([p[0] for p in pairs], dtype=np.int64))
-            index.append({p: i for i, p in enumerate(pairs)})
-
-        ctx_rows: list[list[int]] = []
-        idx_rows: list[list[int]] = []
-        for sentence in sentences:
-            padded = [START_ID] * m + list(sentence) + [END_ID]
-            for i in range(m, len(padded)):
-                w = padded[i]
-                ctx = [padded[i - k] for k in range(1, m + 1)]
-                ctx_rows.append(ctx)
-                idx_rows.append(
-                    [index[k - 1].get((ctx[k - 1], w), -1) for k in range(1, m + 1)]
-                )
-        self.ctx = np.array(ctx_rows, dtype=np.int64).reshape(-1, m)
-        self.pair_idx = np.array(idx_rows, dtype=np.int64).reshape(-1, m)
+            keyed = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            self.pair_rows.append(keyed[:, 0].copy())
+            keys = keyed[:, 0] * V + keyed[:, 1]
+            events = self.ctx[:, k] * V + words
+            pos = np.searchsorted(keys, events)
+            found = pos < len(keys)
+            found[found] = keys[pos[found]] == events[found]
+            self.pair_idx[:, k] = np.where(found, pos, -1)
         self.n_events = self.ctx.shape[0]
 
     def values_from(self, model: MixedOrderModel) -> list[np.ndarray]:
@@ -259,7 +265,7 @@ def em_step(
     sentences = list(sentences)
     if not sentences:
         raise DataError("empty corpus")
-    table = _EventTable(model, sentences)
+    table = _EventTable(model, _event_windows(sentences, model.order))
     return _em_step_table(model, table)
 
 
@@ -280,10 +286,9 @@ def train_mixed(
     if not sentences:
         raise DataError("empty corpus")
     counts = NgramCounts(vocab_size, 1, tuple(range(1, order + 1)))
-    for s in sentences:
-        counts.add_sentence(s)
-    model = MixedOrderModel.from_counts(counts, order)
-    table = _EventTable(model, sentences)
+    windows = _event_windows(sentences, counts.pad)
+    model = MixedOrderModel.from_counts(_count_windows(counts, windows), order)
+    table = _EventTable(model, windows)
     trace = TrainingTrace()
     for i in range(iterations):
         model, ll_before, n_skipped = _em_step_table(model, table)
@@ -300,7 +305,7 @@ def missing_fraction(
     """Fraction of prediction events assigned exactly zero probability."""
     if not sentences:
         return 0.0
-    table = _EventTable(model, sentences)
+    table = _EventTable(model, _event_windows(sentences, model.order))
     if table.n_events == 0:
         return 0.0
     total, _ = _event_probs(model, table)

@@ -48,7 +48,6 @@ def prepare(workdir, **extra):
         "--skips", "1,2",
         "--vocab-out", "vocab.txt",
         "--counts-out", "counts.txt",
-        "--workers", "1",
     ]
     for key, value in extra.items():
         args += ["--" + key.replace("_", "-"), str(value)]
@@ -131,6 +130,35 @@ class TestTrainAggregate:
         assert code == 2
         assert not (workdir / "agg.txt").exists()
         assert not (workdir / "trace.csv").exists()
+
+
+class TestMalformedCounts:
+    GOOD = "NGRAM-COUNTS v1 order=2 skips=1\nV 5\nN 3\nU 3 1\nU 4 1\nU 1 1\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            GOOD + "B 3 4 x\n",
+            "NGRAM-COUNTS v1 skips=1\nV 5\nN 1\nB 3 4 1\n",
+            GOOD + "B 9 1 3\n",
+            GOOD + "B 3 4\n",
+        ],
+        ids=["non_numeric_field", "header_without_order", "id_out_of_range", "too_few_fields"],
+    )
+    def test_train_aggregate_exits_3(self, workdir, capsys, text):
+        (workdir / "bad.txt").write_text(text, encoding="utf-8")
+        code = run(
+            workdir,
+            "train-aggregate",
+            "--counts", "bad.txt",
+            "--classes", "2",
+            "--model-out", "agg.txt",
+            "--trace-out", "trace.csv",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (workdir / "agg.txt").exists()
 
 
 class TestTrainMixed:

@@ -104,14 +104,13 @@ class TestCountNgrams:
             s1 = [[rng.randrange(3, 8) for _ in range(rng.randrange(0, 6))] for _ in range(5)]
             s2 = [[rng.randrange(3, 8) for _ in range(rng.randrange(0, 6))] for _ in range(5)]
             joint = count_ngrams(s1 + s2, vocab, max_order=3, skips=(1, 2, 3))
-            merged = count_ngrams(s1, vocab, max_order=3, skips=(1, 2, 3)) + count_ngrams(
-                s2, vocab, max_order=3, skips=(1, 2, 3)
-            )
-            assert joint.unigrams == merged.unigrams
-            assert joint.bigrams == merged.bigrams
-            assert joint.trigrams == merged.trigrams
-            assert joint.skips == merged.skips
-            assert joint.total == merged.total
+            a = count_ngrams(s1, vocab, max_order=3, skips=(1, 2, 3))
+            b = count_ngrams(s2, vocab, max_order=3, skips=(1, 2, 3))
+            assert joint.unigrams == a.unigrams + b.unigrams
+            assert joint.bigrams == a.bigrams + b.bigrams
+            assert joint.trigrams == a.trigrams + b.trigrams
+            assert joint.skips == {k: a.skips[k] + b.skips[k] for k in (1, 2, 3)}
+            assert joint.total == a.total + b.total
 
     def test_skip1_equals_bigram(self):
         rng = random.Random(1)
@@ -147,25 +146,21 @@ class TestCountNgrams:
             rows[w1] += n
         assert rows == conditioning
 
-    def test_worker_sharding_matches_sequential(self):
-        rng = random.Random(3)
-        vocab = make_vocab(*"abcdef")
-        sents = [
-            [rng.randrange(3, 9) for _ in range(rng.randrange(0, 8))] for _ in range(40)
-        ]
-        seq = count_ngrams(sents, vocab, max_order=3, skips=(1, 2))
-        par = count_ngrams(sents, vocab, max_order=3, skips=(1, 2), workers=3)
-        assert seq.bigrams == par.bigrams
-        assert seq.trigrams == par.trigrams
-        assert seq.skips == par.skips
-        assert seq.total == par.total
-
     def test_bad_parameters(self):
         vocab = make_vocab("a")
         with pytest.raises(ParameterError):
             count_ngrams([[3]], vocab, max_order=4, skips=(1,))
         with pytest.raises(ParameterError):
             count_ngrams([[3]], vocab, max_order=2, skips=(0,))
+        with pytest.raises(ParameterError, match="too large"):
+            count_ngrams([[3]], range(2**21), max_order=3, skips=(1,))
+
+    def test_out_of_range_ids_rejected(self):
+        # Id V would otherwise share the bigram key (w1 + 1) * V + 0.
+        vocab = make_vocab("a")
+        for bad in ([[3, len(vocab)]], [[-1]]):
+            with pytest.raises(ParameterError, match="must lie in"):
+                count_ngrams(bad, vocab, max_order=2, skips=(1,))
 
 
 class TestPaddedEvents:
