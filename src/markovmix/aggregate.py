@@ -8,11 +8,13 @@ pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifact import ArtifactReader, positive, write_artifact
 from .corpus import NgramCounts
 from .errors import DataError, ParameterError
 
@@ -121,30 +123,16 @@ class AggregateModel:
         ]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("AGG-MODEL v1 V=%d C=%d\n" % (self.vocab_size, self.n_classes))
-            for row in self.class_given_word:
-                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-            for row in self.word_given_class:
-                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+        rows = itertools.chain(self.class_given_word.tolist(), self.word_given_class.tolist())
+        write_artifact(path, "AGG-MODEL", rows, V=self.vocab_size, C=self.n_classes)
 
     @classmethod
     def load(cls, path) -> "AggregateModel":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if header[:2] != ["AGG-MODEL", "v1"]:
-                raise DataError("not an aggregate model file: %s" % path)
-            fields = dict(part.split("=", 1) for part in header[2:])
-            v, c = int(fields["V"]), int(fields["C"])
-            cgw = np.array(
-                [[float(x) for x in fh.readline().split()] for _ in range(v)]
-            )
-            wgc = np.array(
-                [[float(x) for x in fh.readline().split()] for _ in range(c)]
-            )
-        if cgw.shape != (v, c) or wgc.shape != (c, v):
-            raise DataError("aggregate model file has malformed rows: %s" % path)
-        return cls(cgw, wgc)
+        reader = ArtifactReader(path, "AGG-MODEL", V=positive, C=positive)
+        V, C = reader.header["V"], reader.header["C"]
+        model = cls(reader.matrix(V, C), reader.matrix(C, V))
+        reader.end()
+        return model
 
 
 class _BigramTable:

@@ -16,12 +16,11 @@ from dataclasses import dataclass, fields
 
 from . import aggregate, evaluation, mixedorder, smoothing
 from .corpus import (
-    END_ID,
-    START_ID,
     NgramCounts,
     Vocabulary,
     build_vocabulary,
     count_ngrams,
+    most_frequent,
     read_lines,
     tokenize_corpus,
 )
@@ -73,10 +72,8 @@ class RunConfig:
         with open(path, "w", encoding="utf-8") as fh:
             for f in fields(self):
                 value = getattr(self, f.name)
-                if f.type == "bool" or isinstance(value, bool):
+                if isinstance(value, bool):
                     value = "true" if value else "false"
-                elif isinstance(value, float):
-                    value = repr(value)
                 fh.write("%s=%s\n" % (f.name, value))
 
     @classmethod
@@ -361,14 +358,6 @@ def cmd_sweep_truncate(cfg: RunConfig) -> None:
             fh.write("%d,%r,%r,%d,%r\n" % (t, base_pp, mixed_pp, n_tri, frac))
 
 
-def _top_frequent_ids(counts: NgramCounts, top_n: int) -> list[int]:
-    ranked = sorted(
-        ((w, n) for w, n in counts.unigrams.items() if w not in (START_ID, END_ID)),
-        key=lambda kv: (-kv[1], kv[0]),
-    )
-    return [w for w, _ in ranked[:top_n]]
-
-
 def cmd_report_classes(cfg: RunConfig) -> None:
     _require(cfg, "agg_model", "vocab", "counts", "csv_out")
     _require_inputs(cfg.agg_model, cfg.vocab, cfg.counts)
@@ -378,7 +367,7 @@ def cmd_report_classes(cfg: RunConfig) -> None:
     assignments = {w: (c, p) for w, c, p in model.class_assignments()}
     with open(cfg.csv_out, "w", encoding="utf-8") as fh:
         fh.write("word,class,max_prob\n")
-        for w in _top_frequent_ids(counts, cfg.top_n):
+        for w in most_frequent(counts.unigrams, cfg.top_n):
             c, p = assignments[w]
             fh.write("%s,%d,%r\n" % (vocab.word_of(w), c, p))
 
@@ -412,45 +401,9 @@ _COMMANDS = {
     "report-lambda": cmd_report_lambda,
 }
 
-_STR_OPTS = (
-    "input",
-    "test",
-    "valid",
-    "vocab",
-    "counts",
-    "model",
-    "agg_model",
-    "mixed_models",
-    "cascade",
-    "skips",
-    "init",
-    "unseen",
-    "vocab_out",
-    "counts_out",
-    "model_out",
-    "trace_out",
-    "out_dir",
-    "manifest_out",
-    "report_out",
-    "csv_out",
-    "out",
-)
-_INT_OPTS = (
-    "vocab_size",
-    "max_order",
-    "classes",
-    "order",
-    "iters",
-    "seed",
-    "truncate",
-    "t_max",
-    "gt_threshold",
-    "top_n",
-    "list_size",
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes --config and one option per RunConfig field but
+    the command, typed like the field's default."""
     parser = argparse.ArgumentParser(
         prog="markovmix",
         description="Train and evaluate aggregate and mixed-order Markov language models.",
@@ -459,23 +412,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        for opt in _STR_OPTS:
-            p.add_argument("--" + opt.replace("_", "-"), dest=opt, default=None)
-        for opt in _INT_OPTS:
-            p.add_argument("--" + opt.replace("_", "-"), dest=opt, type=int, default=None)
-        p.add_argument("--valid-frac", dest="valid_frac", type=float, default=None)
-        p.add_argument(
-            "--with-trigram",
-            dest="with_trigram",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-        )
-        p.add_argument(
-            "--tie-sigma",
-            dest="tie_sigma",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-        )
+        for f in [f for f in fields(RunConfig) if f.name != "command"]:
+            kind = type(getattr(RunConfig, f.name))
+            typed = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None, **typed)
     return parser
 
 

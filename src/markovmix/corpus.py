@@ -18,6 +18,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .artifact import ArtifactReader, read_text, write_artifact
 from .errors import DataError, ParameterError
 
 START_TOKEN = "<s>"
@@ -73,11 +74,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            words = [line.rstrip("\n") for line in fh]
-        if not words:
-            raise DataError("empty vocabulary file: %s" % path)
-        return cls(words)
+        """One token per line; bad content (no reserved tokens, duplicates) is a DataError."""
+        try:
+            return cls(read_text(path).split("\n")[:-1])
+        except ParameterError as exc:
+            raise DataError("%s: %s" % (path, exc)) from None
 
 
 def build_vocabulary(lines: Iterable[str], max_size: int) -> Vocabulary:
@@ -122,6 +123,29 @@ def tokenize_corpus(lines: Iterable[str], vocab: Vocabulary) -> list[TokenSenten
 def read_lines(path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh]
+
+
+def normalized_rows(pairs: Counter) -> tuple[dict[int, dict[int, float]], dict[int, float]]:
+    """Pair counts as rows of relative frequencies, keyed by the first id,
+    and the count total of each row."""
+    rows: dict[int, dict[int, float]] = {}
+    for (w1, w2), n in pairs.items():
+        rows.setdefault(w1, {})[w2] = float(n)
+    totals = {w1: sum(row.values()) for w1, row in rows.items()}
+    for w1, row in rows.items():
+        for w2 in row:
+            row[w2] /= totals[w1]
+    return rows, totals
+
+
+def most_frequent(unigrams: Counter, top_n: int) -> list[int]:
+    """The top_n most frequent ids, boundary markers left out; ties break
+    toward the lower id."""
+    ranked = sorted(
+        ((w, n) for w, n in unigrams.items() if w not in (START_ID, END_ID)),
+        key=lambda kv: (-kv[1], kv[0]),
+    )
+    return [w for w, _ in ranked[:top_n]]
 
 
 class NgramCounts:
@@ -171,12 +195,6 @@ class NgramCounts:
                 self.skips[k][(padded[i - k], w)] += 1
             self.total += 1
 
-    def bigram_row_totals(self) -> Counter:
-        totals: Counter[int] = Counter()
-        for (w1, _), n in self.bigrams.items():
-            totals[w1] += n
-        return totals
-
     def trigram_context_totals(self) -> Counter:
         totals: Counter[tuple[int, int]] = Counter()
         for (u, v, _), n in self.trigrams.items():
@@ -185,95 +203,57 @@ class NgramCounts:
 
     def save(self, path) -> None:
         """Write the sorted sparse text format (one entry per line)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                "NGRAM-COUNTS v1 order=%d skips=%s\n"
-                % (self.max_order, ",".join(str(k) for k in self.skip_ks))
-            )
-            fh.write("V %d\n" % self.vocab_size)
-            fh.write("N %d\n" % self.total)
-            for w, n in sorted(self.unigrams.items()):
-                fh.write("U %d %d\n" % (w, n))
-            for (w1, w2), n in sorted(self.bigrams.items()):
-                fh.write("B %d %d %d\n" % (w1, w2, n))
-            for (w1, w2, w3), n in sorted(self.trigrams.items()):
-                fh.write("T %d %d %d %d\n" % (w1, w2, w3, n))
-            for k in self.skip_ks:
-                for (w1, w2), n in sorted(self.skips[k].items()):
-                    fh.write("S %d %d %d %d\n" % (k, w1, w2, n))
+        rows = itertools.chain(
+            [("V", self.vocab_size), ("N", self.total)],
+            (("U", w, n) for w, n in sorted(self.unigrams.items())),
+            (("B", *key, n) for key, n in sorted(self.bigrams.items())),
+            (("T", *key, n) for key, n in sorted(self.trigrams.items())),
+            (("S", k, *key, n) for k in self.skip_ks for key, n in sorted(self.skips[k].items())),
+        )
+        skips = ",".join(str(k) for k in self.skip_ks)
+        write_artifact(path, "NGRAM-COUNTS", rows, order=self.max_order, skips=skips)
 
     @classmethod
     def load(cls, path) -> "NgramCounts":
         """Read the save format; a malformed file raises DataError."""
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            body = fh.read()
-        if header[:2] != ["NGRAM-COUNTS", "v1"]:
-            raise DataError("not a counts file: %s" % path)
-        lines: dict[str, list[str]] = {tag: [] for tag in _LINE_FIELDS}
-        for line in body.splitlines():
-            tag, _, rest = line.partition(" ")
-            rows = lines.get(tag)
-            if rows is not None:
-                rows.append(rest)
-            elif line.strip():
-                raise DataError("unrecognized counts line %r" % line)
-        fields = dict(part.partition("=")[::2] for part in header[2:])
+        reader = ArtifactReader(
+            path, "NGRAM-COUNTS", order=int,
+            skips=lambda text: tuple(int(k) for k in text.split(",") if k),
+        )
+        (v,), (total,) = reader.rows("i", tag="V"), reader.rows("i", tag="N")
+        if len(v) != 1 or len(total) != 1 or v[0] < 1:
+            raise reader.error(2, "expected one positive V line, then one N line")
         try:
-            max_order = int(fields["order"])
-            skip_ks = tuple(int(k) for k in fields["skips"].split(",") if k)
-            tables = {tag: _int_rows(tag, rows) for tag, rows in lines.items()}
-        except KeyError as exc:
-            raise DataError("counts file header lacks %s=: %s" % (exc.args[0], path))
-        except ValueError as exc:
-            raise DataError("malformed counts file %s: %s" % (path, exc))
-        if len(tables["V"]) != 1 or tables["V"][0, 0] < 1:
-            raise DataError("counts file needs exactly one positive V line: %s" % path)
-        vocab_size = int(tables["V"][0, 0])
-        try:
-            counts = cls(vocab_size, max_order, skip_ks)
+            counts = cls(int(v[0]), reader.header["order"], reader.header["skips"])
         except ParameterError as exc:
-            raise DataError("counts file %s: %s" % (path, exc))
-        U, B, T, S = (tables[tag] for tag in "UBTS")
-        for ids in (U[:, :1], B[:, :2], T[:, :3], S[:, 1:3]):
-            if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-                raise DataError(
-                    "counts file %s: word id out of range [0, %d)" % (path, vocab_size)
-                )
-        if not np.isin(S[:, 0], counts.skip_ks).all():
-            raise DataError("counts file %s: skip distance not in its header" % path)
-        if any(t.size and t[:, -1].min() < 1 for t in (U, B, T, S)):
-            raise DataError("counts file %s: counts must be positive" % path)
-        if len(tables["N"]):
-            counts.total = int(tables["N"][-1, 0])
-        counts.unigrams = Counter(dict(zip(U[:, 0].tolist(), U[:, 1].tolist())))
-        counts.bigrams = _keyed_counter(B)
-        counts.trigrams = _keyed_counter(T)
-        for k in counts.skip_ks:
-            counts.skips[k] = _keyed_counter(S[S[:, 0] == k, 1:])
+            raise reader.error(1, str(exc)) from None
+        counts.total = int(total[0])
+        V = counts.vocab_size
+        tables = {}
+        for tag, kinds in (("U", "ii"), ("B", "iii"), ("T", "iiii"), ("S", "iiii")):
+            *ids, n = tables[tag] = reader.rows(kinds, tag=tag)
+            if tag == "S":
+                reader.check(np.isin(ids[0], counts.skip_ks), "skip distance not in the header")
+                ids = ids[1:]
+            in_range = np.logical_and.reduce([(c >= 0) & (c < V) for c in ids])
+            reader.check(in_range, "word id out of range [0, %d)" % V)
+            reader.check(n >= 1, "counts must be positive")
+        reader.end()
+        counts.unigrams, counts.bigrams, counts.trigrams = (
+            _keyed_counter(*tables[tag]) for tag in "UBT"
+        )
+        k, w1, w2, n = tables["S"]
+        for skip in counts.skip_ks:
+            counts.skips[skip] = _keyed_counter(w1[k == skip], w2[k == skip], n[k == skip])
         return counts
 
 
-# Integer fields after the tag on each counts-file line.
-_LINE_FIELDS = {"V": 1, "N": 1, "U": 2, "B": 3, "T": 4, "S": 4}
-
-
-def _int_rows(tag: str, rows: list[str]) -> np.ndarray:
-    """Parse the single-space-separated fields of one tag's lines; ValueError
-    unless every line holds exactly its integer fields."""
-    n_fields = _LINE_FIELDS[tag]
-    flat = " ".join(rows).split()
-    if len(flat) != n_fields * len(rows) or (
-        rows and (np.char.count(np.array(rows), " ") != n_fields - 1).any()
-    ):
-        raise ValueError("%s lines need %d fields after the tag" % (tag, n_fields))
-    return np.array(flat, dtype=np.int64).reshape(len(rows), n_fields)
-
-
-def _keyed_counter(rows: np.ndarray) -> Counter:
-    """Counter from rows of (id, ..., id, count), keyed by the id tuple."""
-    columns = [col.tolist() for col in rows.T]
-    return Counter(dict(zip(zip(*columns[:-1]), columns[-1])))
+def _keyed_counter(*columns: np.ndarray) -> Counter:
+    """Counter from id columns and a count column, keyed by the id tuple (a
+    bare id for a single id column)."""
+    *ids, n = (col.tolist() for col in columns)
+    keys = ids[0] if len(ids) == 1 else zip(*ids)
+    return Counter(dict(zip(keys, n)))
 
 
 def _event_windows(sentences: Iterable[TokenSentence], width: int) -> np.ndarray:

@@ -14,17 +14,20 @@ models are smoothed by the cascade layer, not here).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .aggregate import TrainingTrace
+from .artifact import ArtifactReader, positive, write_artifact
 from .corpus import (
-    END_ID,
-    START_ID,
     NgramCounts,
     TokenSentence,
     _check_ids,
     _count_windows,
     _event_windows,
+    most_frequent,
+    normalized_rows,
 )
 from .errors import DataError, NumericError, ParameterError
 
@@ -76,16 +79,7 @@ class MixedOrderModel:
         missing = [k for k in range(1, order + 1) if k not in counts.skips]
         if missing:
             raise ParameterError("counts lack skip tables for k=%r" % missing)
-        matrices: list[SkipMatrix] = []
-        for k in range(1, order + 1):
-            rows: SkipMatrix = {}
-            for (w1, w2), n in counts.skips[k].items():
-                rows.setdefault(w1, {})[w2] = float(n)
-            for w1, row in rows.items():
-                norm = sum(row.values())
-                for w2 in row:
-                    row[w2] /= norm
-            matrices.append(rows)
+        matrices = [normalized_rows(counts.skips[k])[0] for k in range(1, order + 1)]
         lambdas = np.empty((counts.vocab_size, order))
         for k in range(1, order + 1):
             lambdas[:, k - 1] = 1.0 / (order - k + 1)
@@ -111,35 +105,27 @@ class MixedOrderModel:
         return total
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("MIX-MODEL v1 V=%d m=%d\n" % (self.vocab_size, self.order))
-            for row in self.lambdas:
-                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-            for k, rows in enumerate(self.matrices, start=1):
-                for w1 in sorted(rows):
-                    for w2 in sorted(rows[w1]):
-                        fh.write("%d %d %d %r\n" % (k, w1, w2, rows[w1][w2]))
+        pairs = (
+            (k, w1, w2, p)
+            for k, rows in enumerate(self.matrices, start=1)
+            for w1, row in sorted(rows.items())
+            for w2, p in sorted(row.items())
+        )
+        rows = itertools.chain(self.lambdas.tolist(), pairs)
+        write_artifact(path, "MIX-MODEL", rows, V=self.vocab_size, m=self.order)
 
     @classmethod
     def load(cls, path) -> "MixedOrderModel":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if header[:2] != ["MIX-MODEL", "v1"]:
-                raise DataError("not a mixed-order model file: %s" % path)
-            fields = dict(part.split("=", 1) for part in header[2:])
-            v, m = int(fields["V"]), int(fields["m"])
-            lambdas = np.array(
-                [[float(x) for x in fh.readline().split()] for _ in range(v)]
-            )
-            matrices: list[SkipMatrix] = [{} for _ in range(m)]
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                k, w1, w2 = int(parts[0]), int(parts[1]), int(parts[2])
-                matrices[k - 1].setdefault(w1, {})[w2] = float(parts[3])
-        if lambdas.shape != (v, m):
-            raise DataError("mixed-order model file has malformed rows: %s" % path)
+        reader = ArtifactReader(path, "MIX-MODEL", V=positive, m=positive)
+        V, m = reader.header["V"], reader.header["m"]
+        lambdas = reader.matrix(V, m)
+        k, w1, w2, _ = pairs = reader.rows("iiif")
+        reader.check((k >= 1) & (k <= m), "skip distance outside 1..%d" % m)
+        in_range = (w1 >= 0) & (w1 < V) & (w2 >= 0) & (w2 < V)
+        reader.check(in_range, "word id out of range [0, %d)" % V)
+        matrices: list[SkipMatrix] = [{} for _ in range(m)]
+        for k, w1, w2, p in zip(*(col.tolist() for col in pairs)):
+            matrices[k - 1].setdefault(w1, {})[w2] = p
         return cls(lambdas, matrices)
 
 
@@ -326,15 +312,7 @@ def lambda_report(
     """
     if model.order < 2:
         raise ParameterError("lambda ranking needs at least two components")
-    ranked = sorted(
-        (
-            (w, n)
-            for w, n in unigram_counts.items()
-            if w not in (START_ID, END_ID)
-        ),
-        key=lambda kv: (-kv[1], kv[0]),
-    )
-    chosen = [w for w, _ in ranked[:top_n]]
+    chosen = most_frequent(unigram_counts, top_n)
     lam1 = [(w, float(model.lambdas[w, 0])) for w in chosen]
     low = sorted(lam1, key=lambda wl: (wl[1], wl[0]))[:list_size]
     high = sorted(lam1, key=lambda wl: (-wl[1], wl[0]))[:list_size]

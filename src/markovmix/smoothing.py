@@ -17,6 +17,7 @@ w = -1 holding the per-k fallback) and "GT v1" for discount coefficients.
 
 from __future__ import annotations
 
+import itertools
 import os
 import warnings
 from collections import Counter
@@ -24,7 +25,8 @@ from collections import Counter
 import numpy as np
 
 from .aggregate import AggregateModel
-from .corpus import NgramCounts, TokenSentence, iter_events
+from .artifact import ArtifactReader, positive, write_artifact
+from .corpus import NgramCounts, TokenSentence, iter_events, normalized_rows
 from .errors import DataError, ParameterError
 from .mixedorder import MixedOrderModel
 
@@ -57,14 +59,7 @@ class MLBigram:
     context_size = 1
 
     def __init__(self, bigrams: Counter):
-        self.rows: dict[int, dict[int, float]] = {}
-        for (w1, w2), n in bigrams.items():
-            self.rows.setdefault(w1, {})[w2] = float(n)
-        self.row_totals = {w1: sum(row.values()) for w1, row in self.rows.items()}
-        for w1, row in self.rows.items():
-            norm = self.row_totals[w1]
-            for w2 in row:
-                row[w2] /= norm
+        self.rows, self.row_totals = normalized_rows(bigrams)
 
     @classmethod
     def from_counts(cls, counts: NgramCounts) -> "MLBigram":
@@ -80,33 +75,6 @@ class MLBigram:
         return self.pair_prob(context[-1], word)
 
 
-def _write_sigma_file(path, fallbacks: dict[int, float], values) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("SIGMA v1\n")
-        for k in sorted(fallbacks):
-            fh.write("%d -1 %r\n" % (k, fallbacks[k]))
-        for (k, w) in sorted(values):
-            fh.write("%d %d %r\n" % (k, w, values[(k, w)]))
-
-
-def _read_sigma_file(path):
-    fallbacks: dict[int, float] = {}
-    values: dict[tuple[int, int], float] = {}
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().split() != ["SIGMA", "v1"]:
-            raise DataError("not a sigma parameter file: %s" % path)
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            k, w, s = int(parts[0]), int(parts[1]), float(parts[2])
-            if w < 0:
-                fallbacks[k] = s
-            else:
-                values[(k, w)] = s
-    return fallbacks, values
-
-
 class InterpolationParams:
     """Per-row interpolation weights sigma(w) with a pooled fallback."""
 
@@ -118,14 +86,15 @@ class InterpolationParams:
         return self.sigma.get(w, self.sigma0)
 
     def save(self, path) -> None:
-        _write_sigma_file(path, {1: self.sigma0}, {(1, w): s for w, s in self.sigma.items()})
+        values = {(1, w): s for w, s in self.sigma.items()}
+        MixedSmoothingParams(values, {1: self.sigma0}).save(path)
 
     @classmethod
     def load(cls, path) -> "InterpolationParams":
-        fallbacks, values = _read_sigma_file(path)
-        if set(fallbacks) != {1}:
-            raise DataError("interpolation file must hold exactly the k=1 fallback")
-        return cls({w: s for (_, w), s in values.items()}, fallbacks[1])
+        params = MixedSmoothingParams.load(path)
+        if set(params.fallbacks) != {1}:
+            raise DataError("%s: interpolation weights must all have k=1" % path)
+        return cls({w: s for (_, w), s in params.values.items()}, params.fallbacks[1])
 
 
 class MixedSmoothingParams:
@@ -139,12 +108,24 @@ class MixedSmoothingParams:
         return self.values.get((k, w), self.fallbacks[k])
 
     def save(self, path) -> None:
-        _write_sigma_file(path, self.fallbacks, self.values)
+        rows = itertools.chain(
+            ((k, -1, s) for k, s in sorted(self.fallbacks.items())),
+            ((k, w, s) for (k, w), s in sorted(self.values.items())),
+        )
+        write_artifact(path, "SIGMA", rows)
 
     @classmethod
     def load(cls, path) -> "MixedSmoothingParams":
-        fallbacks, values = _read_sigma_file(path)
-        return cls(values, fallbacks)
+        """Read a SIGMA file; every k needs its fallback row (w = -1)."""
+        reader = ArtifactReader(path, "SIGMA")
+        k, w, s = reader.rows("iif")
+        reader.check(k >= 1, "skip distance below 1")
+        reader.check(w >= -1, "word id below -1")
+        pooled = w == -1
+        fallbacks = dict(zip(k[pooled].tolist(), s[pooled].tolist()))
+        reader.check(np.isin(k, list(fallbacks)), "no fallback row (w = -1) for this k")
+        keys = zip(k[~pooled].tolist(), w[~pooled].tolist())
+        return cls(dict(zip(keys, s[~pooled].tolist())), fallbacks)
 
 
 def _sigma_em(a: np.ndarray, b: np.ndarray, n: np.ndarray, groups, n_groups: int):
@@ -336,8 +317,9 @@ def fit_mixed_smoothing(
         np.bincount(ctx[:, k], minlength=V) > 0 for k in range(m)
     ]
 
-    for _ in range(_FIT_MAX_ITERS):
-        se = sig[ctx, np.arange(m)[None, :]]
+    def e_step(se: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior shares (direct, delegated) of each event's components
+        under discount weights `se`, which broadcast against (N, m)."""
         direct = (1.0 - se) * weight * mk
         deleg = se * weight * plow[:, None]
         tot = direct.sum(axis=1) + deleg.sum(axis=1)
@@ -346,16 +328,11 @@ def fit_mixed_smoothing(
         rl = np.zeros_like(deleg)
         rd[ok] = direct[ok] / tot[ok, None]
         rl[ok] = deleg[ok] / tot[ok, None]
+        return rd, rl
 
-        d0 = (1.0 - sig0) * weight * mk
-        l0 = sig0 * weight * plow[:, None]
-        t0 = d0.sum(axis=1) + l0.sum(axis=1)
-        ok0 = t0 > 0.0
-        rd0 = np.zeros_like(d0)
-        rl0 = np.zeros_like(l0)
-        rd0[ok0] = d0[ok0] / t0[ok0, None]
-        rl0[ok0] = l0[ok0] / t0[ok0, None]
-
+    for _ in range(_FIT_MAX_ITERS):
+        rd, rl = e_step(sig[ctx, np.arange(m)[None, :]])
+        rd0, rl0 = e_step(sig0)
         delta = 0.0
         for k in range(m):
             num = np.bincount(ctx[:, k], weights=rl[:, k], minlength=V)
@@ -423,17 +400,14 @@ def good_turing_discounts(table: Counter, k_gt: int = DEFAULT_GT_THRESHOLD) -> d
 
 
 def save_discounts(path, discounts: dict[int, float]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("GT v1\n")
-        for r in sorted(discounts):
-            fh.write("%d %r\n" % (r, discounts[r]))
+    write_artifact(path, "GT", sorted(discounts.items()))
 
 
 def load_discounts(path) -> dict[int, float]:
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().split() != ["GT", "v1"]:
-            raise DataError("not a discount file: %s" % path)
-        return {int(r): float(d) for r, d in (line.split() for line in fh if line.split())}
+    reader = ArtifactReader(path, "GT")
+    r, d = reader.rows("if")
+    reader.check(r >= 1, "count below 1")
+    return dict(zip(r.tolist(), d.tolist()))
 
 
 class _KatzLevel:
@@ -642,8 +616,9 @@ class SmoothedCascade:
     """A fitted chain of smoothing levels with an aggregate base.
 
     Levels from the bottom: aggregate base, interpolated bigram, mixed-order
-    levels of increasing order, and optionally a Katz-discounted trigram.
-    The `top` attribute is the conditional model implementing the chain.
+    levels of increasing order, and optionally a Katz-discounted trigram
+    (Good-Turing `discounts`, from the counts when None).  The constructor
+    builds every level; `top` is the conditional model implementing the chain.
     """
 
     def __init__(
@@ -652,16 +627,17 @@ class SmoothedCascade:
         base: AggregateModel,
         interp: InterpolationParams,
         mixed_levels: list[tuple[MixedOrderModel, MixedSmoothingParams]],
-        trigram: KatzTrigram | None = None,
+        with_trigram: bool = False,
         gt_threshold: int = DEFAULT_GT_THRESHOLD,
         truncation: int = 1,
+        discounts: dict[int, float] | None = None,
+        ml_bigram: MLBigram | None = None,
     ):
         self.counts = counts
         self.base = base
-        self.ml_bigram = MLBigram.from_counts(counts)
+        self.ml_bigram = ml_bigram or MLBigram.from_counts(counts)
         self.interp = interp
         self.mixed_levels = mixed_levels
-        self.trigram = trigram
         self.gt_threshold = gt_threshold
         self.truncation = truncation
 
@@ -670,7 +646,12 @@ class SmoothedCascade:
         for model, params in mixed_levels:
             level = SmoothedMixedLevel(model, params, level)
             self.level_stack.append(level)
-        self.top = trigram if trigram is not None else level
+        self.trigram = None
+        if with_trigram:
+            self.trigram = build_katz_trigram(
+                counts, level, k_gt=gt_threshold, truncation=truncation, discounts=discounts
+            )
+        self.top = self.trigram if self.trigram is not None else level
         self.context_size = self.top.context_size
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
@@ -706,22 +687,13 @@ class SmoothedCascade:
             )
         ml = MLBigram.from_counts(counts)
         interp = fit_interpolation(ml, base, validation, tied=tied)
-        level = InterpolatedBigram(ml, base, interp)
         mixed_levels = []
         for model in mixed_models:
-            params = fit_mixed_smoothing(model, level, validation, tied=tied)
+            lower = cls(counts, base, interp, mixed_levels, ml_bigram=ml).top
+            params = fit_mixed_smoothing(model, lower, validation, tied=tied)
             mixed_levels.append((model, params))
-            level = SmoothedMixedLevel(model, params, level)
-        trigram = None
-        if with_trigram:
-            if level.context_size > 2:
-                raise ParameterError(
-                    "trigram level requires a backoff conditioning on at most 2 words"
-                )
-            trigram = build_katz_trigram(
-                counts, level, k_gt=gt_threshold, truncation=truncation
-            )
-        return cls(counts, base, interp, mixed_levels, trigram, gt_threshold, truncation)
+        return cls(counts, base, interp, mixed_levels, with_trigram, gt_threshold, truncation,
+                   ml_bigram=ml)
 
 
 def write_cascade_manifest(
@@ -747,72 +719,55 @@ def write_cascade_manifest(
             raise ParameterError("manifest paths must not contain whitespace: %r" % r)
         return r
 
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("CASCADE v1\n")
-        fh.write("counts %s\n" % rel(counts_path))
-        fh.write("base aggregate %s\n" % rel(base_path))
-        fh.write("level 1 bigram %s\n" % rel(interp_sigma_path))
-        for order, (model_path, sigma_path) in enumerate(mixed_paths, start=2):
-            fh.write("level %d mixed %s %s\n" % (order, rel(model_path), rel(sigma_path)))
-        if gt_path is not None:
-            fh.write(
-                "trigram %s kgt=%d truncate=%d\n" % (rel(gt_path), gt_threshold, truncation)
-            )
+    rows = [("counts", rel(counts_path)), ("base", "aggregate", rel(base_path))]
+    rows.append(("level", 1, "bigram", rel(interp_sigma_path)))
+    for order, (model_path, sigma_path) in enumerate(mixed_paths, start=2):
+        rows.append(("level", order, "mixed", rel(model_path), rel(sigma_path)))
+    if gt_path is not None:
+        rows.append(("trigram", rel(gt_path), "kgt=%d" % gt_threshold, "truncate=%d" % truncation))
+    write_artifact(path, "CASCADE", rows)
 
 
 def load_cascade(path) -> SmoothedCascade:
-    """Assemble a fitted cascade from its manifest and referenced files."""
+    """Assemble a fitted cascade from its manifest and the files it names.
+
+    Lines come in the order written: counts, base, levels 1, 2, ... and the
+    optional trigram.  Level k >= 2 holds an order-k mixed model whose sigma
+    file has a fallback for each skip distance, and every model agrees with
+    the counts on the vocabulary size.
+    """
+    reader = ArtifactReader(path, "CASCADE")
     base_dir = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p: str) -> str:
-        return os.path.join(base_dir, p)
-
-    counts = None
-    base = None
-    interp = None
-    mixed_entries: list[tuple[MixedOrderModel, MixedSmoothingParams]] = []
-    trigram_entry = None
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().split() != ["CASCADE", "v1"]:
-            raise DataError("not a cascade manifest: %s" % path)
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "counts":
-                counts = NgramCounts.load(resolve(parts[1]))
-            elif parts[0] == "base":
-                base = AggregateModel.load(resolve(parts[2]))
-            elif parts[0] == "level" and parts[2] == "bigram":
-                interp = InterpolationParams.load(resolve(parts[3]))
-            elif parts[0] == "level" and parts[2] == "mixed":
-                model = MixedOrderModel.load(resolve(parts[3]))
-                params = MixedSmoothingParams.load(resolve(parts[4]))
-                mixed_entries.append((model, params))
-            elif parts[0] == "trigram":
-                fields = dict(p.split("=", 1) for p in parts[2:])
-                trigram_entry = (
-                    resolve(parts[1]),
-                    int(fields["kgt"]),
-                    int(fields["truncate"]),
-                )
-            else:
-                raise DataError("unrecognized manifest line %r" % line.rstrip())
-    if counts is None or base is None or interp is None:
-        raise DataError("cascade manifest is missing a required level: %s" % path)
-    trigram = None
-    gt_threshold = DEFAULT_GT_THRESHOLD
-    truncation = 1
-    if trigram_entry is not None:
-        gt_file, gt_threshold, truncation = trigram_entry
-        discounts = load_discounts(gt_file)
-        ml = MLBigram.from_counts(counts)
-        level = InterpolatedBigram(ml, base, interp)
-        for model, params in mixed_entries:
-            level = SmoothedMixedLevel(model, params, level)
-        trigram = build_katz_trigram(
-            counts, level, k_gt=gt_threshold, truncation=truncation, discounts=discounts
-        )
-    return SmoothedCascade(
-        counts, base, interp, mixed_entries, trigram, gt_threshold, truncation
-    )
+    counts = base = interp = None
+    mixed_levels: list[tuple[MixedOrderModel, MixedSmoothingParams]] = []
+    trigram: dict = {}  # SmoothedCascade keywords of the trigram level
+    for lineno, fields in reader.records():
+        files = [os.path.join(base_dir, f) for f in fields]
+        shape = (fields[0], len(fields))
+        if shape == ("counts", 2) and counts is None:
+            counts = NgramCounts.load(files[1])
+        elif shape == ("base", 3) and fields[1] == "aggregate" and counts and not base:
+            base = AggregateModel.load(files[2])
+            if base.vocab_size != counts.vocab_size:
+                sizes = (base.vocab_size, counts.vocab_size)
+                raise reader.error(lineno, "V=%d here but %d in the counts" % sizes)
+        elif shape == ("level", 4) and fields[1:3] == ["1", "bigram"] and base and not interp:
+            interp = InterpolationParams.load(files[3])
+        elif shape == ("level", 5) and fields[2] == "mixed" and interp:
+            k = 2 + len(mixed_levels)
+            model, params = MixedOrderModel.load(files[3]), MixedSmoothingParams.load(files[4])
+            if (fields[1], model.order, model.vocab_size, sorted(params.fallbacks)) != (
+                str(k), k, counts.vocab_size, list(range(1, k + 1))
+            ):
+                raise reader.error(lineno, "expected level %d: an order-%d model over V=%d and "
+                                   "sigma fallbacks for k = 1..%d" % (k, k, counts.vocab_size, k))
+            mixed_levels.append((model, params))
+        elif shape == ("trigram", 4) and interp and not trigram:
+            opts = reader.key_values(fields[2:], lineno, kgt=positive, truncate=positive)
+            trigram = dict(with_trigram=True, discounts=load_discounts(files[1]),
+                           gt_threshold=opts["kgt"], truncation=opts["truncate"])
+        else:
+            raise reader.error(lineno, "unexpected manifest line %r" % " ".join(fields))
+    if interp is None:
+        raise reader.error(1, "the manifest needs counts, base and level 1 lines")
+    return SmoothedCascade(counts, base, interp, mixed_levels, **trigram)

@@ -2,6 +2,8 @@
 
 import math
 import os
+import re
+import shutil
 from collections import Counter
 
 import pytest
@@ -132,7 +134,101 @@ class TestTrainAggregate:
         assert not (workdir / "trace.csv").exists()
 
 
+def edit_line(pattern, edit):
+    """Garble: apply `edit` to the fields of the first line matching `pattern`."""
+
+    def garble(text):
+        lines = text.split("\n")
+        i = next(i for i, line in enumerate(lines) if re.match(pattern, line))
+        lines[i] = " ".join(edit(lines[i].split(" ")))
+        return "\n".join(lines)
+
+    return garble
+
+
+def drop(part):
+    return lambda text: text.replace(part, "", 1)
+
+
+def non_numeric(fields):
+    return fields[:-1] + ["x"]
+
+
+def too_few(fields):
+    return fields[:-1]
+
+
+def cut(text):
+    """Cut the file off inside its last line."""
+    return text[:-4]
+
+
+# (file, garble) per case; each garbled file makes `eval` of the cascade exit 3.
+GARBLES = {
+    "counts-non_numeric": ("counts.txt", edit_line("B ", non_numeric)),
+    "counts-header_key": ("counts.txt", drop(" order=3")),
+    "counts-field_count": ("counts.txt", edit_line("B ", too_few)),
+    "counts-truncated": ("counts.txt", cut),
+    "agg-non_numeric": ("agg.txt", edit_line(r"\d", non_numeric)),
+    "agg-header_key": ("agg.txt", drop(" C=4")),
+    "agg-field_count": ("agg.txt", edit_line(r"\d", too_few)),
+    "agg-truncated": ("agg.txt", cut),
+    "agg-not_finite": ("agg.txt", edit_line(r"\d", lambda f: f[:-1] + ["nan"])),
+    "agg-extra_line": ("agg.txt", lambda text: text + "0.5 0.5\n"),
+    "mix-non_numeric": ("mix2.txt", edit_line(r"1 \d+ \d+ ", non_numeric)),
+    "mix-header_key": ("mix2.txt", drop(" m=2")),
+    "mix-field_count": ("mix2.txt", edit_line(r"1 \d+ \d+ ", too_few)),
+    "mix-truncated": ("mix2.txt", cut),
+    "mix-id_out_of_range": (
+        "mix2.txt", edit_line(r"2 \d+ \d+ ", lambda f: [f[0], "99"] + f[2:])
+    ),
+    "mix-k_out_of_range": ("mix2.txt", edit_line(r"2 \d+ \d+ ", lambda f: ["3"] + f[1:])),
+    "mix-blank_line": ("mix2.txt", lambda text: text + "\n"),
+    "sigma_bigram-non_numeric": ("smooth/sigma_bigram.txt", edit_line(r"1 \d+ ", non_numeric)),
+    "sigma_bigram-bad_header": ("smooth/sigma_bigram.txt", drop(" v1")),
+    "sigma_bigram-field_count": ("smooth/sigma_bigram.txt", edit_line(r"1 \d+ ", too_few)),
+    "sigma_bigram-truncated": ("smooth/sigma_bigram.txt", cut),
+    "sigma_bigram-no_fallback": (
+        "smooth/sigma_bigram.txt", edit_line("1 -1 ", lambda f: ["1", "0", f[2]])
+    ),
+    "sigma_mixed-non_numeric": ("smooth/sigma_mixed2.txt", edit_line(r"2 \d+ ", non_numeric)),
+    "sigma_mixed-bad_header": ("smooth/sigma_mixed2.txt", drop(" v1")),
+    "sigma_mixed-field_count": ("smooth/sigma_mixed2.txt", edit_line(r"2 \d+ ", too_few)),
+    "sigma_mixed-truncated": ("smooth/sigma_mixed2.txt", cut),
+    "sigma_mixed-no_fallback": (
+        "smooth/sigma_mixed2.txt", edit_line("2 -1 ", lambda f: ["2", "0", f[2]])
+    ),
+    "gt-non_numeric": ("smooth/gt_trigram.txt", edit_line("1 ", non_numeric)),
+    "gt-bad_header": ("smooth/gt_trigram.txt", drop(" v1")),
+    "gt-field_count": ("smooth/gt_trigram.txt", edit_line("1 ", too_few)),
+    "gt-truncated": ("smooth/gt_trigram.txt", cut),
+    "gt-not_utf8": ("smooth/gt_trigram.txt", lambda text: text.encode() + b"\xff\n"),
+    "cascade-non_numeric": ("cascade.txt", lambda text: text.replace("kgt=2", "kgt=x")),
+    "cascade-header_key": ("cascade.txt", drop(" kgt=2")),
+    "cascade-field_count": ("cascade.txt", edit_line("level 2 ", too_few)),
+    "cascade-truncated": ("cascade.txt", cut),
+    "cascade-level_gap": ("cascade.txt", edit_line("level 2 ", lambda f: [f[0], "3"] + f[2:])),
+    "cascade-vocab_mismatch": ("cascade.txt", lambda text: text.replace("agg.txt", "agg9.txt")),
+    "vocab-no_reserved": ("vocab.txt", lambda text: text.split("\n", 1)[1]),
+    "vocab-duplicate": ("vocab.txt", lambda text: text + "the\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """A fitted trigram cascade, plus agg9.txt, an aggregate model with V=9."""
+    d = tmp_path_factory.mktemp("pipeline")
+    (d / "train.txt").write_text("\n".join(CORPUS) + "\n", encoding="utf-8")
+    (d / "test.txt").write_text("the dog sat on the mat .\na bird saw a cat .\n", encoding="utf-8")
+    build_pipeline(d, with_trigram=True)
+    mm.AggregateModel.random_init(9, 4, seed=0).save(d / "agg9.txt")
+    return d
+
+
 class TestMalformedCounts:
+    """Malformed artifacts exit 3 with a one-line message: counts files given
+    to train-aggregate, and every artifact type read by eval."""
+
     GOOD = "NGRAM-COUNTS v1 order=2 skips=1\nV 5\nN 3\nU 3 1\nU 4 1\nU 1 1\n"
 
     @pytest.mark.parametrize(
@@ -159,6 +255,29 @@ class TestMalformedCounts:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (workdir / "agg.txt").exists()
+
+    @pytest.mark.parametrize("case", sorted(GARBLES))
+    def test_eval_exits_3(self, pipeline_dir, tmp_path, capsys, case):
+        name, garble = GARBLES[case]
+        workdir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, workdir)
+        path = workdir / name
+        text = garble(path.read_text(encoding="utf-8"))
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        code = run(
+            workdir,
+            "eval",
+            "--test", "test.txt",
+            "--vocab", "vocab.txt",
+            "--cascade", "cascade.txt",
+            "--unseen", "backoff",
+        )
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTrainMixed:

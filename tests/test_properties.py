@@ -1,17 +1,23 @@
 """Property tests on random tiny corpora: the array implementations of
 counting, the mixed-order event table and the aggregate E-step against
-plain loop references."""
+plain loop references, and save -> load -> save byte identity of every
+artifact type."""
 
+import os
+import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import markovmix as mm
 from markovmix import aggregate as ag
 from markovmix import mixedorder as mo
-from markovmix.corpus import END_ID, START_ID, NgramCounts, _event_windows
+from markovmix import smoothing as sm
+from markovmix.corpus import _RESERVED, END_ID, START_ID, NgramCounts, _event_windows
 
 from test_corpus import make_vocab
 
@@ -162,3 +168,125 @@ def test_single_pass_em_step_matches_two_pass(corpus, data):
     assert np.isclose(ll, ref_ll, rtol=1e-12, atol=0)
     assert np.allclose(stepped.class_given_word, cgw, rtol=1e-12, atol=0)
     assert np.allclose(stepped.word_given_class, wgc, rtol=1e-12, atol=0)
+
+
+def resaved_equal(obj, load, save=lambda obj, path: obj.save(path)):
+    """Save obj, load the file and save the result: are the bytes equal?"""
+    with tempfile.TemporaryDirectory() as d:
+        first, second = os.path.join(d, "first"), os.path.join(d, "second")
+        save(obj, first)
+        save(load(first), second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            return a.read() == b.read()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@SETTINGS
+@given(st.lists(st.text(st.characters(exclude_categories=("Z", "C")), min_size=1), unique=True))
+def test_vocabulary_resaves_identically(words):
+    vocab = mm.Vocabulary(list(_RESERVED) + [w for w in words if w not in _RESERVED])
+    assert resaved_equal(vocab, mm.Vocabulary.load)
+
+
+@SETTINGS
+@given(
+    corpora(),
+    st.integers(1, 3),
+    st.sets(st.integers(1, 5), min_size=1, max_size=3),
+)
+def test_counts_resave_identically(corpus, order, skips):
+    V, sentences = corpus
+    vocab = make_vocab(*("w%d" % i for i in range(V - 3)))
+    counts = mm.count_ngrams(sentences, vocab, order, skips)
+    assert resaved_equal(counts, NgramCounts.load)
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 5), st.integers(1, 4))
+def test_aggregate_model_resaves_identically(data, V, C):
+    cgw = data.draw(arrays(np.float64, (V, C), elements=finite))
+    wgc = data.draw(arrays(np.float64, (C, V), elements=finite))
+    assert resaved_equal(mm.AggregateModel(cgw, wgc), mm.AggregateModel.load)
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 5), st.integers(1, 3))
+def test_mixed_model_resaves_identically(data, V, m):
+    lambdas = data.draw(arrays(np.float64, (V, m), elements=finite))
+    ids = st.integers(0, V - 1)
+    matrices = []
+    for _ in range(m):
+        rows = {}
+        for (w1, w2), p in data.draw(st.dictionaries(st.tuples(ids, ids), finite)).items():
+            rows.setdefault(w1, {})[w2] = p
+        matrices.append(rows)
+    assert resaved_equal(mo.MixedOrderModel(lambdas, matrices), mo.MixedOrderModel.load)
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 3))
+def test_weight_files_resave_identically(data, m):
+    fallbacks = {k: data.draw(finite) for k in range(1, m + 1)}
+    keys = st.tuples(st.integers(1, m), st.integers(0, 20))
+    values = data.draw(st.dictionaries(keys, finite))
+    params = sm.MixedSmoothingParams(values, fallbacks)
+    assert resaved_equal(params, sm.MixedSmoothingParams.load)
+    interp = sm.InterpolationParams(data.draw(st.dictionaries(st.integers(0, 20), finite)), 0.5)
+    assert resaved_equal(interp, sm.InterpolationParams.load)
+    discounts = data.draw(st.dictionaries(st.integers(1, 10), finite))
+    save = lambda discounts, path: sm.save_discounts(path, discounts)
+    assert resaved_equal(discounts, sm.load_discounts, save)
+
+
+def save_cascade(cascade, d):
+    """Write the files of a cascade and its manifest into d, as `smooth` does."""
+    path = lambda name: os.path.join(d, name)
+    cascade.counts.save(path("counts.txt"))
+    cascade.base.save(path("agg.txt"))
+    cascade.interp.save(path("sigma1.txt"))
+    levels = []
+    for model, params in cascade.mixed_levels:
+        levels.append((path("mix%d.txt" % model.order), path("sigma%d.txt" % model.order)))
+        model.save(levels[-1][0])
+        params.save(levels[-1][1])
+    gt = None
+    if cascade.trigram is not None:
+        gt = path("gt.txt")
+        sm.save_discounts(gt, cascade.trigram.level.discounts)
+    sm.write_cascade_manifest(
+        path("cascade.txt"), path("counts.txt"), path("agg.txt"), path("sigma1.txt"),
+        levels, gt_path=gt, gt_threshold=cascade.gt_threshold, truncation=cascade.truncation,
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    corpora(min_sentences=2),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 3),
+)
+def test_cascade_files_resave_identically(corpus, levels, with_trigram, tied, truncation):
+    V, sentences = corpus
+    counts = mm.count_ngrams(sentences, make_vocab(*("w%d" % i for i in range(V - 3))), 3)
+    base, _ = mm.train_aggregate(counts, 2, iterations=2)
+    mixed = [mm.train_mixed(sentences, k, V, iterations=1)[0] for k in range(2, levels + 1)]
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        # Good-Turing statistics of tiny corpora are sparse.
+        warnings.simplefilter("ignore")
+        cascade = mm.SmoothedCascade.fit(
+            counts, base, mixed, sentences, with_trigram=with_trigram and levels <= 2,
+            gt_threshold=2, truncation=min(truncation, max(counts.trigrams.values())), tied=tied,
+        )
+        first, second = os.path.join(d, "first"), os.path.join(d, "second")
+        os.mkdir(first)
+        os.mkdir(second)
+        save_cascade(cascade, first)
+        save_cascade(sm.load_cascade(os.path.join(first, "cascade.txt")), second)
+        for name in os.listdir(first):
+            with open(os.path.join(first, name), "rb") as a:
+                with open(os.path.join(second, name), "rb") as b:
+                    assert a.read() == b.read(), name
