@@ -18,13 +18,18 @@ from .errors import DataError
 _KINDS = {"i": (np.int64, "int"), "f": (np.float64, "float")}
 
 
-def read_text(path) -> str:
-    """The UTF-8 text of a file whose last line ends in a newline."""
+def read_utf8(path) -> str:
+    """The text of a file; bytes that are not UTF-8 are a DataError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise DataError("%s: not UTF-8 text (%s)" % (path, exc.reason)) from None
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of a file whose last line ends in a newline."""
+    text = read_utf8(path)
     if not text.endswith("\n"):
         problem = "last line has no newline; the file is cut off" if text else "empty file"
         raise DataError("%s:%d: %s" % (path, text.count("\n") + 1, problem))

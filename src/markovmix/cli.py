@@ -126,6 +126,15 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise ParameterError("missing required option --%s" % name.replace("_", "-"))
 
 
+def _check_vocab_sizes(*sized: tuple[str, int]) -> None:
+    """DataError unless every (artifact, V) pair has the V of the first."""
+    (first, v), *rest = sized
+    for name, other in rest:
+        if other != v:
+            raise DataError("vocabulary sizes disagree: V=%d in %s but %d in %s"
+                            % (v, first, other, name))
+
+
 def _load_sentences(path: str, vocab: Vocabulary):
     return tokenize_corpus(read_lines(path), vocab)
 
@@ -218,6 +227,9 @@ def cmd_smooth(cfg: RunConfig) -> None:
     counts = NgramCounts.load(cfg.counts)
     base = aggregate.AggregateModel.load(cfg.agg_model)
     mixed_models = [mixedorder.MixedOrderModel.load(p) for p in mixed_paths]
+    _check_vocab_sizes((cfg.vocab, len(vocab)), (cfg.counts, counts.vocab_size),
+                       (cfg.agg_model, base.vocab_size),
+                       *((p, model.vocab_size) for p, model in zip(mixed_paths, mixed_models)))
     validation = _validation_sentences(cfg, vocab)
     if cfg.with_trigram and not counts.trigrams:
         raise DataError("counts file has no trigram table; re-run prepare with order 3")
@@ -292,6 +304,7 @@ def cmd_eval(cfg: RunConfig) -> None:
         _require_inputs(cfg.counts)
     model, model_id = _load_eval_model(cfg)
     vocab = Vocabulary.load(cfg.vocab)
+    _check_vocab_sizes((cfg.vocab, len(vocab)), (model_id, model.vocab_size))
     sentences = _load_sentences(cfg.test, vocab)
     predicate = None
     if cfg.unseen == "bigram":
@@ -335,6 +348,8 @@ def cmd_sweep_truncate(cfg: RunConfig) -> None:
             "sweep-truncate builds its own trigram levels; pass a cascade without one"
         )
     vocab = Vocabulary.load(cfg.vocab)
+    _check_vocab_sizes((cfg.vocab, len(vocab)), (cfg.counts, counts.vocab_size),
+                       (cfg.cascade, cascade.vocab_size))
     sentences = _load_sentences(cfg.test, vocab)
     katz_bigram = smoothing.KatzBigram(counts, k_gt=cfg.gt_threshold)
     discounts = smoothing.good_turing_discounts(counts.trigrams, cfg.gt_threshold)
@@ -364,6 +379,8 @@ def cmd_report_classes(cfg: RunConfig) -> None:
     model = aggregate.AggregateModel.load(cfg.agg_model)
     vocab = Vocabulary.load(cfg.vocab)
     counts = NgramCounts.load(cfg.counts)
+    _check_vocab_sizes((cfg.vocab, len(vocab)), (cfg.counts, counts.vocab_size),
+                       (cfg.agg_model, model.vocab_size))
     assignments = {w: (c, p) for w, c, p in model.class_assignments()}
     with open(cfg.csv_out, "w", encoding="utf-8") as fh:
         fh.write("word,class,max_prob\n")
@@ -378,6 +395,8 @@ def cmd_report_lambda(cfg: RunConfig) -> None:
     model = mixedorder.MixedOrderModel.load(cfg.model)
     vocab = Vocabulary.load(cfg.vocab)
     counts = NgramCounts.load(cfg.counts)
+    _check_vocab_sizes((cfg.vocab, len(vocab)), (cfg.counts, counts.vocab_size),
+                       (cfg.model, model.vocab_size))
     low, high = mixedorder.lambda_report(
         model, cfg.top_n, counts.unigrams, list_size=cfg.list_size
     )

@@ -8,17 +8,21 @@ Counting conventions: every sentence w_1..w_n yields n+1 prediction events,
 one per interior word plus one for the end marker.  The start marker is
 repeated on the left as far back as the largest configured skip distance
 requires, so a skip-k pair is defined at every event position.
+
+_event_windows is the one walk over these events: counting, mixed-order EM,
+both smoothing-weight fits and evaluation read its rows.  The per-sentence
+NgramCounts.add_sentence is kept as the reference the tests compare it to.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .artifact import ArtifactReader, read_text, write_artifact
+from .artifact import ArtifactReader, read_text, read_utf8, write_artifact
 from .errors import DataError, ParameterError
 
 START_TOKEN = "<s>"
@@ -121,8 +125,10 @@ def tokenize_corpus(lines: Iterable[str], vocab: Vocabulary) -> list[TokenSenten
 
 
 def read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    """The lines of a corpus file without their newlines; unlike an artifact,
+    the last line need not end in one."""
+    lines = read_utf8(path).split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def normalized_rows(pairs: Counter) -> tuple[dict[int, dict[int, float]], dict[int, float]]:
@@ -340,23 +346,3 @@ def count_ngrams(
     counts = NgramCounts(len(vocab), max_order, tuple(skips))
     return _count_windows(counts, _event_windows(sentences, counts.pad))
 
-
-def padded_events(
-    sentence: TokenSentence, context_size: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (context, predicted word) for each of the n+1 prediction events.
-
-    The context holds the preceding context_size ids in sentence order, most
-    recent last, padded on the left with the start id.
-    """
-    padded = [START_ID] * context_size + list(sentence) + [END_ID]
-    for i in range(context_size, len(padded)):
-        yield tuple(padded[i - context_size : i]), padded[i]
-
-
-def iter_events(
-    sentences: Iterable[TokenSentence], context_size: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    return itertools.chain.from_iterable(
-        padded_events(s, context_size) for s in sentences
-    )

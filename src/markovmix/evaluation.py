@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .corpus import NgramCounts, TokenSentence, padded_events
+from .corpus import NgramCounts, TokenSentence, _event_windows
 from .errors import NumericError
 
 
@@ -82,25 +82,32 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def _event_scores(model, sentences: list[TokenSentence]):
+    """(context, word, p, backed) for every event of the sentences, in order;
+    backed is False for a model without prob_and_backoff."""
+    scorer = getattr(model, "prob_and_backoff", None)
+    width = model.context_size
+    for row in _event_windows(sentences, width).tolist():
+        ctx, w = tuple(row[:width]), row[width]
+        if scorer is not None:
+            p, backed = scorer(ctx, w)
+        else:
+            p, backed = model.prob(ctx, w), False
+        yield ctx, w, p, backed
+
+
 def sentence_log_prob(model, sentence: TokenSentence) -> tuple[float, list[EventFlags]]:
     """Log probability of one sentence plus per-event flags.
 
     Zero-probability events contribute a flag instead of -inf and are left
     out of the returned sum.
     """
-    scorer = getattr(model, "prob_and_backoff", None)
     logprob = 0.0
     flags = []
-    for ctx, w in padded_events(sentence, model.context_size):
-        if scorer is not None:
-            p, backed = scorer(ctx, w)
-        else:
-            p, backed = model.prob(ctx, w), False
+    for _, _, p, backed in _event_scores(model, [sentence]):
         if p > 0.0:
             logprob += math.log(p)
-            flags.append(EventFlags(False, backed))
-        else:
-            flags.append(EventFlags(True, backed))
+        flags.append(EventFlags(not p > 0.0, backed))
     return logprob, flags
 
 
@@ -117,37 +124,28 @@ def evaluate(
     delegated to its backoff.  Zero-probability events never join the
     unseen log-likelihood either; they are counted in zero_events.
     """
-    scorer = getattr(model, "prob_and_backoff", None)
     total = scored = zeros = backoffs = 0
     ll = 0.0
     track_unseen = seen_predicate is not None or unseen_from_backoff
     unseen_n = unseen_scored = 0
     unseen_ll = 0.0
-    for sentence in sentences:
-        for ctx, w in padded_events(sentence, model.context_size):
-            if scorer is not None:
-                p, backed = scorer(ctx, w)
-            else:
-                p, backed = model.prob(ctx, w), False
-            total += 1
-            backoffs += backed
-            if track_unseen:
-                if unseen_from_backoff:
-                    unseen = backed
-                else:
-                    unseen = not seen_predicate(ctx, w)
-            else:
-                unseen = False
-            unseen_n += unseen
-            if p > 0.0:
-                lp = math.log(p)
-                ll += lp
-                scored += 1
-                if unseen:
-                    unseen_ll += lp
-                    unseen_scored += 1
-            else:
-                zeros += 1
+    for ctx, w, p, backed in _event_scores(model, sentences):
+        total += 1
+        backoffs += backed
+        if unseen_from_backoff:
+            unseen = backed
+        else:
+            unseen = seen_predicate is not None and not seen_predicate(ctx, w)
+        unseen_n += unseen
+        if p > 0.0:
+            lp = math.log(p)
+            ll += lp
+            scored += 1
+            if unseen:
+                unseen_ll += lp
+                unseen_scored += 1
+        else:
+            zeros += 1
     if scored == 0:
         raise NumericError("no scorable events")
     report = EvalReport(

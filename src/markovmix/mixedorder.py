@@ -173,24 +173,32 @@ class _EventTable:
         return vals
 
 
-def _event_probs(model: MixedOrderModel, table: _EventTable):
-    """Per-event mixture probability and per-component contributions."""
+def _components(model: MixedOrderModel, table: _EventTable):
+    """Per-event component weights lambda_k(w_{t-k}) * prod_{j<k} (1 -
+    lambda_j(w_{t-j})), the transition value each component reads (zero for
+    a pair not stored), and the per-k stored values they were read from."""
     m = model.order
     lam = model.lambdas[table.ctx, np.arange(m)[None, :]]
     declined = np.cumprod(1.0 - lam, axis=1)
     prefix = np.hstack([np.ones((table.n_events, 1)), declined[:, :-1]])
-    weight = lam * prefix
     vals = table.values_from(model)
-    mv = np.zeros_like(weight)
+    mv = np.zeros_like(lam)
     for k in range(m):
         hit = table.pair_idx[:, k] >= 0
         mv[hit, k] = vals[k][table.pair_idx[hit, k]]
+    return lam * prefix, mv, vals
+
+
+def _event_probs(model: MixedOrderModel, table: _EventTable):
+    """Per-event mixture probability and component contributions, and the
+    per-k stored transition values."""
+    weight, mv, vals = _components(model, table)
     contrib = weight * mv
-    return contrib.sum(axis=1), contrib
+    return contrib.sum(axis=1), contrib, vals
 
 
 def _event_log_likelihood(model: MixedOrderModel, table: _EventTable):
-    total, _ = _event_probs(model, table)
+    total, _, _ = _event_probs(model, table)
     scored = total > 0.0
     ll = float(np.log(total[scored]).sum())
     return ll, int(scored.sum()), int(table.n_events - scored.sum())
@@ -199,7 +207,7 @@ def _event_log_likelihood(model: MixedOrderModel, table: _EventTable):
 def _em_step_table(model: MixedOrderModel, table: _EventTable):
     m = model.order
     V = model.vocab_size
-    total, contrib = _event_probs(model, table)
+    total, contrib, old_vals = _event_probs(model, table)
     scored = total > 0.0
     n_skipped = int(table.n_events - scored.sum())
     if not scored.any():
@@ -214,7 +222,6 @@ def _em_step_table(model: MixedOrderModel, table: _EventTable):
 
     new_lambdas = model.lambdas.copy()
     new_matrices: list[SkipMatrix] = []
-    old_vals = table.values_from(model)
     for k in range(m):
         num = np.bincount(ctx[:, k], weights=phi[:, k], minlength=V)
         den = np.bincount(ctx[:, k], weights=tail[:, k], minlength=V)
@@ -292,9 +299,7 @@ def missing_fraction(
     if not sentences:
         return 0.0
     table = _EventTable(model, _event_windows(sentences, model.order))
-    if table.n_events == 0:
-        return 0.0
-    total, _ = _event_probs(model, table)
+    total, _, _ = _event_probs(model, table)
     return float((total == 0.0).sum() / table.n_events)
 
 

@@ -26,9 +26,9 @@ import numpy as np
 
 from .aggregate import AggregateModel
 from .artifact import ArtifactReader, positive, write_artifact
-from .corpus import NgramCounts, TokenSentence, iter_events, normalized_rows
+from .corpus import NgramCounts, TokenSentence, _event_windows, normalized_rows
 from .errors import DataError, ParameterError
-from .mixedorder import MixedOrderModel
+from .mixedorder import MixedOrderModel, _components, _EventTable
 
 _FIT_TOL = 1e-6
 _FIT_MAX_ITERS = 50
@@ -182,18 +182,17 @@ def fit_interpolation(
 
     Each row's weight maximizes the held-out likelihood of events
     conditioned on that row; the pooled fallback is fit on all events.
-    Rows with no ML mass at all are pinned to 1 so queries against them
-    reduce to the base model.  With `tied` a single pooled weight is shared
-    by every row instead.
+    Rows with no ML mass at all fit to 1, so queries against them reduce to
+    the base model.  With `tied` a single pooled weight is shared by every
+    row instead.
     """
-    events: Counter[tuple[int, int]] = Counter()
-    for ctx, w in iter_events(validation, 1):
-        events[(ctx[0], w)] += 1
-    if not events:
+    windows = _event_windows(validation, 1)
+    if not len(windows):
         raise DataError("empty validation corpus")
-    pairs = sorted(events)
-    w1 = np.array([p[0] for p in pairs], dtype=np.int64)
-    n = np.array([events[p] for p in pairs], dtype=np.float64)
+    # The distinct (w1, w2) rows in sorted order, with their counts.
+    pairs, n = np.unique(windows, axis=0, return_counts=True)
+    w1, n = pairs[:, 0], n.astype(np.float64)
+    pairs = pairs.tolist()
     a = np.array([ml.pair_prob(u, v) for u, v in pairs])
     b = np.array([base.prob((u,), v) for u, v in pairs])
     keep = (a > 0.0) | (b > 0.0)
@@ -205,11 +204,6 @@ def fit_interpolation(
     n_groups = int(w1.max()) + 1 if len(w1) else 1
     s, seen = _sigma_em(a, b, n, w1, n_groups)
     sigma = {int(w): float(s[w]) for w in np.nonzero(seen)[0]}
-    # Rows without ML mass delegate entirely to the base (interp_prob also
-    # enforces this at query time for rows never fit).
-    for w in sigma:
-        if ml.row_totals.get(w, 0.0) == 0.0:
-            sigma[w] = 1.0
     return InterpolationParams(sigma, float(s0[0]))
 
 
@@ -294,22 +288,13 @@ def fit_mixed_smoothing(
     """
     m = model.order
     V = model.vocab_size
-    ctx_rows, mk_rows, plow_rows = [], [], []
-    for ctx, w in iter_events(validation, m):
-        ctx_rows.append([ctx[m - k] for k in range(1, m + 1)])
-        mk_rows.append(
-            [model.matrices[k - 1].get(ctx[m - k], {}).get(w, 0.0) for k in range(1, m + 1)]
-        )
-        plow_rows.append(lower.prob(ctx[1:], w))
-    if not ctx_rows:
+    windows = _event_windows(validation, m)
+    if not len(windows):
         raise DataError("empty validation corpus")
-    ctx = np.array(ctx_rows, dtype=np.int64)
-    mk = np.array(mk_rows)
-    plow = np.array(plow_rows)
-
-    lam = model.lambdas[ctx, np.arange(m)[None, :]]
-    declined = np.cumprod(1.0 - lam, axis=1)
-    weight = lam * np.hstack([np.ones((len(ctx), 1)), declined[:, :-1]])
+    table = _EventTable(model, windows)
+    weight, mk, _ = _components(model, table)
+    plow = np.array([lower.prob(tuple(row[1:m]), row[m]) for row in windows.tolist()])
+    ctx = table.ctx
 
     sig = np.full((V, m), 0.5)
     sig0 = np.full(m, 0.5)
@@ -634,6 +619,7 @@ class SmoothedCascade:
         ml_bigram: MLBigram | None = None,
     ):
         self.counts = counts
+        self.vocab_size = counts.vocab_size
         self.base = base
         self.ml_bigram = ml_bigram or MLBigram.from_counts(counts)
         self.interp = interp

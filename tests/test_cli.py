@@ -211,17 +211,35 @@ GARBLES = {
     "cascade-vocab_mismatch": ("cascade.txt", lambda text: text.replace("agg.txt", "agg9.txt")),
     "vocab-no_reserved": ("vocab.txt", lambda text: text.split("\n", 1)[1]),
     "vocab-duplicate": ("vocab.txt", lambda text: text + "the\n"),
+    "vocab-size_mismatch": ("vocab.txt", lambda text: text + "zebra\n"),
+    "test-not_utf8": ("test.txt", lambda text: text.encode() + b"the cat \xff\xfe sat\n"),
+}
+
+# Option and replacement file per case; each makes `smooth` exit 3 before fitting.
+SMOOTH_BAD_INPUTS = {
+    "counts-size_mismatch": ("--counts", "counts9.txt"),
+    "agg-size_mismatch": ("--agg-model", "agg9.txt"),
+    "mix-size_mismatch": ("--mixed-models", "mix9.txt"),
+    "vocab-size_mismatch": ("--vocab", "vocab9.txt"),
+    "valid-not_utf8": ("--valid", "latin1.txt"),
 }
 
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
-    """A fitted trigram cascade, plus agg9.txt, an aggregate model with V=9."""
+    """A fitted trigram cascade, plus a vocabulary, counts, an aggregate and
+    a mixed model with V=9 (the cascade has V=15), and a Latin-1 corpus."""
     d = tmp_path_factory.mktemp("pipeline")
     (d / "train.txt").write_text("\n".join(CORPUS) + "\n", encoding="utf-8")
     (d / "test.txt").write_text("the dog sat on the mat .\na bird saw a cat .\n", encoding="utf-8")
     build_pipeline(d, with_trigram=True)
+    vocab9 = mm.build_vocabulary(CORPUS, 9)
+    vocab9.save(d / "vocab9.txt")
+    counts9 = mm.count_ngrams(mm.tokenize_corpus(CORPUS, vocab9), vocab9, 3, (1, 2))
+    counts9.save(d / "counts9.txt")
     mm.AggregateModel.random_init(9, 4, seed=0).save(d / "agg9.txt")
+    mm.MixedOrderModel.from_counts(counts9, 2).save(d / "mix9.txt")
+    (d / "latin1.txt").write_bytes("the caf\u00e9 sat\n".encode("latin-1"))
     return d
 
 
@@ -279,6 +297,18 @@ class TestMalformedCounts:
         assert code == 3, err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", sorted(SMOOTH_BAD_INPUTS))
+    def test_smooth_exits_3(self, pipeline_dir, tmp_path, capsys, case):
+        workdir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, workdir)
+        os.remove(workdir / "cascade.txt")
+        # The last occurrence of an option wins.
+        code = run(workdir, *SMOOTH_ARGS, *SMOOTH_BAD_INPUTS[case])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (workdir / "cascade.txt").exists()
+
 
 class TestTrainMixed:
     def test_order_one_matches_ml_bigram_oracle(self, workdir):
@@ -307,6 +337,20 @@ class TestTrainMixed:
         assert float(last.split(",")[2]) == pytest.approx(oracle, rel=1e-9)
 
 
+SMOOTH_ARGS = [
+    "smooth",
+    "--counts", "counts.txt",
+    "--vocab", "vocab.txt",
+    "--agg-model", "agg.txt",
+    "--mixed-models", "mix2.txt",
+    "--input", "train.txt",
+    "--valid-frac", "0.25",
+    "--gt-threshold", "2",
+    "--out-dir", "smooth",
+    "--manifest-out", "cascade.txt",
+]
+
+
 def build_pipeline(workdir, with_trigram=False):
     prepare(workdir)
     assert run(
@@ -328,20 +372,7 @@ def build_pipeline(workdir, with_trigram=False):
         "--model-out", "mix2.txt",
         "--trace-out", "mtrace.csv",
     ) == 0
-    smooth_args = [
-        "smooth",
-        "--counts", "counts.txt",
-        "--vocab", "vocab.txt",
-        "--agg-model", "agg.txt",
-        "--mixed-models", "mix2.txt",
-        "--input", "train.txt",
-        "--valid-frac", "0.25",
-        "--gt-threshold", "2",
-        "--out-dir", "smooth",
-        "--manifest-out", "cascade.txt",
-    ]
-    if with_trigram:
-        smooth_args.append("--with-trigram")
+    smooth_args = SMOOTH_ARGS + ["--with-trigram"] * with_trigram
     assert run(workdir, *smooth_args) == 0
 
 
@@ -359,19 +390,7 @@ class TestSmooth:
     def test_refit_identical(self, workdir):
         build_pipeline(workdir)
         first = (workdir / "smooth" / "sigma_bigram.txt").read_bytes()
-        assert run(
-            workdir,
-            "smooth",
-            "--counts", "counts.txt",
-            "--vocab", "vocab.txt",
-            "--agg-model", "agg.txt",
-            "--mixed-models", "mix2.txt",
-            "--input", "train.txt",
-            "--valid-frac", "0.25",
-            "--gt-threshold", "2",
-            "--out-dir", "smooth",
-            "--manifest-out", "cascade.txt",
-        ) == 0
+        assert run(workdir, *SMOOTH_ARGS) == 0
         assert (workdir / "smooth" / "sigma_bigram.txt").read_bytes() == first
 
     def test_missing_level_model_exits_2(self, workdir):

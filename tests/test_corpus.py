@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import markovmix as mm
@@ -11,8 +12,8 @@ from markovmix.corpus import (
     START_ID,
     UNK_ID,
     NgramCounts,
+    _event_windows,
     count_ngrams,
-    padded_events,
 )
 from markovmix.errors import DataError, ParameterError
 
@@ -164,16 +165,19 @@ class TestCountNgrams:
 
 
 class TestPaddedEvents:
+    """_event_windows rows: the context padded with start ids, then the word."""
+
     def test_interior_plus_end(self):
-        events = list(padded_events([3, 4], 2))
-        assert events == [
-            ((START_ID, START_ID), 3),
-            ((START_ID, 3), 4),
-            ((3, 4), END_ID),
+        windows = _event_windows([[3, 4]], 2)
+        assert windows.dtype == np.int64
+        assert windows.tolist() == [
+            [START_ID, START_ID, 3],
+            [START_ID, 3, 4],
+            [3, 4, END_ID],
         ]
 
     def test_empty_sentence(self):
-        assert list(padded_events([], 1)) == [((START_ID,), END_ID)]
+        assert _event_windows([[]], 1).tolist() == [[START_ID, END_ID]]
 
 
 class TestFiles:

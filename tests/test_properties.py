@@ -1,20 +1,25 @@
 """Property tests on random tiny corpora: the array implementations of
-counting, the mixed-order event table and the aggregate E-step against
-plain loop references, and save -> load -> save byte identity of every
-artifact type."""
+counting, the mixed-order event table, the aggregate E-step, both
+smoothing-weight fits and evaluation against plain loop references; row
+normalisation of every cascade level and Katz mass conservation; and save ->
+load -> save byte identity of every artifact type."""
 
+import math
 import os
 import tempfile
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import markovmix as mm
 from markovmix import aggregate as ag
+from markovmix import evaluation as ev
 from markovmix import mixedorder as mo
 from markovmix import smoothing as sm
 from markovmix.corpus import _RESERVED, END_ID, START_ID, NgramCounts, _event_windows
@@ -168,6 +173,308 @@ def test_single_pass_em_step_matches_two_pass(corpus, data):
     assert np.isclose(ll, ref_ll, rtol=1e-12, atol=0)
     assert np.allclose(stepped.class_given_word, cgw, rtol=1e-12, atol=0)
     assert np.allclose(stepped.word_given_class, wgc, rtol=1e-12, atol=0)
+
+
+def padded_walk(sentences, width):
+    """(context, word) for every event: one padded loop per sentence."""
+    for sentence in sentences:
+        padded = [START_ID] * width + list(sentence) + [END_ID]
+        for i in range(width, len(padded)):
+            yield tuple(padded[i - width : i]), padded[i]
+
+
+def loop_fit_interpolation(ml, base, validation, tied):
+    """fit_interpolation over a Counter of padded_walk pairs, with the
+    no-ML-mass rows pinned to 1 after the fit."""
+    events = Counter()
+    for ctx, w in padded_walk(validation, 1):
+        events[(ctx[0], w)] += 1
+    pairs = sorted(events)
+    w1 = np.array([p[0] for p in pairs], dtype=np.int64)
+    n = np.array([events[p] for p in pairs], dtype=np.float64)
+    a = np.array([ml.pair_prob(u, v) for u, v in pairs])
+    b = np.array([base.prob((u,), v) for u, v in pairs])
+    keep = (a > 0.0) | (b > 0.0)
+    w1, n, a, b = w1[keep], n[keep], a[keep], b[keep]
+    s0, _ = sm._sigma_em(a, b, n, np.zeros(len(w1), dtype=np.int64), 1)
+    if tied:
+        return {}, float(s0[0])
+    n_groups = int(w1.max()) + 1 if len(w1) else 1
+    s, seen = sm._sigma_em(a, b, n, w1, n_groups)
+    sigma = {int(w): float(s[w]) for w in np.nonzero(seen)[0]}
+    for w in sigma:
+        if ml.row_totals.get(w, 0.0) == 0.0:
+            sigma[w] = 1.0
+    return sigma, float(s0[0])
+
+
+def loop_fit_mixed_smoothing(model, lower, validation, tied):
+    """fit_mixed_smoothing with per-event dict lookups of the transition
+    values and its own copy of the component weights."""
+    m = model.order
+    V = model.vocab_size
+    ctx_rows, mk_rows, plow_rows = [], [], []
+    for ctx, w in padded_walk(validation, m):
+        ctx_rows.append([ctx[m - k] for k in range(1, m + 1)])
+        mk_rows.append(
+            [model.matrices[k - 1].get(ctx[m - k], {}).get(w, 0.0) for k in range(1, m + 1)]
+        )
+        plow_rows.append(lower.prob(ctx[1:], w))
+    ctx = np.array(ctx_rows, dtype=np.int64)
+    mk = np.array(mk_rows)
+    plow = np.array(plow_rows)
+    lam = model.lambdas[ctx, np.arange(m)[None, :]]
+    declined = np.cumprod(1.0 - lam, axis=1)
+    weight = lam * np.hstack([np.ones((len(ctx), 1)), declined[:, :-1]])
+
+    sig = np.full((V, m), 0.5)
+    sig0 = np.full(m, 0.5)
+    seen = [np.bincount(ctx[:, k], minlength=V) > 0 for k in range(m)]
+
+    def e_step(se):
+        direct = (1.0 - se) * weight * mk
+        deleg = se * weight * plow[:, None]
+        tot = direct.sum(axis=1) + deleg.sum(axis=1)
+        ok = tot > 0.0
+        rd = np.zeros_like(direct)
+        rl = np.zeros_like(deleg)
+        rd[ok] = direct[ok] / tot[ok, None]
+        rl[ok] = deleg[ok] / tot[ok, None]
+        return rd, rl
+
+    for _ in range(sm._FIT_MAX_ITERS):
+        rd, rl = e_step(sig[ctx, np.arange(m)[None, :]])
+        rd0, rl0 = e_step(sig0)
+        delta = 0.0
+        for k in range(m):
+            num = np.bincount(ctx[:, k], weights=rl[:, k], minlength=V)
+            denk = np.bincount(ctx[:, k], weights=(rl + rd)[:, k], minlength=V)
+            posk = denk > 0.0
+            new_col = np.where(posk, num / np.where(posk, denk, 1.0), sig[:, k])
+            delta = max(delta, float(np.max(np.abs(new_col - sig[:, k]))))
+            sig[:, k] = new_col
+            denk0 = float((rl0[:, k] + rd0[:, k]).sum())
+            if denk0 > 0.0:
+                new0 = float(rl0[:, k].sum()) / denk0
+                delta = max(delta, abs(new0 - sig0[k]))
+                sig0[k] = new0
+        if delta < sm._FIT_TOL:
+            break
+
+    values = {}
+    if not tied:
+        for k in range(m):
+            for w in np.nonzero(seen[k])[0]:
+                values[(k + 1, int(w))] = float(sig[w, k])
+    for k in range(m):
+        for w in range(V):
+            if w not in model.matrices[k]:
+                values[(k + 1, w)] = 1.0
+    return values, {k + 1: float(sig0[k]) for k in range(m)}
+
+
+def loop_scores(model, sentences):
+    """(context, word, p, backed) per padded_walk event."""
+    scorer = getattr(model, "prob_and_backoff", None)
+    for ctx, w in padded_walk(sentences, model.context_size):
+        p, backed = scorer(ctx, w) if scorer is not None else (model.prob(ctx, w), False)
+        yield ctx, w, p, backed
+
+
+def loop_sentence_log_prob(model, sentence):
+    logprob, flags = 0.0, []
+    for _, _, p, backed in loop_scores(model, [sentence]):
+        if p > 0.0:
+            logprob += math.log(p)
+        flags.append(ev.EventFlags(not p > 0.0, backed))
+    return logprob, flags
+
+
+def loop_evaluate(model, sentences, seen_predicate=None, unseen_from_backoff=False):
+    total = scored = zeros = backoffs = unseen_n = unseen_scored = 0
+    ll = unseen_ll = 0.0
+    track_unseen = seen_predicate is not None or unseen_from_backoff
+    for ctx, w, p, backed in loop_scores(model, sentences):
+        total += 1
+        backoffs += backed
+        unseen = False
+        if track_unseen:
+            unseen = backed if unseen_from_backoff else not seen_predicate(ctx, w)
+        unseen_n += unseen
+        if p > 0.0:
+            ll += math.log(p)
+            scored += 1
+            if unseen:
+                unseen_ll += math.log(p)
+                unseen_scored += 1
+        else:
+            zeros += 1
+    report = ev.EvalReport(total, scored, ll, math.exp(-ll / scored), zeros, backoffs)
+    if track_unseen:
+        report.unseen_events = unseen_n
+        if unseen_scored:
+            report.unseen_log_likelihood = unseen_ll
+            report.unseen_perplexity = math.exp(-unseen_ll / unseen_scored)
+    return report
+
+
+class Recorder:
+    """A model whose prob and prob_and_backoff calls are logged, each checked
+    to take a tuple of Python ints and a Python int."""
+
+    def __init__(self, model):
+        self.context_size = model.context_size
+        self.calls = []
+        self.prob = self._logged(model.prob)
+        if hasattr(model, "prob_and_backoff"):
+            self.prob_and_backoff = self._logged(model.prob_and_backoff)
+
+    def _logged(self, method):
+        def call(ctx, w):
+            assert type(ctx) is tuple and all(type(i) is int for i in (*ctx, w))
+            self.calls.append((method.__name__, ctx, w))
+            return method(ctx, w)
+
+        return call
+
+
+def paired_runs(model, new, loop):
+    """new(Recorder) and loop(Recorder) results, asserting that both made the
+    same scalar calls in the same order."""
+    a, b = Recorder(model), Recorder(model)
+    new_result, loop_result = new(a), loop(b)
+    assert a.calls == b.calls
+    return new_result, loop_result
+
+
+@settings(max_examples=30, deadline=None)
+@given(corpora(min_sentences=1), st.data(), st.booleans())
+def test_fits_and_evaluate_match_per_event_loops(corpus, data, tied):
+    # Validation and test text come from another draw, so they hold pairs and
+    # triples the training text lacks.
+    V, train = corpus
+    word = st.integers(0, V - 1)
+    held_out = data.draw(st.lists(st.lists(word, max_size=7), min_size=1, max_size=6))
+    counts = mm.count_ngrams(train, make_vocab(*("w%d" % i for i in range(V - 3))), 3, (1, 2, 3))
+    base, _ = mm.train_aggregate(counts, data.draw(st.integers(1, V)), iterations=2)
+    ml = sm.MLBigram.from_counts(counts)
+
+    params, (sigma, sigma0) = paired_runs(
+        base,
+        lambda b: sm.fit_interpolation(ml, b, held_out, tied=tied),
+        lambda b: loop_fit_interpolation(ml, b, held_out, tied),
+    )
+    assert (params.sigma, params.sigma0) == (sigma, sigma0)
+
+    lower = sm.InterpolatedBigram(ml, base, params)
+    stack = [lower]
+    for order in (2, 3):
+        model = mm.train_mixed(train, order, V, iterations=1)[0]
+        fitted, (values, fallbacks) = paired_runs(
+            lower,
+            lambda lo: sm.fit_mixed_smoothing(model, lo, held_out, tied=tied),
+            lambda lo: loop_fit_mixed_smoothing(model, lo, held_out, tied),
+        )
+        assert (fitted.values, fitted.fallbacks) == (values, fallbacks)
+        lower = sm.SmoothedMixedLevel(model, fitted, lower)
+        stack.append(lower)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sparse Good-Turing statistics
+        katz = sm.build_katz_trigram(counts, stack[1], k_gt=2)
+    seen = ev.bigram_seen_predicate(counts)
+    for model in [base, *stack, katz]:
+        for modes in ({}, {"seen_predicate": seen}, {"unseen_from_backoff": True}):
+            if not any(p > 0.0 for _, _, p, _ in loop_scores(model, held_out)):
+                continue
+            report, ref = paired_runs(
+                model,
+                lambda m: ev.evaluate(m, held_out, **modes),
+                lambda m: loop_evaluate(m, held_out, **modes),
+            )
+            assert report == ref
+        for sentence in held_out:
+            assert ev.sentence_log_prob(model, sentence) == loop_sentence_log_prob(model, sentence)
+
+
+def contexts_of(size, sentences, extra):
+    """Every context of the sentences' events, plus the drawn ones."""
+    found = {tuple(ctx) for ctx, _ in padded_walk(sentences, size)}
+    return sorted(found | {tuple(c[:size]) for c in extra})
+
+
+def katz_masses(model, ctx, V):
+    """For the stored context ctx (a tuple) of a Katz level: the leftover mass
+    1 - sum of P over the seen successors, alpha times the backoff mass of the
+    unseen words, and whether that backoff mass, summed directly, agrees with
+    the 1 - seen backoff mass that compute_alphas divides by."""
+    if isinstance(model, sm.KatzBigram):
+        key, backoff = ctx[-1], lambda w: model.unigram.prob((), w)
+    else:
+        key = ctx
+        backoff = lambda w: model.backoff.prob(ctx[2 - model.backoff.context_size :], w)
+    row = model.level.rows[key]
+    leftover = 1.0 - sum(model.prob(ctx, w) for w in row)
+    unseen = sum(backoff(w) for w in range(V) if w not in row)
+    by_difference = 1.0 - sum(backoff(w) for w in row)
+    agree = math.isclose(unseen, by_difference, rel_tol=1e-6, abs_tol=0.0) or by_difference <= 0.0
+    return leftover, model.level.alphas[key] * unseen, agree
+
+
+@settings(max_examples=20, deadline=None)
+@given(corpora(min_sentences=2), st.data(), st.integers(1, 3), st.booleans())
+def test_every_cascade_row_sums_to_one(corpus, data, levels, tied):
+    V, sentences = corpus
+    counts = mm.count_ngrams(sentences, make_vocab(*("w%d" % i for i in range(V - 3))), 3)
+    base, _ = mm.train_aggregate(counts, data.draw(st.integers(1, V)), iterations=2)
+    mixed = [mm.train_mixed(sentences, k, V, iterations=1)[0] for k in range(2, levels + 1)]
+    extra = data.draw(st.lists(st.tuples(*[st.integers(0, V - 1)] * 3), max_size=10))
+    truncation = data.draw(st.integers(1, max(counts.trigrams.values())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sparse Good-Turing statistics
+        cascade = mm.SmoothedCascade.fit(
+            counts, base, mixed, sentences[::2], with_trigram=levels <= 2,
+            gt_threshold=2, truncation=truncation, tied=tied,
+        )
+    for level in cascade.level_stack + [cascade.trigram] * (levels <= 2):
+        for ctx in contexts_of(level.context_size, sentences, extra):
+            if level is cascade.trigram and ctx in level.level.rows:
+                if not katz_masses(level, ctx, V)[2]:
+                    continue  # the known defect of test_katz_rounding_residue_loses_leftover
+            assert math.isclose(sum(level.prob(ctx, w) for w in range(V)), 1.0, abs_tol=1e-9)
+
+
+@SETTINGS
+@given(corpora(min_sentences=2), st.data())
+def test_katz_leftover_is_alpha_times_unseen_backoff(corpus, data):
+    V, sentences = corpus
+    counts = mm.count_ngrams(sentences, make_vocab(*("w%d" % i for i in range(V - 3))), 3)
+    truncation = data.draw(st.integers(1, max(counts.trigrams.values())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sparse Good-Turing statistics
+        bigram = sm.KatzBigram(counts, k_gt=2)
+        trigram = sm.build_katz_trigram(counts, bigram, k_gt=2, truncation=truncation)
+    for model in (bigram, trigram):
+        for key in model.level.rows:
+            ctx = key if model is trigram else (key,)
+            leftover, redistributed, agree = katz_masses(model, ctx, V)
+            if agree:  # else the known defect of test_katz_rounding_residue_loses_leftover
+                assert math.isclose(leftover, redistributed, abs_tol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: compute_alphas divides by a rounding residue")
+def test_katz_rounding_residue_loses_leftover():
+    # Every id follows 0, so the unseen backoff mass of row 0 is exactly 0, but
+    # 1 - (sum of the five unigram probabilities) rounds to 2.2e-16.  Row 0
+    # should revert to ML; instead alpha is about 4.5e15, the unseen set is
+    # empty and the row sums to 0.5.
+    counts = NgramCounts(5, 2, (1,))
+    for s in ([0, 0, 4, 0, 4, 2], [2, 3, 0, 3], [], [], [0, 2, 4]):
+        counts.add_sentence(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sparse Good-Turing statistics
+        bigram = sm.KatzBigram(counts, k_gt=2)
+    assert math.isclose(sum(bigram.prob((0,), w) for w in range(5)), 1.0, abs_tol=1e-9)
 
 
 def resaved_equal(obj, load, save=lambda obj, path: obj.save(path)):
