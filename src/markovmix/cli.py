@@ -304,11 +304,14 @@ def cmd_eval(cfg: RunConfig) -> None:
         _require_inputs(cfg.counts)
     model, model_id = _load_eval_model(cfg)
     vocab = Vocabulary.load(cfg.vocab)
-    _check_vocab_sizes((cfg.vocab, len(vocab)), (model_id, model.vocab_size))
-    sentences = _load_sentences(cfg.test, vocab)
+    sized = [(cfg.vocab, len(vocab)), (model_id, model.vocab_size)]
     predicate = None
     if cfg.unseen == "bigram":
-        predicate = evaluation.bigram_seen_predicate(NgramCounts.load(cfg.counts))
+        counts = NgramCounts.load(cfg.counts)
+        sized.append((cfg.counts, counts.vocab_size))
+        predicate = evaluation.bigram_seen_predicate(counts)
+    _check_vocab_sizes(*sized)
+    sentences = _load_sentences(cfg.test, vocab)
     report = evaluation.evaluate(
         model,
         sentences,

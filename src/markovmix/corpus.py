@@ -10,7 +10,8 @@ repeated on the left as far back as the largest configured skip distance
 requires, so a skip-k pair is defined at every event position.
 
 _event_windows is the one walk over these events: counting, mixed-order EM,
-both smoothing-weight fits and evaluation read its rows.  The per-sentence
+both smoothing-weight fits and evaluation read its rows, and the fits and
+evaluation score each distinct row (_distinct_rows) once.  The per-sentence
 NgramCounts.add_sentence is kept as the reference the tests compare it to.
 """
 
@@ -284,6 +285,23 @@ def _event_windows(sentences: Iterable[TokenSentence], width: int) -> np.ndarray
     stream = np.full(len(words) + width * len(sentences), START_ID, dtype=np.int64)
     stream[event_pos] = words
     return stream[event_pos[:, None] + np.arange(-width, 1, dtype=np.int64)]
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D int64 array in lexicographic order, and the
+    inverse index, so that distinct[inverse] == rows.
+
+    The rows and order of numpy's row-wise unique (axis 0), on which the
+    weight fits' sums depend, found with a lexsort instead of its sort of
+    void rows.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
 
 
 def _check_ids(ids: np.ndarray, vocab_size: int) -> None:

@@ -6,6 +6,11 @@ was delegated to a backoff model.  A sentence w_1..w_n is scored over n+1
 events (each interior word plus the end marker), with the context padded on
 the left by start markers.
 
+Each distinct (context, word) event is scored once, with one scalar call,
+and its score is gathered back to every event; a seen predicate is likewise
+called once per distinct event.  Counts and log-likelihoods (summed in event
+order) equal those of scoring every event in turn.
+
 Events assigned exactly zero probability are excluded from the
 log-likelihood but counted, so perplexity stays finite and the coverage gap
 is reported separately.
@@ -18,7 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .corpus import NgramCounts, TokenSentence, _event_windows
+import numpy as np
+
+from .corpus import NgramCounts, TokenSentence, _distinct_rows, _event_windows
 from .errors import NumericError
 
 
@@ -83,17 +90,35 @@ class EvalReport:
 
 
 def _event_scores(model, sentences: list[TokenSentence]):
-    """(context, word, p, backed) for every event of the sentences, in order;
-    backed is False for a model without prob_and_backoff."""
-    scorer = getattr(model, "prob_and_backoff", None)
+    """Score each distinct event of the sentences once.
+
+    Returns (events, inverse, p, backed): the distinct (context, word) events
+    of _event_windows in lexicographic order, the index of each event's
+    distinct event in event order, and per distinct event the probability and
+    the backoff flag (False for a model without prob_and_backoff).
+    """
     width = model.context_size
-    for row in _event_windows(sentences, width).tolist():
-        ctx, w = tuple(row[:width]), row[width]
-        if scorer is not None:
-            p, backed = scorer(ctx, w)
-        else:
-            p, backed = model.prob(ctx, w), False
-        yield ctx, w, p, backed
+    rows, inverse = _distinct_rows(_event_windows(sentences, width))
+    events = [(tuple(row[:width]), row[width]) for row in rows.tolist()]
+    scorer = getattr(model, "prob_and_backoff", None)
+    if scorer is None:
+        scores = [(model.prob(ctx, w), False) for ctx, w in events]
+    else:
+        scores = [scorer(ctx, w) for ctx, w in events]
+    p = np.array([s[0] for s in scores], dtype=np.float64)
+    backed = np.array([bool(s[1]) for s in scores], dtype=bool)
+    return events, inverse, p, backed
+
+
+def _log_probs(p: np.ndarray) -> np.ndarray:
+    """math.log of each positive probability, 0.0 for the others."""
+    return np.array([math.log(x) if x > 0.0 else 0.0 for x in p.tolist()], dtype=np.float64)
+
+
+def _sequential_sum(x: np.ndarray) -> float:
+    """x[0] + x[1] + ... added left to right, as a per-event loop adds them;
+    np.sum adds pairwise, which can move the last bits."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
 def sentence_log_prob(model, sentence: TokenSentence) -> tuple[float, list[EventFlags]]:
@@ -102,13 +127,10 @@ def sentence_log_prob(model, sentence: TokenSentence) -> tuple[float, list[Event
     Zero-probability events contribute a flag instead of -inf and are left
     out of the returned sum.
     """
-    logprob = 0.0
-    flags = []
-    for _, _, p, backed in _event_scores(model, [sentence]):
-        if p > 0.0:
-            logprob += math.log(p)
-        flags.append(EventFlags(not p > 0.0, backed))
-    return logprob, flags
+    _, inverse, p, backed = _event_scores(model, [sentence])
+    zero = ~(p > 0.0)
+    flags = [EventFlags(*f) for f in zip(zero[inverse].tolist(), backed[inverse].tolist())]
+    return _sequential_sum(_log_probs(p)[inverse]), flags
 
 
 def evaluate(
@@ -119,46 +141,41 @@ def evaluate(
 ) -> EvalReport:
     """Score a corpus, optionally tracking an unseen-event subset.
 
+    Each distinct (context, word) event is scored once; the counts and the
+    log-likelihoods (summed in event order) are those of scoring every event.
     The unseen subset is defined either by `seen_predicate(context, word)`
     returning False, or (with unseen_from_backoff) by events the model
-    delegated to its backoff.  Zero-probability events never join the
-    unseen log-likelihood either; they are counted in zero_events.
+    delegated to its backoff.  The predicate is called once per distinct
+    event, so it must be a pure function of (context, word).
+    Zero-probability events never join the unseen log-likelihood either;
+    they are counted in zero_events.
     """
-    total = scored = zeros = backoffs = 0
-    ll = 0.0
-    track_unseen = seen_predicate is not None or unseen_from_backoff
-    unseen_n = unseen_scored = 0
-    unseen_ll = 0.0
-    for ctx, w, p, backed in _event_scores(model, sentences):
-        total += 1
-        backoffs += backed
-        if unseen_from_backoff:
-            unseen = backed
-        else:
-            unseen = seen_predicate is not None and not seen_predicate(ctx, w)
-        unseen_n += unseen
-        if p > 0.0:
-            lp = math.log(p)
-            ll += lp
-            scored += 1
-            if unseen:
-                unseen_ll += lp
-                unseen_scored += 1
-        else:
-            zeros += 1
+    events, inverse, p, backed = _event_scores(model, sentences)
+    positive = (p > 0.0)[inverse]
+    logp = _log_probs(p)[inverse]
+    scored = int(np.count_nonzero(positive))
     if scored == 0:
         raise NumericError("no scorable events")
+    ll = _sequential_sum(logp)
     report = EvalReport(
-        total_events=total,
+        total_events=len(inverse),
         scored_events=scored,
         log_likelihood=ll,
         perplexity=math.exp(-ll / scored),
-        zero_events=zeros,
-        backoff_events=backoffs,
+        zero_events=len(inverse) - scored,
+        backoff_events=int(np.count_nonzero(backed[inverse])),
     )
-    if track_unseen:
-        report.unseen_events = unseen_n
+    if unseen_from_backoff or seen_predicate is not None:
+        if unseen_from_backoff:
+            unseen = backed
+        else:
+            unseen = np.array([not seen_predicate(ctx, w) for ctx, w in events], dtype=bool)
+        unseen = unseen[inverse]
+        report.unseen_events = int(np.count_nonzero(unseen))
+        unseen_scored = int(np.count_nonzero(unseen & positive))
         if unseen_scored:
+            # Zero events hold 0.0 in logp, so adding them changes nothing.
+            unseen_ll = _sequential_sum(logp[unseen])
             report.unseen_log_likelihood = unseen_ll
             report.unseen_perplexity = math.exp(-unseen_ll / unseen_scored)
     return report

@@ -26,7 +26,7 @@ import numpy as np
 
 from .aggregate import AggregateModel
 from .artifact import ArtifactReader, positive, write_artifact
-from .corpus import NgramCounts, TokenSentence, _event_windows, normalized_rows
+from .corpus import NgramCounts, TokenSentence, _distinct_rows, _event_windows, normalized_rows
 from .errors import DataError, ParameterError
 from .mixedorder import MixedOrderModel, _components, _EventTable
 
@@ -190,8 +190,8 @@ def fit_interpolation(
     if not len(windows):
         raise DataError("empty validation corpus")
     # The distinct (w1, w2) rows in sorted order, with their counts.
-    pairs, n = np.unique(windows, axis=0, return_counts=True)
-    w1, n = pairs[:, 0], n.astype(np.float64)
+    pairs, inverse = _distinct_rows(windows)
+    w1, n = pairs[:, 0], np.bincount(inverse, minlength=len(pairs)).astype(np.float64)
     pairs = pairs.tolist()
     a = np.array([ml.pair_prob(u, v) for u, v in pairs])
     b = np.array([base.prob((u,), v) for u, v in pairs])
@@ -293,7 +293,11 @@ def fit_mixed_smoothing(
         raise DataError("empty validation corpus")
     table = _EventTable(model, windows)
     weight, mk, _ = _components(model, table)
-    plow = np.array([lower.prob(tuple(row[1:m]), row[m]) for row in windows.tolist()])
+    # One lower-level call per distinct truncated event, gathered to events.
+    lower_rows, inverse = _distinct_rows(windows[:, 1:])
+    plow = np.array(
+        [lower.prob(tuple(row[:-1]), row[-1]) for row in lower_rows.tolist()], dtype=np.float64
+    )[inverse]
     ctx = table.ctx
 
     sig = np.full((V, m), 0.5)

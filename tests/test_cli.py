@@ -309,6 +309,21 @@ class TestMalformedCounts:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (workdir / "cascade.txt").exists()
 
+    def test_eval_unseen_bigram_counts_size_mismatch_exits_3(self, pipeline_dir, capsys):
+        code = run(
+            pipeline_dir,
+            "eval",
+            "--test", "test.txt",
+            "--vocab", "vocab.txt",
+            "--cascade", "cascade.txt",
+            "--unseen", "bigram",
+            "--counts", "counts9.txt",
+        )
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "counts9.txt" in err
+
 
 class TestTrainMixed:
     def test_order_one_matches_ml_bigram_oracle(self, workdir):

@@ -1,8 +1,9 @@
 """Property tests on random tiny corpora: the array implementations of
 counting, the mixed-order event table, the aggregate E-step, both
-smoothing-weight fits and evaluation against plain loop references; row
-normalisation of every cascade level and Katz mass conservation; and save ->
-load -> save byte identity of every artifact type."""
+smoothing-weight fits and evaluation against plain loop references, and the
+distinct-row helper against numpy's unique; row normalisation of every
+cascade level and Katz mass conservation; and save -> load -> save byte
+identity of every artifact type."""
 
 import math
 import os
@@ -22,7 +23,14 @@ from markovmix import aggregate as ag
 from markovmix import evaluation as ev
 from markovmix import mixedorder as mo
 from markovmix import smoothing as sm
-from markovmix.corpus import _RESERVED, END_ID, START_ID, NgramCounts, _event_windows
+from markovmix.corpus import (
+    _RESERVED,
+    END_ID,
+    START_ID,
+    NgramCounts,
+    _distinct_rows,
+    _event_windows,
+)
 
 from test_corpus import make_vocab
 
@@ -339,12 +347,24 @@ class Recorder:
 
 
 def paired_runs(model, new, loop):
-    """new(Recorder) and loop(Recorder) results, asserting that both made the
-    same scalar calls in the same order."""
+    """new(Recorder) and loop(Recorder) results, asserting that new made each
+    distinct scalar call of the loop exactly once, in sorted order (the
+    lexicographic order of the event rows)."""
     a, b = Recorder(model), Recorder(model)
     new_result, loop_result = new(a), loop(b)
-    assert a.calls == b.calls
+    assert a.calls == sorted(set(b.calls))
     return new_result, loop_result
+
+
+def logged_predicate(predicate):
+    """predicate, with its (context, word) calls appended to .calls."""
+
+    def call(ctx, w):
+        call.calls.append((ctx, w))
+        return predicate(ctx, w)
+
+    call.calls = []
+    return call
 
 
 @settings(max_examples=30, deadline=None)
@@ -384,17 +404,52 @@ def test_fits_and_evaluate_match_per_event_loops(corpus, data, tied):
         katz = sm.build_katz_trigram(counts, stack[1], k_gt=2)
     seen = ev.bigram_seen_predicate(counts)
     for model in [base, *stack, katz]:
-        for modes in ({}, {"seen_predicate": seen}, {"unseen_from_backoff": True}):
-            if not any(p > 0.0 for _, _, p, _ in loop_scores(model, held_out)):
-                continue
+        if any(p > 0.0 for _, _, p, _ in loop_scores(model, held_out)):
+            for modes in ({}, {"unseen_from_backoff": True}):
+                report, ref = paired_runs(
+                    model,
+                    lambda m: ev.evaluate(m, held_out, **modes),
+                    lambda m: loop_evaluate(m, held_out, **modes),
+                )
+                assert report == ref
+            new_seen, loop_seen = logged_predicate(seen), logged_predicate(seen)
             report, ref = paired_runs(
                 model,
-                lambda m: ev.evaluate(m, held_out, **modes),
-                lambda m: loop_evaluate(m, held_out, **modes),
+                lambda m: ev.evaluate(m, held_out, seen_predicate=new_seen),
+                lambda m: loop_evaluate(m, held_out, seen_predicate=loop_seen),
             )
             assert report == ref
+            assert new_seen.calls == sorted(set(loop_seen.calls))
         for sentence in held_out:
-            assert ev.sentence_log_prob(model, sentence) == loop_sentence_log_prob(model, sentence)
+            result, ref = paired_runs(
+                model,
+                lambda m: ev.sentence_log_prob(m, sentence),
+                lambda m: loop_sentence_log_prob(m, sentence),
+            )
+            assert result == ref
+
+
+@SETTINGS
+@given(
+    arrays(
+        np.int64,
+        st.tuples(st.integers(0, 40), st.integers(1, 4)),
+        elements=st.integers(0, 3) | st.integers(-(2**63), 2**63 - 1),
+    )
+)
+def test_distinct_rows_match_np_unique(rows):
+    distinct, inverse = _distinct_rows(rows)
+    assert np.array_equal(distinct[inverse], rows)
+    as_tuples = [tuple(row) for row in distinct.tolist()]
+    assert all(a < b for a, b in zip(as_tuples, as_tuples[1:]))
+    ref, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(distinct, ref)
+    assert np.array_equal(inverse, ref_inverse.reshape(-1))
+
+
+def test_distinct_rows_of_no_rows():
+    distinct, inverse = _distinct_rows(np.empty((0, 3), dtype=np.int64))
+    assert distinct.shape == (0, 3) and inverse.shape == (0,)
 
 
 def contexts_of(size, sentences, extra):
