@@ -1,11 +1,14 @@
 """Check the output of one traced benchmark run.
 
 usage: python3 bench/run.py --workload W --seed 0 --seconds 1 --trace 1 > out.txt
-       python3 .github/scripts/check_bench_result.py out.txt
+       python3 .github/scripts/check_bench_result.py out.txt [RESULT_FILE]
 
 Exits 1 unless the last line of the output parses as JSON with `correct`
 true and `failed` 0, and every per-layer metric that BENCHMARK.json names is
-present with a non-zero value.
+present with a non-zero value.  RESULT_FILE is the run's result file
+(bench/results/W-seed0-trace1.json); when given, a non-zero top-level
+`artifacts_changed` (written files whose digests differ from
+bench/reference.json) fails the check too.
 """
 
 import json
@@ -34,8 +37,20 @@ def problems(output: str) -> list[str]:
     return found
 
 
+def result_file_problems(text: str) -> list[str]:
+    try:
+        changed = json.loads(text).get("artifacts_changed", 0)
+    except (json.JSONDecodeError, AttributeError) as exc:
+        return ["result file is not a JSON object: %s" % exc]
+    if changed:
+        return ["artifacts_changed is %r: written artifacts differ from the reference" % changed]
+    return []
+
+
 if __name__ == "__main__":
     found = problems(Path(sys.argv[1]).read_text(encoding="utf-8"))
+    if len(sys.argv) > 2:
+        found += result_file_problems(Path(sys.argv[2]).read_text(encoding="utf-8"))
     for problem in found:
         print("bench smoke: %s" % problem)
     sys.exit(1 if found else 0)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifact import ArtifactReader, positive, write_artifact
 from .corpus import NgramCounts
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, id_out_of_range
 
 # Entries processed per E-step chunk are capped so the dense (entries x C)
 # posterior block stays small even when C approaches V.
@@ -49,6 +49,9 @@ class AggregateModel:
     Attributes:
         class_given_word: (V, C) row-stochastic membership matrix.
         word_given_class: (C, V) row-stochastic emission matrix.
+
+    Scoring reads per-word row and column views of both matrices, taken
+    when the model is built.
     """
 
     context_size = 1
@@ -62,6 +65,8 @@ class AggregateModel:
             raise ParameterError("factor matrices disagree on the vocabulary size")
         self.class_given_word = class_given_word
         self.word_given_class = word_given_class
+        self._rows = list(class_given_word)
+        self._cols = list(word_given_class.T)
 
     @property
     def vocab_size(self) -> int:
@@ -96,15 +101,15 @@ class AggregateModel:
         wgc = np.full((vocab_size, vocab_size), 1.0 / vocab_size)
         return cls(cgw, wgc)
 
-    def _check_id(self, wid: int) -> None:
-        if not 0 <= wid < self.vocab_size:
-            raise ParameterError("word id %d out of range [0, %d)" % (wid, self.vocab_size))
-
     def pair_prob(self, w1: int, w2: int) -> float:
         """P(w2|w1) = sum_c P(w2|c) P(c|w1)."""
-        self._check_id(w1)
-        self._check_id(w2)
-        return float(self.class_given_word[w1] @ self.word_given_class[:, w2])
+        rows = self._rows
+        V = len(rows)
+        if not 0 <= w1 < V > w2 >= 0:
+            raise id_out_of_range((w1, w2), V)
+        # The strided dot of cgw[w1] @ wgc[:, w2]; a contiguous copy of the
+        # columns may take another BLAS kernel and change the last bit.
+        return float(rows[w1].dot(self._cols[w2]))
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         if len(context) != 1:

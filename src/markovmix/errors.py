@@ -15,3 +15,9 @@ class DataError(ValueError):
 
 class NumericError(RuntimeError):
     """A computation cannot proceed (e.g. a model assigns zero mass everywhere)."""
+
+
+def id_out_of_range(ids, vocab_size: int) -> ParameterError:
+    """The error naming the first of `ids` outside [0, vocab_size)."""
+    bad = next(w for w in ids if not 0 <= w < vocab_size)
+    return ParameterError("word id %d out of range [0, %d)" % (bad, vocab_size))

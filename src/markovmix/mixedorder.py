@@ -29,7 +29,7 @@ from .corpus import (
     most_frequent,
     normalized_rows,
 )
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, NumericError, ParameterError, id_out_of_range
 
 MAX_COMPONENTS = 8  # model size grows as m * V^2
 
@@ -93,6 +93,9 @@ class MixedOrderModel:
             raise ParameterError(
                 "context must hold exactly %d ids, got %d" % (m, len(context))
             )
+        V = self.vocab_size
+        if not 0 <= min(context) <= max(context) < V:
+            raise id_out_of_range(context, V)
         total = 0.0
         declined = 1.0
         for k in range(1, m + 1):

@@ -27,7 +27,7 @@ import numpy as np
 from .aggregate import AggregateModel
 from .artifact import ArtifactReader, positive, write_artifact
 from .corpus import NgramCounts, TokenSentence, _distinct_rows, _event_windows, normalized_rows
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, id_out_of_range
 from .mixedorder import MixedOrderModel, _components, _EventTable
 
 _FIT_TOL = 1e-6
@@ -209,10 +209,7 @@ def fit_interpolation(
 
 def interp_prob(ml: MLBigram, base, params: InterpolationParams, w1: int, w2: int) -> float:
     """(1 - sigma(w1)) * P_ML(w2|w1) + sigma(w1) * P_base(w2|w1)."""
-    s = params.sigma_for(w1)
-    if ml.row_totals.get(w1, 0.0) == 0.0:
-        s = 1.0
-    return (1.0 - s) * ml.pair_prob(w1, w2) + s * base.prob((w1,), w2)
+    return InterpolatedBigram(ml, base, params).prob((w1,), w2)
 
 
 class InterpolatedBigram:
@@ -226,7 +223,12 @@ class InterpolatedBigram:
         self.params = params
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
-        return interp_prob(self.ml, self.base, self.params, context[-1], word)
+        w1 = context[-1]
+        ml, params = self.ml, self.params
+        s = params.sigma.get(w1, params.sigma0) if ml.row_totals.get(w1, 0.0) != 0.0 else 1.0
+        row = ml.rows.get(w1)
+        p_ml = row.get(word, 0.0) if row else 0.0
+        return (1.0 - s) * p_ml + s * self.base.prob((w1,), word)
 
 
 class SmoothedMixedLevel:
@@ -236,6 +238,9 @@ class SmoothedMixedLevel:
     weight; the discounted mass delegates to the lower level's prediction
     for the context truncated by one word.  Words with no stored skip-k row
     delegate that component entirely.
+
+    The level reads its model's mixing weights as they were when the level
+    was built.
     """
 
     def __init__(self, model: MixedOrderModel, params: MixedSmoothingParams, lower):
@@ -247,23 +252,32 @@ class SmoothedMixedLevel:
         self.params = params
         self.lower = lower
         self.context_size = model.order
+        # Per k: lambda_k(w) as Python floats and the skip-k rows.
+        self._skips = [
+            (k, model.lambdas[:, k - 1].tolist(), model.matrices[k - 1])
+            for k in range(1, model.order + 1)
+        ]
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
-        m = self.model.order
+        m = self.context_size
         if len(context) != m:
             raise ParameterError(
                 "context must hold exactly %d ids, got %d" % (m, len(context))
             )
+        V = self.model.vocab_size
+        if not 0 <= min(context) <= max(context) < V:
+            raise id_out_of_range(context, V)
+        sigmas, fallbacks = self.params.values, self.params.fallbacks
         direct = 0.0
         leftover = 0.0
         declined = 1.0
-        for k in range(1, m + 1):
+        for k, lambdas, rows in self._skips:
             w_ctx = context[m - k]
-            lam = self.model.lambdas[w_ctx, k - 1]
+            lam = lambdas[w_ctx]
             weight = declined * lam
-            row = self.model.matrices[k - 1].get(w_ctx)
+            row = rows.get(w_ctx)
             if row:
-                sigma = self.params.sigma_for(k, w_ctx)
+                sigma = sigmas.get((k, w_ctx), fallbacks[k])
                 direct += (1.0 - sigma) * weight * row.get(word, 0.0)
                 leftover += sigma * weight
             else:
@@ -424,13 +438,10 @@ class _KatzLevel:
             totals = {ctx: sum(row.values()) for ctx, row in grouped.items()}
         self.totals = totals
         self.stored_totals = {ctx: sum(row.values()) for ctx, row in grouped.items()}
-        self.discounts = discounts
-        self.k_gt = k_gt
+        # Counts above k_gt, and counts with no ratio, are not discounted.
+        self.discounts = {r: d for r, d in discounts.items() if r <= k_gt}
         self.alphas: dict = {}
         self.ml_contexts: set = set()
-
-    def discount(self, r: int) -> float:
-        return self.discounts.get(r, 1.0) if r <= self.k_gt else 1.0
 
     def seen_prob(self, ctx, word) -> float | None:
         row = self.rows.get(ctx)
@@ -441,17 +452,18 @@ class _KatzLevel:
             return None
         if ctx in self.ml_contexts:
             return r / self.stored_totals[ctx]
-        return self.discount(r) * r / self.totals[ctx]
+        return self.discounts.get(r, 1.0) * r / self.totals[ctx]
 
     def compute_alphas(self, backoff_prob) -> None:
         """Per-context normalizer: leftover discounted mass divided by the
         backoff mass outside the seen successor set."""
+        discounts = self.discounts
         for ctx, row in self.rows.items():
             total = self.totals[ctx]
             leftover = 1.0
             seen_backoff = 0.0
             for word, r in row.items():
-                leftover -= self.discount(r) * r / total
+                leftover -= discounts.get(r, 1.0) * r / total
                 seen_backoff += backoff_prob(ctx, word)
             leftover = max(leftover, 0.0)
             unseen_backoff = 1.0 - seen_backoff
@@ -523,20 +535,17 @@ class KatzTrigram:
         self.level = _KatzLevel(grouped, discounts, k_gt, totals=context_totals)
         self.backoff = backoff
         self.vocab_size = vocab_size
-        self.level.compute_alphas(lambda ctx, w: self._backoff_prob(ctx, w))
+        self.level.compute_alphas(self._backoff_prob)
 
     def _backoff_prob(self, context: tuple[int, int], word: int) -> float:
         bctx = context[len(context) - self.backoff.context_size :]
         return self.backoff.prob(bctx, word)
 
     def prob_and_backoff(self, context: tuple[int, ...], word: int) -> tuple[float, bool]:
-        ctx = (context[-2], context[-1])
-        if self.vocab_size is not None:
-            for wid in (*ctx, word):
-                if not 0 <= wid < self.vocab_size:
-                    raise ParameterError(
-                        "word id %d out of range [0, %d)" % (wid, self.vocab_size)
-                    )
+        ctx = u, v = context[-2], context[-1]
+        V = self.vocab_size
+        if V is not None and not 0 <= u < V > v >= 0 <= word < V:  # all three in [0, V)
+            raise id_out_of_range((u, v, word), V)
         p = self.level.seen_prob(ctx, word)
         if p is not None:
             return p, False

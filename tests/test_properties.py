@@ -1,9 +1,11 @@
 """Property tests on random tiny corpora: the array implementations of
 counting, the mixed-order event table, the aggregate E-step, both
 smoothing-weight fits and evaluation against plain loop references, and the
-distinct-row helper against numpy's unique; row normalisation of every
-cascade level and Katz mass conservation; and save -> load -> save byte
-identity of every artifact type."""
+distinct-row helper against numpy's unique; every level's scalar prob and
+the Katz alphas against reference formulas, bit for bit, and the messages
+for out-of-range ids; row normalisation of every cascade level and Katz mass
+conservation; and save -> load -> save byte identity of every artifact
+type."""
 
 import math
 import os
@@ -31,6 +33,7 @@ from markovmix.corpus import (
     _distinct_rows,
     _event_windows,
 )
+from markovmix.errors import ParameterError
 
 from test_corpus import make_vocab
 
@@ -530,6 +533,203 @@ def test_katz_rounding_residue_loses_leftover():
         warnings.simplefilter("ignore")  # sparse Good-Turing statistics
         bigram = sm.KatzBigram(counts, k_gt=2)
     assert math.isclose(sum(bigram.prob((0,), w) for w in range(5)), 1.0, abs_tol=1e-9)
+
+
+# Scalar reference formulas: numpy-indexed mixing weights, the aggregate
+# product as cgw[w1] @ wgc[:, w2], interpolation through sigma_for, and Katz
+# levels with the discount rule applied per count.  Each takes the reference
+# function of the level below, so a whole reference cascade is composed of
+# them; every level's prob must equal it bit for bit.
+
+
+def ref_aggregate(model):
+    def prob(ctx, w):
+        return float(model.class_given_word[ctx[-1]] @ model.word_given_class[:, w])
+
+    return prob
+
+
+def ref_interpolated(level, ref_base):
+    ml, params = level.ml, level.params
+
+    def prob(ctx, w):
+        w1 = ctx[-1]
+        s = params.sigma_for(w1)
+        if ml.row_totals.get(w1, 0.0) == 0.0:
+            s = 1.0
+        return (1.0 - s) * ml.pair_prob(w1, w) + s * ref_base((w1,), w)
+
+    return prob
+
+
+def ref_mixed(level, ref_lower):
+    model, params = level.model, level.params
+    m = model.order
+
+    def prob(ctx, w):
+        direct = 0.0
+        leftover = 0.0
+        declined = 1.0
+        for k in range(1, m + 1):
+            w_ctx = ctx[m - k]
+            lam = model.lambdas[w_ctx, k - 1]
+            weight = declined * lam
+            row = model.matrices[k - 1].get(w_ctx)
+            if row:
+                sigma = params.sigma_for(k, w_ctx)
+                direct += (1.0 - sigma) * weight * row.get(w, 0.0)
+                leftover += sigma * weight
+            else:
+                leftover += weight
+            declined *= 1.0 - lam
+        return direct + leftover * ref_lower(ctx[1:], w)
+
+    return prob
+
+
+def ref_katz(level, discounts, k_gt, backoff, key):
+    """(alphas, ml_contexts, prob) of a Katz level's rows and totals, with
+    backoff(level key, w) and key(context) -> level key."""
+
+    def discount(r):
+        return discounts.get(r, 1.0) if r <= k_gt else 1.0
+
+    alphas, ml_contexts = {}, set()
+    for ctx, row in level.rows.items():
+        total = level.totals[ctx]
+        leftover = 1.0
+        seen_backoff = 0.0
+        for w, r in row.items():
+            leftover -= discount(r) * r / total
+            seen_backoff += backoff(ctx, w)
+        leftover = max(leftover, 0.0)
+        unseen_backoff = 1.0 - seen_backoff
+        if leftover <= 0.0:
+            alphas[ctx] = 0.0
+        elif unseen_backoff <= 0.0:
+            ml_contexts.add(ctx)
+            alphas[ctx] = 0.0
+        else:
+            alphas[ctx] = leftover / unseen_backoff
+
+    def prob(ctx, w):
+        k = key(ctx)
+        r = level.rows.get(k, {}).get(w)
+        if r is None:
+            return alphas.get(k, 1.0) * backoff(k, w)
+        if k in ml_contexts:
+            return r / level.stored_totals[k]
+        return discount(r) * r / level.totals[k]
+
+    return alphas, ml_contexts, prob
+
+
+def assert_bitwise(level, ref, contexts, V):
+    for ctx in contexts:
+        for w in range(V):
+            assert level.prob(ctx, w) == ref(ctx, w), (ctx, w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(corpora(min_sentences=2), st.data())
+def test_scalar_prob_matches_reference_formulas_bitwise(corpus, data):
+    V, sentences = corpus
+    counts = mm.count_ngrams(sentences, make_vocab(*("w%d" % i for i in range(V - 3))), 3)
+    base, _ = mm.train_aggregate(counts, data.draw(st.integers(1, V)), iterations=2)
+    extra = data.draw(st.lists(st.tuples(*[st.integers(0, V - 1)] * 3), max_size=10))
+    k_gt = data.draw(st.integers(1, 4))
+    # Ratios for counts up to k_gt + 2, some missing: the level must ignore
+    # those above k_gt and take 1 for the missing ones.
+    ratio = st.floats(0.05, 1.0)
+    discounts = data.draw(st.dictionaries(st.integers(1, k_gt + 2), ratio))
+    # Drawn weights rather than fitted ones, which often sit at 0 or 1.
+    unit, wid = st.floats(0.0, 1.0), st.integers(0, V - 1)
+    level = sm.InterpolatedBigram(
+        sm.MLBigram.from_counts(counts), base,
+        sm.InterpolationParams(data.draw(st.dictionaries(wid, unit)), data.draw(unit)),
+    )
+    stack, refs = [base, level], [ref_aggregate(base)]
+    refs.append(ref_interpolated(level, refs[0]))
+    for m in (2, 3):
+        model = mm.train_mixed(sentences, m, V, iterations=1)[0]
+        values = data.draw(st.dictionaries(st.tuples(st.integers(1, m), wid), unit))
+        params = sm.MixedSmoothingParams(values, {k: data.draw(unit) for k in range(1, m + 1)})
+        stack.append(sm.SmoothedMixedLevel(model, params, stack[-1]))
+        refs.append(ref_mixed(stack[-1], refs[-1]))
+    for level, ref in zip(stack, refs):
+        assert_bitwise(level, ref, contexts_of(level.context_size, sentences, extra), V)
+    mixed2 = stack[2]
+
+    katz_bigram = sm.KatzBigram(counts, k_gt=k_gt, discounts=discounts)
+    alphas, ml_contexts, ref_bigram = ref_katz(
+        katz_bigram.level, discounts, k_gt,
+        lambda v, w: katz_bigram.unigram.prob((), w), lambda ctx: ctx[-1],
+    )
+    assert (katz_bigram.level.alphas, katz_bigram.level.ml_contexts) == (alphas, ml_contexts)
+    assert_bitwise(katz_bigram, ref_bigram, contexts_of(1, sentences, extra), V)
+
+    truncation = data.draw(st.integers(1, max(counts.trigrams.values())))
+    for backoff, ref_backoff in ((katz_bigram, ref_bigram), (mixed2, refs[2])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # sparse Good-Turing statistics
+            trigram = sm.build_katz_trigram(counts, backoff, k_gt, truncation, discounts)
+        size = backoff.context_size
+        alphas, ml_contexts, ref_trigram = ref_katz(
+            trigram.level, discounts, k_gt,
+            lambda ctx, w: ref_backoff(ctx[2 - size :], w), tuple,
+        )
+        assert (trigram.level.alphas, trigram.level.ml_contexts) == (alphas, ml_contexts)
+        assert_bitwise(trigram, ref_trigram, contexts_of(2, sentences, extra), V)
+
+
+@SETTINGS
+@given(st.integers(1, 300), st.integers(1, 64), st.integers(0, 2**32 - 1), st.data())
+def test_aggregate_pair_prob_is_the_strided_dot(V, C, seed, data):
+    model = mm.AggregateModel.random_init(V, min(C, V), seed)
+    ref = ref_aggregate(model)
+    word = st.integers(0, V - 1)
+    for w1, w2 in data.draw(st.lists(st.tuples(word, word), min_size=1, max_size=50)):
+        assert model.pair_prob(w1, w2) == model.prob((w1,), w2) == ref((w1,), w2)
+
+
+def first_out_of_range(ids, V):
+    """The message naming the first id outside [0, V), or None."""
+    bad = [w for w in ids if not 0 <= w < V]
+    return "word id %d out of range [0, %d)" % (bad[0], V) if bad else None
+
+
+@SETTINGS
+@given(corpora(min_sentences=1), st.data())
+def test_out_of_range_ids_name_the_first_bad_id(corpus, data):
+    V, sentences = corpus
+    counts = mm.count_ngrams(sentences, make_vocab(*("w%d" % i for i in range(V - 3))), 3)
+    base = mm.AggregateModel.random_init(V, 2, seed=0)
+    mixed = mm.train_mixed(sentences, 2, V, iterations=1)[0]
+    interp = sm.InterpolatedBigram(
+        sm.MLBigram.from_counts(counts), base, sm.InterpolationParams({}, 0.5)
+    )
+    level = sm.SmoothedMixedLevel(mixed, sm.MixedSmoothingParams({}, {1: 0.5, 2: 0.5}), interp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sparse Good-Turing statistics
+        trigram = sm.build_katz_trigram(counts, sm.KatzBigram(counts, k_gt=2), k_gt=2)
+    wid = st.integers(-3, V + 2)
+    u, v, w = data.draw(st.tuples(wid, wid, wid))
+    calls = [
+        ((u, w), lambda: base.pair_prob(u, w)),
+        ((u, w), lambda: base.prob((u,), w)),
+        ((u, v), lambda: mixed.prob((u, v), 0)),
+        ((u, v), lambda: level.prob((u, v), 0)),
+        ((u, v, w), lambda: trigram.prob((u, v), w)),
+        ((u, v, w), lambda: trigram.prob_and_backoff((u, v), w)),
+    ]
+    for ids, call in calls:
+        message = first_out_of_range(ids, V)
+        if message is None:
+            call()
+        else:
+            with pytest.raises(ParameterError) as raised:
+                call()
+            assert str(raised.value) == message
 
 
 def resaved_equal(obj, load, save=lambda obj, path: obj.save(path)):
