@@ -50,8 +50,8 @@ class AggregateModel:
         class_given_word: (V, C) row-stochastic membership matrix.
         word_given_class: (C, V) row-stochastic emission matrix.
 
-    Scoring reads per-word row and column views of both matrices, taken
-    when the model is built.
+    Both attributes are read-only: scoring reads per-word row and column
+    views of the two matrices, taken when the model is built.
     """
 
     context_size = 1
@@ -63,18 +63,26 @@ class AggregateModel:
             raise ParameterError("factor matrices disagree on the class count")
         if class_given_word.shape[0] != word_given_class.shape[1]:
             raise ParameterError("factor matrices disagree on the vocabulary size")
-        self.class_given_word = class_given_word
-        self.word_given_class = word_given_class
+        self._cgw = class_given_word
+        self._wgc = word_given_class
         self._rows = list(class_given_word)
         self._cols = list(word_given_class.T)
 
     @property
+    def class_given_word(self) -> np.ndarray:
+        return self._cgw
+
+    @property
+    def word_given_class(self) -> np.ndarray:
+        return self._wgc
+
+    @property
     def vocab_size(self) -> int:
-        return self.class_given_word.shape[0]
+        return len(self._rows)
 
     @property
     def n_classes(self) -> int:
-        return self.class_given_word.shape[1]
+        return self._cgw.shape[1]
 
     @classmethod
     def random_init(cls, vocab_size: int, n_classes: int, seed: int) -> "AggregateModel":
@@ -196,14 +204,14 @@ class _Chunk:
 def log_likelihood(model: AggregateModel, counts: NgramCounts) -> float:
     """Count-weighted log-likelihood of the bigram table under the model."""
     table = _BigramTable(counts)
-    return _log_likelihood_table(model, table)
+    return _log_likelihood_table(model.class_given_word, model.word_given_class, table)
 
 
-def _log_likelihood_table(model: AggregateModel, table: _BigramTable) -> float:
-    wgc_t = np.ascontiguousarray(model.word_given_class.T)
+def _log_likelihood_table(cgw: np.ndarray, wgc: np.ndarray, table: _BigramTable) -> float:
+    wgc_t = np.ascontiguousarray(wgc.T)
     ll = 0.0
-    for chunk in table.chunks(model.n_classes):
-        denom = chunk.joint(model.class_given_word, wgc_t).sum(axis=1)
+    for chunk in table.chunks(cgw.shape[1]):
+        denom = chunk.joint(cgw, wgc_t).sum(axis=1)
         pos = denom > 0.0
         ll += float(chunk.vals[pos] @ np.log(denom[pos]))
     return ll
@@ -219,14 +227,17 @@ def em_step(
     mass keep their previous rows.
     """
     table = _BigramTable(counts)
-    return _em_step_table(model, table)
+    cgw, wgc, ll = _em_step_table(model.class_given_word, model.word_given_class, table)
+    return AggregateModel(cgw, wgc), ll
 
 
 def _em_step_table(
-    model: AggregateModel, table: _BigramTable
-) -> tuple[AggregateModel, float]:
-    V, C = model.class_given_word.shape
-    wgc_t = np.ascontiguousarray(model.word_given_class.T)
+    cgw: np.ndarray, wgc: np.ndarray, table: _BigramTable
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """em_step on the factor matrices: the updated pair and the
+    log-likelihood of the input pair."""
+    V, C = cgw.shape
+    wgc_t = np.ascontiguousarray(wgc.T)
     num_cgw = np.zeros((V, C))
     # Emission numerators accumulate word-major, so each chunk adds whole
     # contiguous rows instead of strided columns.
@@ -236,7 +247,7 @@ def _em_step_table(
     for chunk in table.chunks(C):
         # The joint block becomes the count-weighted posterior in place; rows
         # whose model probability is zero are all-zero and stay so.
-        block = chunk.joint(model.class_given_word, wgc_t)
+        block = chunk.joint(cgw, wgc_t)
         denom = block.sum(axis=1)
         pos = denom > 0.0
         ll += float(chunk.vals[pos] @ np.log(denom[pos]))
@@ -248,19 +259,19 @@ def _em_step_table(
             block[chunk.col_order], chunk.col_starts, axis=0
         )
 
-    new_cgw = model.class_given_word.copy()
+    new_cgw = cgw.copy()
     row_mass = num_cgw.sum(axis=1)
     touched = row_mass > 0.0
     new_cgw[touched] = num_cgw[touched] / row_mass[touched, None]
 
     num_wgc = np.ascontiguousarray(num_wgc_t.T)
     del num_wgc_t
-    new_wgc = model.word_given_class.copy()
+    new_wgc = wgc.copy()
     class_mass = num_wgc.sum(axis=1)
     alive = class_mass > 0.0
     new_wgc[alive] = num_wgc[alive] / class_mass[alive, None]
 
-    return AggregateModel(new_cgw, new_wgc), ll
+    return new_cgw, new_wgc, ll
 
 
 def train_aggregate(
@@ -284,11 +295,12 @@ def train_aggregate(
             raise ParameterError("initial model does not match the vocabulary size")
     else:
         model = AggregateModel.random_init(counts.vocab_size, n_classes, seed)
+    cgw, wgc = model.class_given_word, model.word_given_class
     events = int(table.total)
     trace = TrainingTrace()
     for i in range(iterations):
-        model, ll_before = _em_step_table(model, table)
+        cgw, wgc, ll_before = _em_step_table(cgw, wgc, table)
         if i > 0:
             trace.append(ll_before, events)
-    trace.append(_log_likelihood_table(model, table), events)
-    return model, trace
+    trace.append(_log_likelihood_table(cgw, wgc, table), events)
+    return AggregateModel(cgw, wgc), trace

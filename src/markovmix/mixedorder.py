@@ -94,8 +94,8 @@ class MixedOrderModel:
                 "context must hold exactly %d ids, got %d" % (m, len(context))
             )
         V = self.vocab_size
-        if not 0 <= min(context) <= max(context) < V:
-            raise id_out_of_range(context, V)
+        if not 0 <= min(context) <= max(context) < V > word >= 0:
+            raise id_out_of_range((*context, word), V)
         total = 0.0
         declined = 1.0
         for k in range(1, m + 1):

@@ -239,8 +239,8 @@ class SmoothedMixedLevel:
     for the context truncated by one word.  Words with no stored skip-k row
     delegate that component entirely.
 
-    The level reads its model's mixing weights as they were when the level
-    was built.
+    The level reads its model's mixing weights, and the vocabulary size
+    that bounds its ids, as they were when the level was built.
     """
 
     def __init__(self, model: MixedOrderModel, params: MixedSmoothingParams, lower):
@@ -257,6 +257,7 @@ class SmoothedMixedLevel:
             (k, model.lambdas[:, k - 1].tolist(), model.matrices[k - 1])
             for k in range(1, model.order + 1)
         ]
+        self._vocab_size = len(self._skips[0][1])
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         m = self.context_size
@@ -264,9 +265,9 @@ class SmoothedMixedLevel:
             raise ParameterError(
                 "context must hold exactly %d ids, got %d" % (m, len(context))
             )
-        V = self.model.vocab_size
-        if not 0 <= min(context) <= max(context) < V:
-            raise id_out_of_range(context, V)
+        V = self._vocab_size
+        if not 0 <= min(context) <= max(context) < V > word >= 0:
+            raise id_out_of_range((*context, word), V)
         sigmas, fallbacks = self.params.values, self.params.fallbacks
         direct = 0.0
         leftover = 0.0
@@ -496,10 +497,14 @@ class KatzBigram:
             grouped.setdefault(w1, {})[w2] = n
         self.level = _KatzLevel(grouped, discounts, k_gt)
         self.unigram = MLUnigram.from_counts(counts)
+        self.vocab_size = counts.vocab_size
         self.level.compute_alphas(lambda ctx, w: self.unigram.prob((), w))
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         v = context[-1]
+        V = self.vocab_size
+        if not 0 <= v < V > word >= 0:
+            raise id_out_of_range((v, word), V)
         p = self.level.seen_prob(v, word)
         if p is not None:
             return p

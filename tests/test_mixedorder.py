@@ -185,12 +185,15 @@ class TestMixtureProb:
         with pytest.raises(ParameterError):
             model.prob((3,), 4)
 
-    def test_context_ids_range_checked(self):
+    def test_ids_range_checked(self):
         model = mm.MixedOrderModel.from_counts(skip_counts([[3, 4]], 5, 2), 2)
         with pytest.raises(ParameterError, match=r"word id -1 out of range \[0, 5\)"):
             model.prob((-1, 3), 4)
         with pytest.raises(ParameterError, match=r"word id 5 out of range \[0, 5\)"):
             model.prob((3, 5), 4)
+        # A bad word id would score 0.0 through row.get.
+        with pytest.raises(ParameterError, match=r"word id 99 out of range \[0, 5\)"):
+            model.prob((3, 4), 99)
 
     def test_convex_weights_sum_to_one(self):
         rng = random.Random(33)

@@ -711,14 +711,16 @@ def test_out_of_range_ids_name_the_first_bad_id(corpus, data):
     level = sm.SmoothedMixedLevel(mixed, sm.MixedSmoothingParams({}, {1: 0.5, 2: 0.5}), interp)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # sparse Good-Turing statistics
-        trigram = sm.build_katz_trigram(counts, sm.KatzBigram(counts, k_gt=2), k_gt=2)
+        katz_bigram = sm.KatzBigram(counts, k_gt=2)
+        trigram = sm.build_katz_trigram(counts, katz_bigram, k_gt=2)
     wid = st.integers(-3, V + 2)
     u, v, w = data.draw(st.tuples(wid, wid, wid))
     calls = [
         ((u, w), lambda: base.pair_prob(u, w)),
         ((u, w), lambda: base.prob((u,), w)),
-        ((u, v), lambda: mixed.prob((u, v), 0)),
-        ((u, v), lambda: level.prob((u, v), 0)),
+        ((u, v, w), lambda: mixed.prob((u, v), w)),
+        ((u, v, w), lambda: level.prob((u, v), w)),
+        ((v, w), lambda: katz_bigram.prob((v,), w)),
         ((u, v, w), lambda: trigram.prob((u, v), w)),
         ((u, v, w), lambda: trigram.prob_and_backoff((u, v), w)),
     ]

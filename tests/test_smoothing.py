@@ -289,14 +289,16 @@ class TestSmoothedMixedLevel:
                 declined *= 1.0 - lams[k]
             assert direct + leftover == pytest.approx(1.0, abs=1e-12)
 
-    def test_context_ids_range_checked(self):
-        # Without the check a negative id wraps to the last row and an id
-        # of V or more ends in an IndexError.
+    def test_ids_range_checked(self):
+        # Without the check a negative context id wraps to the last row and
+        # one of V or more ends in an IndexError.
         level, _, _, _ = self._random_level(random.Random(70))
         with pytest.raises(ParameterError, match=r"word id -1 out of range \[0, 6\)"):
             level.prob((-1, 3), 2)
         with pytest.raises(ParameterError, match=r"word id 6 out of range \[0, 6\)"):
             level.prob((3, 6), 2)
+        with pytest.raises(ParameterError, match=r"word id -1 out of range \[0, 6\)"):
+            level.prob((3, 4), -1)
 
     def test_strict_positivity_with_positive_base(self):
         rng = random.Random(69)
