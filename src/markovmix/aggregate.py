@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifact import ArtifactReader, positive, write_artifact
-from .corpus import NgramCounts
+from .corpus import NgramCounts, _sorted_pairs
 from .errors import DataError, ParameterError, id_out_of_range
 
 # Entries processed per E-step chunk are capped so the dense (entries x C)
@@ -143,9 +143,12 @@ class AggregateModel:
     def load(cls, path) -> "AggregateModel":
         reader = ArtifactReader(path, "AGG-MODEL", V=positive, C=positive)
         V, C = reader.header["V"], reader.header["C"]
-        model = cls(reader.matrix(V, C), reader.matrix(C, V))
+        cgw = reader.matrix(V, C)
+        reader.check_unit(cgw, "class membership probability")
+        wgc = reader.matrix(C, V)
+        reader.check_unit(wgc, "word emission probability")
         reader.end()
-        return model
+        return cls(cgw, wgc)
 
 
 class _BigramTable:
@@ -162,12 +165,7 @@ class _BigramTable:
     def __init__(self, counts: NgramCounts):
         if not counts.bigrams:
             raise DataError("no bigram events")
-        pairs = np.array(list(counts.bigrams), dtype=np.int64).reshape(-1, 2)
-        vals = np.fromiter(counts.bigrams.values(), dtype=np.float64, count=len(pairs))
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        self.rows = pairs[order, 0]
-        self.cols = pairs[order, 1]
-        self.vals = vals[order]
+        self.rows, self.cols, self.vals = _sorted_pairs(counts.bigrams)
         self.total = float(self.vals.sum())
         self._chunks: dict[int, list[_Chunk]] = {}
 

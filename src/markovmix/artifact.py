@@ -104,6 +104,26 @@ class ArtifactReader:
         if not ok.all():
             raise self.error(self.first + int(np.argmin(ok)), message)
 
+    def check_unit(self, values: np.ndarray, what: str) -> None:
+        """DataError at the first row of the last block holding a value
+        (one per row, or a row of them) outside [0, 1]."""
+        ok = (values >= 0.0) & (values <= 1.0)
+        self.check(ok if ok.ndim == 1 else ok.all(axis=1), "%s outside [0, 1]" % what)
+
+    def check_unique(self, *columns: np.ndarray) -> np.ndarray:
+        """DataError at the first row of the last block whose key, one value
+        per column, repeats an earlier row's; rows need not be sorted.
+        Returns the order of the rows sorted by key."""
+        keys = np.stack(columns, axis=1)
+        _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        first_of = first[group.reshape(-1)]
+        repeat = first_of != np.arange(len(keys))
+        if repeat.any():
+            i = int(np.argmax(repeat))
+            earlier = self.first + int(first_of[i])
+            raise self.error(self.first + i, "repeats the key of line %d" % earlier)
+        return first
+
     def records(self):
         """(file line, fields) for each remaining line."""
         for lineno, line in enumerate(self.lines[self.pos :], self.pos + 1):

@@ -126,6 +126,14 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise ParameterError("missing required option --%s" % name.replace("_", "-"))
 
 
+def _require_positive(cfg: RunConfig, *names: str) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if value < 1:
+            option = "--" + name.replace("_", "-")
+            raise ParameterError("%s must be at least 1, got %d" % (option, value))
+
+
 def _check_vocab_sizes(*sized: tuple[str, int]) -> None:
     """DataError unless every (artifact, V) pair has the V of the first."""
     (first, v), *rest = sized
@@ -378,6 +386,7 @@ def cmd_sweep_truncate(cfg: RunConfig) -> None:
 
 def cmd_report_classes(cfg: RunConfig) -> None:
     _require(cfg, "agg_model", "vocab", "counts", "csv_out")
+    _require_positive(cfg, "top_n")
     _require_inputs(cfg.agg_model, cfg.vocab, cfg.counts)
     model = aggregate.AggregateModel.load(cfg.agg_model)
     vocab = Vocabulary.load(cfg.vocab)
@@ -394,6 +403,7 @@ def cmd_report_classes(cfg: RunConfig) -> None:
 
 def cmd_report_lambda(cfg: RunConfig) -> None:
     _require(cfg, "model", "vocab", "counts", "out")
+    _require_positive(cfg, "top_n", "list_size")
     _require_inputs(cfg.model, cfg.vocab, cfg.counts)
     model = mixedorder.MixedOrderModel.load(cfg.model)
     vocab = Vocabulary.load(cfg.vocab)

@@ -13,6 +13,9 @@ _event_windows is the one walk over these events: counting, mixed-order EM,
 both smoothing-weight fits and evaluation read its rows, and the fits and
 evaluation score each distinct row (_distinct_rows) once.  The per-sentence
 NgramCounts.add_sentence is kept as the reference the tests compare it to.
+
+Pair counts become row-normalized dict rows through one normaliser,
+_row_normalised, and one row builder, _dict_rows (normalized_rows is gone).
 """
 
 from __future__ import annotations
@@ -132,19 +135,6 @@ def read_lines(path) -> list[str]:
     return lines[:-1] if lines[-1] == "" else lines
 
 
-def normalized_rows(pairs: Counter) -> tuple[dict[int, dict[int, float]], dict[int, float]]:
-    """Pair counts as rows of relative frequencies, keyed by the first id,
-    and the count total of each row."""
-    rows: dict[int, dict[int, float]] = {}
-    for (w1, w2), n in pairs.items():
-        rows.setdefault(w1, {})[w2] = float(n)
-    totals = {w1: sum(row.values()) for w1, row in rows.items()}
-    for w1, row in rows.items():
-        for w2 in row:
-            row[w2] /= totals[w1]
-    return rows, totals
-
-
 def most_frequent(unigrams: Counter, top_n: int) -> list[int]:
     """The top_n most frequent ids, boundary markers left out; ties break
     toward the lower id."""
@@ -239,6 +229,7 @@ class NgramCounts:
         tables = {}
         for tag, kinds in (("U", "ii"), ("B", "iii"), ("T", "iiii"), ("S", "iiii")):
             *ids, n = tables[tag] = reader.rows(kinds, tag=tag)
+            reader.check_unique(*ids)
             if tag == "S":
                 reader.check(np.isin(ids[0], counts.skip_ks), "skip distance not in the header")
                 ids = ids[1:]
@@ -304,6 +295,37 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], inverse
 
 
+def _sorted_pairs(pairs: Counter) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A pair Counter as id columns w1, w2 sorted by (w1, w2) and float counts."""
+    ids = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    n = np.fromiter(pairs.values(), dtype=np.float64, count=len(ids))
+    order = np.lexsort((ids[:, 1], ids[:, 0]))
+    return ids[order, 0], ids[order, 1], n[order]
+
+
+def _row_normalised(rows: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n / total[row] per entry and the totals by row id; integer counts
+    give exact totals."""
+    totals = np.bincount(rows, weights=n)
+    return n / totals[rows], totals
+
+
+def _pair_rows(pairs: Counter) -> tuple[dict[int, dict[int, float]], np.ndarray]:
+    """A pair Counter as dict rows of relative frequencies and row totals."""
+    w1, w2, n = _sorted_pairs(pairs)
+    probs, totals = _row_normalised(w1, n)
+    return _dict_rows(w1, w2, probs), totals
+
+
+def _dict_rows(w1: np.ndarray, w2: np.ndarray, values: np.ndarray) -> dict[int, dict[int, float]]:
+    """Entries sorted by (w1, w2) as rows {w1: {w2: value}} of Python ints
+    and floats, the form that scalar scoring reads."""
+    starts = np.flatnonzero(np.diff(w1, prepend=w1[:1] - 1)).tolist()
+    bounds, cols, vals = starts + [len(w1)], w2.tolist(), values.tolist()
+    rows = zip(w1[starts].tolist(), bounds, bounds[1:])
+    return {row: dict(zip(cols[a:b], vals[a:b])) for row, a, b in rows}
+
+
 def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
     """ParameterError unless every id lies in [0, V); an id outside would
     alias another id's int64 key."""
@@ -318,10 +340,23 @@ def _tally(keys: np.ndarray, decode) -> Counter:
     return Counter(dict(zip(decode(uniq[order]), n[order].tolist())))
 
 
-def _count_windows(counts: NgramCounts, windows: np.ndarray) -> NgramCounts:
-    """Fill empty counts from an _event_windows array of width counts.pad."""
-    V = counts.vocab_size
-    pad = counts.pad
+def count_ngrams(
+    sentences: Iterable[TokenSentence],
+    vocab: Vocabulary,
+    max_order: int = 2,
+    skips: Iterable[int] = (1,),
+) -> NgramCounts:
+    """Count n-grams and skip-k pairs over tokenized sentences.
+
+    Each n-gram and skip pair is encoded as one int64 key, (w1*V + w2)*V + w3
+    for a trigram, and the keys are counted with np.unique.  The Counters
+    equal those of an add_sentence loop, down to their iteration order (first
+    occurrence).  Raises ParameterError for an id outside [0, V), which would
+    otherwise alias another key.
+    """
+    counts = NgramCounts(len(vocab), max_order, tuple(skips))
+    V, pad = counts.vocab_size, counts.pad
+    windows = _event_windows(sentences, pad)
     # Every interior id is predicted once, so the last column holds them all.
     w = windows[:, pad]
     _check_ids(w, V)
@@ -345,22 +380,3 @@ def _count_windows(counts: NgramCounts, windows: np.ndarray) -> NgramCounts:
         counts.skips[k] = _tally(windows[:, pad - k] * V + w, pairs)
     counts.total = len(windows)
     return counts
-
-
-def count_ngrams(
-    sentences: Iterable[TokenSentence],
-    vocab: Vocabulary,
-    max_order: int = 2,
-    skips: Iterable[int] = (1,),
-) -> NgramCounts:
-    """Count n-grams and skip-k pairs over tokenized sentences.
-
-    Each n-gram and skip pair is encoded as one int64 key, (w1*V + w2)*V + w3
-    for a trigram, and the keys are counted with np.unique.  The Counters
-    equal those of an add_sentence loop, down to their iteration order (first
-    occurrence).  Raises ParameterError for an id outside [0, V), which would
-    otherwise alias another key.
-    """
-    counts = NgramCounts(len(vocab), max_order, tuple(skips))
-    return _count_windows(counts, _event_windows(sentences, counts.pad))
-

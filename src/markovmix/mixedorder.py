@@ -10,6 +10,11 @@ Training is EM over prediction events with the component identity hidden.
 Transition entries start from normalized skip-k counts; entries that start
 at zero stay zero, so unseen word combinations keep zero probability (these
 models are smoothed by the cascade layer, not here).
+
+Training works on sorted int64 pair keys w1*V + w2 with one float64 value
+array per skip distance (_EventTable).  The dict rows that scalar scoring
+reads are built once per model: after training or em_step, in from_counts
+and in load.
 """
 
 from __future__ import annotations
@@ -24,16 +29,27 @@ from .corpus import (
     NgramCounts,
     TokenSentence,
     _check_ids,
-    _count_windows,
+    _dict_rows,
     _event_windows,
+    _pair_rows,
+    _row_normalised,
+    _sorted_pairs,
     most_frequent,
-    normalized_rows,
 )
 from .errors import DataError, NumericError, ParameterError, id_out_of_range
 
 MAX_COMPONENTS = 8  # model size grows as m * V^2
 
 SkipMatrix = dict[int, dict[int, float]]
+
+
+def _initial_lambdas(vocab_size: int, order: int) -> np.ndarray:
+    """lambda_k(w) = 1/(m-k+1) for every w, so the first E-step spreads
+    posterior mass evenly over the remaining components; m must lie in
+    1..MAX_COMPONENTS."""
+    if not 1 <= order <= MAX_COMPONENTS:
+        raise ParameterError("component count must be in 1..%d, got %d" % (MAX_COMPONENTS, order))
+    return np.tile(1.0 / np.arange(order, 0, -1), (vocab_size, 1))
 
 
 class MixedOrderModel:
@@ -66,24 +82,13 @@ class MixedOrderModel:
 
     @classmethod
     def from_counts(cls, counts: NgramCounts, order: int) -> "MixedOrderModel":
-        """Initialize from raw skip-k counts.
-
-        Transition rows are ML-normalized counts; lambda_k(w) starts at
-        1/(m-k+1) so the first E-step spreads posterior mass evenly over the
-        remaining components.
-        """
-        if not 1 <= order <= MAX_COMPONENTS:
-            raise ParameterError(
-                "component count must be in 1..%d, got %d" % (MAX_COMPONENTS, order)
-            )
+        """Initialize from raw skip-k counts: transition rows are
+        ML-normalized counts and lambda_k(w) is 1/(m-k+1)."""
+        lambdas = _initial_lambdas(counts.vocab_size, order)
         missing = [k for k in range(1, order + 1) if k not in counts.skips]
         if missing:
             raise ParameterError("counts lack skip tables for k=%r" % missing)
-        matrices = [normalized_rows(counts.skips[k])[0] for k in range(1, order + 1)]
-        lambdas = np.empty((counts.vocab_size, order))
-        for k in range(1, order + 1):
-            lambdas[:, k - 1] = 1.0 / (order - k + 1)
-        return cls(lambdas, matrices)
+        return cls(lambdas, [_pair_rows(counts.skips[k])[0] for k in range(1, order + 1)])
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         """Mixture probability of `word` after `context` (sentence order,
@@ -119,98 +124,95 @@ class MixedOrderModel:
 
     @classmethod
     def load(cls, path) -> "MixedOrderModel":
+        """Read the save format; pair lines may come in any order, but each
+        (k, w1, w2) only once."""
         reader = ArtifactReader(path, "MIX-MODEL", V=positive, m=positive)
         V, m = reader.header["V"], reader.header["m"]
         lambdas = reader.matrix(V, m)
-        k, w1, w2, _ = pairs = reader.rows("iiif")
+        reader.check_unit(lambdas, "mixing weight")
+        k, w1, w2, p = reader.rows("iiif")
         reader.check((k >= 1) & (k <= m), "skip distance outside 1..%d" % m)
         in_range = (w1 >= 0) & (w1 < V) & (w2 >= 0) & (w2 < V)
         reader.check(in_range, "word id out of range [0, %d)" % V)
-        matrices: list[SkipMatrix] = [{} for _ in range(m)]
-        for k, w1, w2, p in zip(*(col.tolist() for col in pairs)):
-            matrices[k - 1].setdefault(w1, {})[w2] = p
-        return cls(lambdas, matrices)
+        reader.check_unit(p, "transition probability")
+        order = reader.check_unique(k, w1, w2)
+        k, w1, w2, p = (col[order] for col in (k, w1, w2, p))
+        at = [k == j for j in range(1, m + 1)]
+        return cls(lambdas, [_dict_rows(w1[i], w2[i], p[i]) for i in at])
 
 
 class _EventTable:
-    """Flattened prediction events against a fixed transition sparsity.
+    """Flattened prediction events against fixed stored skip-k pairs.
 
-    Built from an (events, m + 1) array of corpus._event_windows.  For event
-    t and component k the table records the conditioning id w_{t-k} in
-    ctx[t, k-1] and, in pair_idx[t, k-1], the position of the pair
-    (w_{t-k}, w_t) among the sorted per-k pairs (-1 when the pair is not
-    stored, contributing zero).  Pairs are encoded as int64 keys w1*V + w2
-    and located with np.searchsorted.
+    Built from an (events, m + 1) array of corpus._event_windows.  keys[k-1]
+    holds the sorted int64 keys w1*V + w2 of the stored skip-k pairs and
+    vals[k-1] their values: those of `matrices`, or by default the events'
+    own pairs with row-normalized counts (the initial model of training).
+    For event t and component k, ctx[t, k-1] is w_{t-k} and pair_idx[t, k-1]
+    the position of (w_{t-k}, w_t) in keys[k-1], or -1 when not stored.
     """
 
-    def __init__(self, model: MixedOrderModel, windows: np.ndarray):
-        m = model.order
-        V = model.vocab_size
-        self.pairs: list[list[tuple[int, int]]] = []
-        self.pair_rows: list[np.ndarray] = []
+    def __init__(self, windows: np.ndarray, V: int, matrices: list[SkipMatrix] | None = None):
         _check_ids(windows, V)
+        if V * V >= 2**63:
+            raise ParameterError("vocabulary of %d ids is too large for int64 keys" % V)
+        m = windows.shape[1] - 1
         # Column m holds w_t and column m-k holds w_{t-k}.
         self.ctx = np.ascontiguousarray(windows[:, m - 1 :: -1])
+        events = self.ctx * V + windows[:, m:]
         self.pair_idx = np.empty_like(self.ctx)
-        words = windows[:, m]
-        for k, rows in enumerate(model.matrices):
-            pairs = [(w1, w2) for w1 in sorted(rows) for w2 in sorted(rows[w1])]
-            self.pairs.append(pairs)
-            keyed = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-            self.pair_rows.append(keyed[:, 0].copy())
-            keys = keyed[:, 0] * V + keyed[:, 1]
-            events = self.ctx[:, k] * V + words
-            pos = np.searchsorted(keys, events)
+        self.keys: list[np.ndarray] = []
+        self.vals: list[np.ndarray] = []
+        for k in range(m):
+            if matrices is None:
+                keys, n = np.unique(events[:, k], return_counts=True)
+                vals = _row_normalised(keys // V, n)[0]
+            else:
+                flat = {(w1, w2): p for w1, row in matrices[k].items() for w2, p in row.items()}
+                w1, w2, vals = _sorted_pairs(flat)
+                keys = w1 * V + w2
+            pos = np.searchsorted(keys, events[:, k])
             found = pos < len(keys)
-            found[found] = keys[pos[found]] == events[found]
+            found[found] = keys[pos[found]] == events[found, k]
             self.pair_idx[:, k] = np.where(found, pos, -1)
-        self.n_events = self.ctx.shape[0]
+            self.keys.append(keys)
+            self.vals.append(vals)
+        self.n_events = len(windows)
 
-    def values_from(self, model: MixedOrderModel) -> list[np.ndarray]:
-        vals = []
-        for k, pairs in enumerate(self.pairs):
-            rows = model.matrices[k]
-            vals.append(
-                np.array([rows[w1][w2] for (w1, w2) in pairs], dtype=np.float64)
-            )
-        return vals
+    def model(self, lambdas: np.ndarray, vals: list[np.ndarray]) -> MixedOrderModel:
+        """The model with these mixing weights and stored values; its dict
+        rows are built here."""
+        V = len(lambdas)
+        matrices = [_dict_rows(keys // V, keys % V, v) for keys, v in zip(self.keys, vals)]
+        return MixedOrderModel(lambdas, matrices)
 
 
-def _components(model: MixedOrderModel, table: _EventTable):
+def _components(lambdas: np.ndarray, vals: list[np.ndarray], table: _EventTable):
     """Per-event component weights lambda_k(w_{t-k}) * prod_{j<k} (1 -
-    lambda_j(w_{t-j})), the transition value each component reads (zero for
-    a pair not stored), and the per-k stored values they were read from."""
-    m = model.order
-    lam = model.lambdas[table.ctx, np.arange(m)[None, :]]
+    lambda_j(w_{t-j})) and the transition value each component reads from
+    the stored values `vals` (zero for a pair not stored)."""
+    m = lambdas.shape[1]
+    lam = lambdas[table.ctx, np.arange(m)[None, :]]
     declined = np.cumprod(1.0 - lam, axis=1)
     prefix = np.hstack([np.ones((table.n_events, 1)), declined[:, :-1]])
-    vals = table.values_from(model)
     mv = np.zeros_like(lam)
     for k in range(m):
         hit = table.pair_idx[:, k] >= 0
         mv[hit, k] = vals[k][table.pair_idx[hit, k]]
-    return lam * prefix, mv, vals
+    return lam * prefix, mv
 
 
-def _event_probs(model: MixedOrderModel, table: _EventTable):
-    """Per-event mixture probability and component contributions, and the
-    per-k stored transition values."""
-    weight, mv, vals = _components(model, table)
+def _event_probs(lambdas: np.ndarray, vals: list[np.ndarray], table: _EventTable):
+    """Per-event mixture probability and component contributions."""
+    weight, mv = _components(lambdas, vals, table)
     contrib = weight * mv
-    return contrib.sum(axis=1), contrib, vals
+    return contrib.sum(axis=1), contrib
 
 
-def _event_log_likelihood(model: MixedOrderModel, table: _EventTable):
-    total, _, _ = _event_probs(model, table)
-    scored = total > 0.0
-    ll = float(np.log(total[scored]).sum())
-    return ll, int(scored.sum()), int(table.n_events - scored.sum())
-
-
-def _em_step_table(model: MixedOrderModel, table: _EventTable):
-    m = model.order
-    V = model.vocab_size
-    total, contrib, old_vals = _event_probs(model, table)
+def _em_step_table(lambdas: np.ndarray, vals: list[np.ndarray], table: _EventTable):
+    """em_step on arrays: (lambdas, vals, log-likelihood, events skipped)."""
+    V, m = lambdas.shape
+    total, contrib = _event_probs(lambdas, vals, table)
     scored = total > 0.0
     n_skipped = int(table.n_events - scored.sum())
     if not scored.any():
@@ -223,8 +225,8 @@ def _em_step_table(model: MixedOrderModel, table: _EventTable):
     # tail[:, k-1] = sum of phi over components k..m, for the mixing update.
     tail = np.cumsum(phi[:, ::-1], axis=1)[:, ::-1]
 
-    new_lambdas = model.lambdas.copy()
-    new_matrices: list[SkipMatrix] = []
+    new_lambdas = lambdas.copy()
+    new_vals = []
     for k in range(m):
         num = np.bincount(ctx[:, k], weights=phi[:, k], minlength=V)
         den = np.bincount(ctx[:, k], weights=tail[:, k], minlength=V)
@@ -233,20 +235,15 @@ def _em_step_table(model: MixedOrderModel, table: _EventTable):
 
         hit = pair_idx[:, k] >= 0
         pair_num = np.bincount(
-            pair_idx[hit, k], weights=phi[hit, k], minlength=len(table.pairs[k])
+            pair_idx[hit, k], weights=phi[hit, k], minlength=len(table.keys[k])
         )
-        row_mass = num[table.pair_rows[k]]
+        row_mass = num[table.keys[k] // V]
         touched = row_mass > 0.0
-        new_vals = np.where(
-            touched, pair_num / np.where(touched, row_mass, 1.0), old_vals[k]
+        new_vals.append(
+            np.where(touched, pair_num / np.where(touched, row_mass, 1.0), vals[k])
         )
-        rows: SkipMatrix = {}
-        for i, (w1, w2) in enumerate(table.pairs[k]):
-            rows.setdefault(w1, {})[w2] = float(new_vals[i])
-        new_matrices.append(rows)
     new_lambdas[:, m - 1] = 1.0
-
-    return MixedOrderModel(new_lambdas, new_matrices), ll, n_skipped
+    return new_lambdas, new_vals, ll, n_skipped
 
 
 def em_step(
@@ -261,8 +258,9 @@ def em_step(
     sentences = list(sentences)
     if not sentences:
         raise DataError("empty corpus")
-    table = _EventTable(model, _event_windows(sentences, model.order))
-    return _em_step_table(model, table)
+    table = _EventTable(_event_windows(sentences, model.order), model.vocab_size, model.matrices)
+    lambdas, vals, ll, n_skipped = _em_step_table(model.lambdas, table.vals, table)
+    return table.model(lambdas, vals), ll, n_skipped
 
 
 def train_mixed(
@@ -281,18 +279,17 @@ def train_mixed(
     sentences = list(sentences)
     if not sentences:
         raise DataError("empty corpus")
-    counts = NgramCounts(vocab_size, 1, tuple(range(1, order + 1)))
-    windows = _event_windows(sentences, counts.pad)
-    model = MixedOrderModel.from_counts(_count_windows(counts, windows), order)
-    table = _EventTable(model, windows)
+    lambdas = _initial_lambdas(vocab_size, order)
+    table = _EventTable(_event_windows(sentences, order), vocab_size)
+    vals = table.vals
     trace = TrainingTrace()
     for i in range(iterations):
-        model, ll_before, n_skipped = _em_step_table(model, table)
+        lambdas, vals, ll_before, n_skipped = _em_step_table(lambdas, vals, table)
         if i > 0:
             trace.append(ll_before, table.n_events - n_skipped)
-    ll_final, scored, _ = _event_log_likelihood(model, table)
-    trace.append(ll_final, scored)
-    return model, trace
+    total, _ = _event_probs(lambdas, vals, table)
+    trace.append(float(np.log(total[total > 0.0]).sum()), int((total > 0.0).sum()))
+    return table.model(lambdas, vals), trace
 
 
 def missing_fraction(
@@ -301,8 +298,8 @@ def missing_fraction(
     """Fraction of prediction events assigned exactly zero probability."""
     if not sentences:
         return 0.0
-    table = _EventTable(model, _event_windows(sentences, model.order))
-    total, _, _ = _event_probs(model, table)
+    table = _EventTable(_event_windows(sentences, model.order), model.vocab_size, model.matrices)
+    total, _ = _event_probs(model.lambdas, table.vals, table)
     return float((total == 0.0).sum() / table.n_events)
 
 

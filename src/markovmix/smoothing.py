@@ -26,7 +26,7 @@ import numpy as np
 
 from .aggregate import AggregateModel
 from .artifact import ArtifactReader, positive, write_artifact
-from .corpus import NgramCounts, TokenSentence, _distinct_rows, _event_windows, normalized_rows
+from .corpus import NgramCounts, TokenSentence, _distinct_rows, _event_windows, _pair_rows
 from .errors import DataError, ParameterError, id_out_of_range
 from .mixedorder import MixedOrderModel, _components, _EventTable
 
@@ -59,7 +59,8 @@ class MLBigram:
     context_size = 1
 
     def __init__(self, bigrams: Counter):
-        self.rows, self.row_totals = normalized_rows(bigrams)
+        self.rows, totals = _pair_rows(bigrams)
+        self.row_totals = {w: float(totals[w]) for w in self.rows}
 
     @classmethod
     def from_counts(cls, counts: NgramCounts) -> "MLBigram":
@@ -121,6 +122,8 @@ class MixedSmoothingParams:
         k, w, s = reader.rows("iif")
         reader.check(k >= 1, "skip distance below 1")
         reader.check(w >= -1, "word id below -1")
+        reader.check_unit(s, "weight")
+        reader.check_unique(k, w)
         pooled = w == -1
         fallbacks = dict(zip(k[pooled].tolist(), s[pooled].tolist()))
         reader.check(np.isin(k, list(fallbacks)), "no fallback row (w = -1) for this k")
@@ -306,8 +309,8 @@ def fit_mixed_smoothing(
     windows = _event_windows(validation, m)
     if not len(windows):
         raise DataError("empty validation corpus")
-    table = _EventTable(model, windows)
-    weight, mk, _ = _components(model, table)
+    table = _EventTable(windows, V, model.matrices)
+    weight, mk = _components(model.lambdas, table.vals, table)
     # One lower-level call per distinct truncated event, gathered to events.
     lower_rows, inverse = _distinct_rows(windows[:, 1:])
     plow = np.array(
@@ -361,9 +364,8 @@ def fit_mixed_smoothing(
                 values[(k + 1, int(w))] = float(sig[w, k])
     for k in range(m):
         # Rows the model never stored delegate their whole component.
-        for w in range(V):
-            if w not in model.matrices[k]:
-                values[(k + 1, w)] = 1.0
+        for w in np.setdiff1d(np.arange(V), table.keys[k] // V).tolist():
+            values[(k + 1, w)] = 1.0
     fallbacks = {k + 1: float(sig0[k]) for k in range(m)}
     return MixedSmoothingParams(values, fallbacks)
 
@@ -411,6 +413,8 @@ def load_discounts(path) -> dict[int, float]:
     reader = ArtifactReader(path, "GT")
     r, d = reader.rows("if")
     reader.check(r >= 1, "count below 1")
+    reader.check((d > 0.0) & (d <= 1.0), "discount outside (0, 1]")
+    reader.check_unique(r)
     return dict(zip(r.tolist(), d.tolist()))
 
 

@@ -158,6 +158,18 @@ def too_few(fields):
     return fields[:-1]
 
 
+def repeat_line(pattern):
+    """Garble: repeat the first line matching `pattern` right after itself."""
+
+    def garble(text):
+        lines = text.split("\n")
+        i = next(i for i, line in enumerate(lines) if re.match(pattern, line))
+        lines.insert(i + 1, lines[i])
+        return "\n".join(lines)
+
+    return garble
+
+
 def cut(text):
     """Cut the file off inside its last line."""
     return text[:-4]
@@ -169,12 +181,15 @@ GARBLES = {
     "counts-header_key": ("counts.txt", drop(" order=3")),
     "counts-field_count": ("counts.txt", edit_line("B ", too_few)),
     "counts-truncated": ("counts.txt", cut),
+    "counts-repeated_unigram": ("counts.txt", repeat_line("U ")),
+    "counts-repeated_bigram": ("counts.txt", repeat_line("B ")),
     "agg-non_numeric": ("agg.txt", edit_line(r"\d", non_numeric)),
     "agg-header_key": ("agg.txt", drop(" C=4")),
     "agg-field_count": ("agg.txt", edit_line(r"\d", too_few)),
     "agg-truncated": ("agg.txt", cut),
     "agg-not_finite": ("agg.txt", edit_line(r"\d", lambda f: f[:-1] + ["nan"])),
     "agg-extra_line": ("agg.txt", lambda text: text + "0.5 0.5\n"),
+    "agg-out_of_range": ("agg.txt", edit_line(r"\d", lambda f: ["-0.5"] + f[1:])),
     "mix-non_numeric": ("mix2.txt", edit_line(r"1 \d+ \d+ ", non_numeric)),
     "mix-header_key": ("mix2.txt", drop(" m=2")),
     "mix-field_count": ("mix2.txt", edit_line(r"1 \d+ \d+ ", too_few)),
@@ -184,6 +199,11 @@ GARBLES = {
     ),
     "mix-k_out_of_range": ("mix2.txt", edit_line(r"2 \d+ \d+ ", lambda f: ["3"] + f[1:])),
     "mix-blank_line": ("mix2.txt", lambda text: text + "\n"),
+    "mix-lambda_out_of_range": ("mix2.txt", edit_line(r"\S+ \S+$", lambda f: ["2.5", f[1]])),
+    "mix-transition_out_of_range": (
+        "mix2.txt", edit_line(r"1 \d+ \d+ ", lambda f: f[:-1] + ["-3.0"])
+    ),
+    "mix-repeated_pair": ("mix2.txt", repeat_line(r"2 \d+ \d+ ")),
     "sigma_bigram-non_numeric": ("smooth/sigma_bigram.txt", edit_line(r"1 \d+ ", non_numeric)),
     "sigma_bigram-bad_header": ("smooth/sigma_bigram.txt", drop(" v1")),
     "sigma_bigram-field_count": ("smooth/sigma_bigram.txt", edit_line(r"1 \d+ ", too_few)),
@@ -198,7 +218,13 @@ GARBLES = {
     "sigma_mixed-no_fallback": (
         "smooth/sigma_mixed2.txt", edit_line("2 -1 ", lambda f: ["2", "0", f[2]])
     ),
+    "sigma_mixed-out_of_range": (
+        "smooth/sigma_mixed2.txt", edit_line(r"2 \d+ ", lambda f: f[:-1] + ["1.7"])
+    ),
+    "sigma_mixed-repeated_key": ("smooth/sigma_mixed2.txt", repeat_line(r"2 \d+ ")),
     "gt-non_numeric": ("smooth/gt_trigram.txt", edit_line("1 ", non_numeric)),
+    "gt-out_of_range": ("smooth/gt_trigram.txt", edit_line("1 ", lambda f: [f[0], "1.5"])),
+    "gt-repeated_count": ("smooth/gt_trigram.txt", repeat_line("1 ")),
     "gt-bad_header": ("smooth/gt_trigram.txt", drop(" v1")),
     "gt-field_count": ("smooth/gt_trigram.txt", edit_line("1 ", too_few)),
     "gt-truncated": ("smooth/gt_trigram.txt", cut),
@@ -256,8 +282,13 @@ class TestMalformedCounts:
             "NGRAM-COUNTS v1 skips=1\nV 5\nN 1\nB 3 4 1\n",
             GOOD + "B 9 1 3\n",
             GOOD + "B 3 4\n",
+            GOOD + "U 3 7\nB 3 4 1\n",
+            GOOD + "B 3 4 1\nB 3 4 2\n",
         ],
-        ids=["non_numeric_field", "header_without_order", "id_out_of_range", "too_few_fields"],
+        ids=[
+            "non_numeric_field", "header_without_order", "id_out_of_range", "too_few_fields",
+            "repeated_unigram", "repeated_bigram",
+        ],
     )
     def test_train_aggregate_exits_3(self, workdir, capsys, text):
         (workdir / "bad.txt").write_text(text, encoding="utf-8")
@@ -273,6 +304,20 @@ class TestMalformedCounts:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (workdir / "agg.txt").exists()
+
+    def test_repeated_key_names_its_second_line(self, workdir, capsys):
+        # Rows need not be sorted (U 1 follows U 4), but a key may not repeat.
+        (workdir / "bad.txt").write_text(self.GOOD + "U 3 7\n", encoding="utf-8")
+        code = run(
+            workdir,
+            "train-aggregate",
+            "--counts", "bad.txt",
+            "--classes", "2",
+            "--model-out", "agg.txt",
+            "--trace-out", "trace.csv",
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: bad.txt:7: repeats the key of line 4\n"
 
     @pytest.mark.parametrize("case", sorted(GARBLES))
     def test_eval_exits_3(self, pipeline_dir, tmp_path, capsys, case):
@@ -561,6 +606,25 @@ class TestReports:
         text = (workdir / "lambda.txt").read_text(encoding="utf-8")
         assert "# lowest skip-1 mixing weights" in text
         assert "# highest skip-1 mixing weights" in text
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("report-classes", "--agg-model", "agg.txt", "--csv-out", "classes.csv",
+             "--top-n", "-2"),
+            ("report-lambda", "--model", "mix2.txt", "--out", "lambda.txt", "--top-n", "0"),
+            ("report-lambda", "--model", "mix2.txt", "--out", "lambda.txt", "--list-size", "-1"),
+        ],
+        ids=["classes_top_n", "lambda_top_n", "lambda_list_size"],
+    )
+    def test_report_rejects_sizes_below_one(self, workdir, capsys, args):
+        build_pipeline(workdir)
+        code = run(workdir, *args, "--vocab", "vocab.txt", "--counts", "counts.txt")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --") and "must be at least 1" in err and err.count("\n") == 1
+        assert not (workdir / args[4]).exists()
 
 
 class TestConfig:

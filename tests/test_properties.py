@@ -33,7 +33,7 @@ from markovmix.corpus import (
     _distinct_rows,
     _event_windows,
 )
-from markovmix.errors import ParameterError
+from markovmix.errors import NumericError, ParameterError
 
 from test_corpus import make_vocab
 
@@ -105,10 +105,149 @@ def test_event_table_matches_per_event_loop(data, order):
     for s in train:
         counts.add_sentence(s)
     model = mo.MixedOrderModel.from_counts(counts, order)
-    table = mo._EventTable(model, _event_windows(events, order))
+    table = mo._EventTable(_event_windows(events, order), V, model.matrices)
     ctx, pair_idx = naive_event_table(model, events)
     assert np.array_equal(table.ctx, ctx)
     assert np.array_equal(table.pair_idx, pair_idx)
+
+
+def dict_normalized_rows(pairs):
+    """Pair counts as dict rows of relative frequencies, keyed by the first
+    id, and the count total of each row: the normaliser the mixed-order
+    initialisation and MLBigram were built on before sorted pair keys."""
+    rows = {}
+    for (w1, w2), n in pairs.items():
+        rows.setdefault(w1, {})[w2] = float(n)
+    totals = {w1: sum(row.values()) for w1, row in rows.items()}
+    for w1, row in rows.items():
+        for w2 in row:
+            row[w2] /= totals[w1]
+    return rows, totals
+
+
+def dict_event_probs(model, sentences):
+    """Per-event mixture probability and component contributions, with the
+    per-event lookup tables, the sorted stored pairs and their values read
+    out of the dict rows."""
+    m = model.order
+    ctx, pair_idx = naive_event_table(model, sentences)
+    pairs = [
+        [(w1, w2) for w1 in sorted(rows) for w2 in sorted(rows[w1])] for rows in model.matrices
+    ]
+    vals = [
+        np.array([rows[w1][w2] for w1, w2 in stored], dtype=np.float64)
+        for rows, stored in zip(model.matrices, pairs)
+    ]
+    lam = model.lambdas[ctx, np.arange(m)[None, :]]
+    declined = np.cumprod(1.0 - lam, axis=1)
+    prefix = np.hstack([np.ones((len(ctx), 1)), declined[:, :-1]])
+    mv = np.zeros_like(lam)
+    for k in range(m):
+        hit = pair_idx[:, k] >= 0
+        mv[hit, k] = vals[k][pair_idx[hit, k]]
+    contrib = lam * prefix * mv
+    return contrib.sum(axis=1), contrib, ctx, pair_idx, pairs, vals
+
+
+def dict_em_step(model, sentences):
+    """Mixed-order EM step that rebuilds every dict row and a new model,
+    as each training iteration did before sorted pair keys."""
+    m, V = model.order, model.vocab_size
+    total, contrib, ctx, pair_idx, pairs, old_vals = dict_event_probs(model, sentences)
+    scored = total > 0.0
+    n_skipped = int(len(total) - scored.sum())
+    if not scored.any():
+        raise NumericError("model assigns zero mass everywhere")
+    ll = float(np.log(total[scored]).sum())
+    phi = contrib[scored] / total[scored, None]
+    ctx, pair_idx = ctx[scored], pair_idx[scored]
+    tail = np.cumsum(phi[:, ::-1], axis=1)[:, ::-1]
+    new_lambdas = model.lambdas.copy()
+    new_matrices = []
+    for k in range(m):
+        num = np.bincount(ctx[:, k], weights=phi[:, k], minlength=V)
+        den = np.bincount(ctx[:, k], weights=tail[:, k], minlength=V)
+        seen = den > 0.0
+        new_lambdas[seen, k] = num[seen] / den[seen]
+        hit = pair_idx[:, k] >= 0
+        pair_num = np.bincount(pair_idx[hit, k], weights=phi[hit, k], minlength=len(pairs[k]))
+        row_mass = num[np.array([w1 for w1, _ in pairs[k]], dtype=np.int64)]
+        touched = row_mass > 0.0
+        new_vals = np.where(touched, pair_num / np.where(touched, row_mass, 1.0), old_vals[k])
+        rows = {}
+        for i, (w1, w2) in enumerate(pairs[k]):
+            rows.setdefault(w1, {})[w2] = float(new_vals[i])
+        new_matrices.append(rows)
+    new_lambdas[:, m - 1] = 1.0
+    return mo.MixedOrderModel(new_lambdas, new_matrices), ll, n_skipped
+
+
+def dict_train_mixed(sentences, order, V, iterations):
+    """train_mixed through Counters, dict_normalized_rows and dict_em_step."""
+    counts = NgramCounts(V, 1, tuple(range(1, order + 1)))
+    for s in sentences:
+        counts.add_sentence(s)
+    lambdas = np.empty((V, order))
+    for k in range(1, order + 1):
+        lambdas[:, k - 1] = 1.0 / (order - k + 1)
+    matrices = [dict_normalized_rows(counts.skips[k])[0] for k in range(1, order + 1)]
+    model = mo.MixedOrderModel(lambdas, matrices)
+    trace = ag.TrainingTrace()
+    for i in range(iterations):
+        model, ll_before, n_skipped = dict_em_step(model, sentences)
+        if i > 0:
+            trace.append(ll_before, counts.total - n_skipped)
+    total = dict_event_probs(model, sentences)[0]
+    scored = total > 0.0
+    trace.append(float(np.log(total[scored]).sum()), int(scored.sum()))
+    return model, trace
+
+
+@SETTINGS
+@given(corpora(min_sentences=1), st.integers(1, 3), st.integers(1, 4))
+def test_train_mixed_matches_dict_rebuilding_em(corpus, order, iterations):
+    V, sentences = corpus
+    model, trace = mm.train_mixed(sentences, order, V, iterations=iterations)
+    ref, ref_trace = dict_train_mixed(sentences, order, V, iterations)
+    assert model.lambdas.tolist() == ref.lambdas.tolist()
+    assert model.matrices == ref.matrices
+    assert trace == ref_trace
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 3))
+def test_em_step_matches_dict_rebuilding_em(data, order):
+    # Events from another draw hit pairs the model does not store.
+    V, train = data.draw(corpora(min_sentences=1))
+    word = st.integers(0, V - 1)
+    events = data.draw(st.lists(st.lists(word, max_size=7), min_size=1, max_size=6))
+    counts = NgramCounts(V, 1, tuple(range(1, order + 1)))
+    for s in train:
+        counts.add_sentence(s)
+    model = mo.MixedOrderModel.from_counts(counts, order)
+    try:
+        ref, ref_ll, ref_skipped = dict_em_step(model, events)
+    except NumericError:
+        with pytest.raises(NumericError):
+            mo.em_step(model, events)
+        return
+    stepped, ll, skipped = mo.em_step(model, events)
+    assert (ll, skipped) == (ref_ll, ref_skipped)
+    assert stepped.lambdas.tolist() == ref.lambdas.tolist()
+    assert stepped.matrices == ref.matrices
+
+
+@SETTINGS
+@given(corpora(), st.integers(1, 3))
+def test_from_counts_and_ml_bigram_rows_match_dict_normaliser(corpus, order):
+    V, sentences = corpus
+    counts = NgramCounts(V, 2, tuple(range(1, order + 1)))
+    for s in sentences:
+        counts.add_sentence(s)
+    model = mo.MixedOrderModel.from_counts(counts, order)
+    assert model.matrices == [dict_normalized_rows(counts.skips[k])[0] for k in range(1, order + 1)]
+    ml = sm.MLBigram(counts.bigrams)
+    assert (ml.rows, ml.row_totals) == dict_normalized_rows(counts.bigrams)
 
 
 def two_pass_em_step(model, counts, step):
@@ -744,7 +883,8 @@ def resaved_equal(obj, load, save=lambda obj, path: obj.save(path)):
             return a.read() == b.read()
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
+# Loaded probabilities and weights must lie in [0, 1], discounts in (0, 1].
+unit = st.floats(0.0, 1.0)
 
 
 @SETTINGS
@@ -770,20 +910,20 @@ def test_counts_resave_identically(corpus, order, skips):
 @SETTINGS
 @given(st.data(), st.integers(1, 5), st.integers(1, 4))
 def test_aggregate_model_resaves_identically(data, V, C):
-    cgw = data.draw(arrays(np.float64, (V, C), elements=finite))
-    wgc = data.draw(arrays(np.float64, (C, V), elements=finite))
+    cgw = data.draw(arrays(np.float64, (V, C), elements=unit))
+    wgc = data.draw(arrays(np.float64, (C, V), elements=unit))
     assert resaved_equal(mm.AggregateModel(cgw, wgc), mm.AggregateModel.load)
 
 
 @SETTINGS
 @given(st.data(), st.integers(1, 5), st.integers(1, 3))
 def test_mixed_model_resaves_identically(data, V, m):
-    lambdas = data.draw(arrays(np.float64, (V, m), elements=finite))
+    lambdas = data.draw(arrays(np.float64, (V, m), elements=unit))
     ids = st.integers(0, V - 1)
     matrices = []
     for _ in range(m):
         rows = {}
-        for (w1, w2), p in data.draw(st.dictionaries(st.tuples(ids, ids), finite)).items():
+        for (w1, w2), p in data.draw(st.dictionaries(st.tuples(ids, ids), unit)).items():
             rows.setdefault(w1, {})[w2] = p
         matrices.append(rows)
     assert resaved_equal(mo.MixedOrderModel(lambdas, matrices), mo.MixedOrderModel.load)
@@ -792,14 +932,15 @@ def test_mixed_model_resaves_identically(data, V, m):
 @SETTINGS
 @given(st.data(), st.integers(1, 3))
 def test_weight_files_resave_identically(data, m):
-    fallbacks = {k: data.draw(finite) for k in range(1, m + 1)}
+    fallbacks = {k: data.draw(unit) for k in range(1, m + 1)}
     keys = st.tuples(st.integers(1, m), st.integers(0, 20))
-    values = data.draw(st.dictionaries(keys, finite))
+    values = data.draw(st.dictionaries(keys, unit))
     params = sm.MixedSmoothingParams(values, fallbacks)
     assert resaved_equal(params, sm.MixedSmoothingParams.load)
-    interp = sm.InterpolationParams(data.draw(st.dictionaries(st.integers(0, 20), finite)), 0.5)
+    interp = sm.InterpolationParams(data.draw(st.dictionaries(st.integers(0, 20), unit)), 0.5)
     assert resaved_equal(interp, sm.InterpolationParams.load)
-    discounts = data.draw(st.dictionaries(st.integers(1, 10), finite))
+    discount = st.floats(0.0, 1.0, exclude_min=True)
+    discounts = data.draw(st.dictionaries(st.integers(1, 10), discount))
     save = lambda discounts, path: sm.save_discounts(path, discounts)
     assert resaved_equal(discounts, sm.load_discounts, save)
 
