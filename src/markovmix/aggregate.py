@@ -4,6 +4,16 @@ The model represents P(w2|w1) as sum_c P(w2|c) P(c|w1) with C classes, and
 is trained by EM on the sparse bigram count table.  Both factor matrices are
 row stochastic; the E-step visits only observed bigrams, never all V^2
 pairs.
+
+The E-step holds its posterior block class-major, as a (C, entries) array,
+so that every reduction runs over contiguous memory: the per-entry
+probability is a sum over the C rows of the block, and each row and column
+segment is one `np.add.reduceat` along the entries.  Its sums keep the bits
+of a row-major (entries, C) block: `_class_sums` adds the C rows in the
+order numpy's pairwise summation adds a contiguous row of C floats, and
+`reduceat` adds a segment in the same order along either axis.  The
+numerators stay word-major, (V, C), so each chunk adds whole contiguous
+rows.
 """
 
 from __future__ import annotations
@@ -15,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifact import ArtifactReader, positive, write_artifact
-from .corpus import NgramCounts, _sorted_pairs
+from .corpus import NgramCounts, _check_ids, _sorted_pairs
 from .errors import DataError, ParameterError, id_out_of_range
 
-# Entries processed per E-step chunk are capped so the dense (entries x C)
+# Entries processed per E-step chunk are capped so the dense (C x entries)
 # posterior block stays small even when C approaches V.
 _CHUNK_CELLS = 4_000_000
 
@@ -155,19 +165,24 @@ class _BigramTable:
     """Sorted bigram entries, cut into chunks for the E-step.
 
     Entries are in (w1, w2) order.  A chunk is one slice of them, capped so
-    its dense (entries x C) posterior block holds at most _CHUNK_CELLS cells
-    even when C approaches V.  Each chunk carries, computed once, the row
-    segments of its slice and the stable column order that groups its
-    entries by w2, so one posterior block per chunk feeds both the row and
-    the column reductions.
+    its class-major (C x entries) posterior block holds at most
+    _CHUNK_CELLS cells even when C approaches V.  Each chunk carries,
+    computed once, the row segments of its slice and the stable column order
+    that groups its entries by w2, so one posterior block per chunk feeds
+    both the row and the column reductions.
     """
 
-    def __init__(self, counts: NgramCounts):
+    def __init__(self, counts: NgramCounts, vocab_size: int):
         if not counts.bigrams:
             raise DataError("no bigram events")
+        if vocab_size != counts.vocab_size:
+            raise ParameterError("model does not match the vocabulary size")
         self.rows, self.cols, self.vals = _sorted_pairs(counts.bigrams)
+        _check_ids(self.rows, vocab_size)
+        _check_ids(self.cols, vocab_size)
         self.total = float(self.vals.sum())
         self._chunks: dict[int, list[_Chunk]] = {}
+        self._buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def chunks(self, n_classes: int) -> list["_Chunk"]:
         if n_classes not in self._chunks:
@@ -178,9 +193,23 @@ class _BigramTable:
             ]
         return self._chunks[n_classes]
 
+    def buffers(self, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two flat buffers, each large enough for the block of any chunk;
+        made once per class count, so that EM iterations do not fault in
+        fresh pages for every block."""
+        if n_classes not in self._buffers:
+            size = n_classes * max(len(chunk.rows) for chunk in self.chunks(n_classes))
+            self._buffers[n_classes] = np.empty(size), np.empty(size)
+        return self._buffers[n_classes]
+
 
 class _Chunk:
-    """One slice of a _BigramTable with its row and column segments."""
+    """One slice of a _BigramTable with its row and column segments.
+
+    A block for the chunk is (C, entries), one row per class: the row
+    segments are runs of its columns, and `col_order` is the column
+    permutation that makes the w2 segments runs too.
+    """
 
     def __init__(self, table: _BigramTable, sl: slice):
         self.rows = table.rows[sl]
@@ -192,24 +221,67 @@ class _Chunk:
             self.cols[self.col_order], return_index=True
         )
 
-    def joint(self, cgw: np.ndarray, wgc_t: np.ndarray) -> np.ndarray:
-        """Joint P(c, w2 | w1) per entry; its row sums are the model's bigram
-        probabilities.  `wgc_t` is the emission matrix transposed once per
-        pass so the per-entry gather is contiguous."""
-        return cgw[self.rows] * wgc_t[self.cols]
+
+def _class_sums(block: np.ndarray) -> np.ndarray:
+    """Sum over the rows of a class-major (C, entries) block.
+
+    The rows are added in the order numpy's pairwise summation adds a
+    contiguous run of C floats: a plain loop below 8, eight interleaved
+    accumulators up to 128, and above that the two halves (split at a
+    multiple of 8) summed apart.  The result has the bits of `.sum(axis=1)`
+    on the row-major (entries, C) copy of the block, without that copy.
+    """
+    n = len(block)
+    if n < 8:
+        total = block[0].copy()
+        for row in block[1:]:
+            total += row
+        return total
+    if n <= 128:
+        stop = n - n % 8
+        acc = block[:8].copy()
+        for c in range(8, stop, 8):
+            acc += block[c : c + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for row in block[stop:]:
+            total += row
+        return total
+    half = n // 2 - n // 2 % 8
+    return _class_sums(block[:half]) + _class_sums(block[half:])
+
+
+def _joint_blocks(cgw: np.ndarray, wgc: np.ndarray, table: _BigramTable):
+    """Per chunk: the chunk, its class-major joint block P(c, w2 | w1) of
+    shape (C, entries), and a spare array of the same shape.
+
+    Both arrays are views of the table's buffers.  The gathers read one
+    contiguous copy of the memberships, made here, and the emission matrix
+    as it is; the ids lie in [0, V), checked when the table is built against
+    the model, so the gathers skip their bounds check.
+    """
+    C = cgw.shape[1]
+    cgw_t = np.ascontiguousarray(cgw.T)
+    joint, spare = table.buffers(C)
+    for chunk in table.chunks(C):
+        shape = (C, len(chunk.rows))
+        block = joint[: shape[0] * shape[1]].reshape(shape)
+        other = spare[: shape[0] * shape[1]].reshape(shape)
+        np.take(cgw_t, chunk.rows, axis=1, out=block, mode="wrap")
+        np.take(wgc, chunk.cols, axis=1, out=other, mode="wrap")
+        block *= other
+        yield chunk, block, other
 
 
 def log_likelihood(model: AggregateModel, counts: NgramCounts) -> float:
     """Count-weighted log-likelihood of the bigram table under the model."""
-    table = _BigramTable(counts)
+    table = _BigramTable(counts, model.vocab_size)
     return _log_likelihood_table(model.class_given_word, model.word_given_class, table)
 
 
 def _log_likelihood_table(cgw: np.ndarray, wgc: np.ndarray, table: _BigramTable) -> float:
-    wgc_t = np.ascontiguousarray(wgc.T)
     ll = 0.0
-    for chunk in table.chunks(cgw.shape[1]):
-        denom = chunk.joint(cgw, wgc_t).sum(axis=1)
+    for chunk, block, _ in _joint_blocks(cgw, wgc, table):
+        denom = _class_sums(block)
         pos = denom > 0.0
         ll += float(chunk.vals[pos] @ np.log(denom[pos]))
     return ll
@@ -224,7 +296,7 @@ def em_step(
     Conditioning words with no outgoing counts and classes that accumulate no
     mass keep their previous rows.
     """
-    table = _BigramTable(counts)
+    table = _BigramTable(counts, model.vocab_size)
     cgw, wgc, ll = _em_step_table(model.class_given_word, model.word_given_class, table)
     return AggregateModel(cgw, wgc), ll
 
@@ -235,41 +307,41 @@ def _em_step_table(
     """em_step on the factor matrices: the updated pair and the
     log-likelihood of the input pair."""
     V, C = cgw.shape
-    wgc_t = np.ascontiguousarray(wgc.T)
     num_cgw = np.zeros((V, C))
     # Emission numerators accumulate word-major, so each chunk adds whole
     # contiguous rows instead of strided columns.
     num_wgc_t = np.zeros((V, C))
     ll = 0.0
 
-    for chunk in table.chunks(C):
-        # The joint block becomes the count-weighted posterior in place; rows
-        # whose model probability is zero are all-zero and stay so.
-        block = chunk.joint(cgw, wgc_t)
-        denom = block.sum(axis=1)
+    for chunk, block, spare in _joint_blocks(cgw, wgc, table):
+        # The joint block becomes the count-weighted posterior in place;
+        # entries whose model probability is zero are all-zero columns and
+        # stay so.
+        denom = _class_sums(block)
         pos = denom > 0.0
         ll += float(chunk.vals[pos] @ np.log(denom[pos]))
         scale = np.zeros_like(denom)
         np.divide(chunk.vals, denom, out=scale, where=pos)
-        block *= scale[:, None]
-        num_cgw[chunk.row_ids] += np.add.reduceat(block, chunk.row_starts, axis=0)
-        num_wgc_t[chunk.col_ids] += np.add.reduceat(
-            block[chunk.col_order], chunk.col_starts, axis=0
-        )
+        block *= scale
+        num_cgw[chunk.row_ids] += np.add.reduceat(block, chunk.row_starts, axis=1).T
+        by_col = np.take(block, chunk.col_order, axis=1, out=spare, mode="wrap")
+        num_wgc_t[chunk.col_ids] += np.add.reduceat(by_col, chunk.col_starts, axis=1).T
 
-    new_cgw = cgw.copy()
+    # The numerators are normalised in place and become the new matrices;
+    # rows and classes that gained no mass keep their previous values.
     row_mass = num_cgw.sum(axis=1)
     touched = row_mass > 0.0
-    new_cgw[touched] = num_cgw[touched] / row_mass[touched, None]
+    np.divide(num_cgw, row_mass[:, None], out=num_cgw, where=touched[:, None])
+    num_cgw[~touched] = cgw[~touched]
 
     num_wgc = np.ascontiguousarray(num_wgc_t.T)
     del num_wgc_t
-    new_wgc = wgc.copy()
     class_mass = num_wgc.sum(axis=1)
     alive = class_mass > 0.0
-    new_wgc[alive] = num_wgc[alive] / class_mass[alive, None]
+    np.divide(num_wgc, class_mass[:, None], out=num_wgc, where=alive[:, None])
+    num_wgc[~alive] = wgc[~alive]
 
-    return new_cgw, new_wgc, ll
+    return num_cgw, num_wgc, ll
 
 
 def train_aggregate(
@@ -286,7 +358,7 @@ def train_aggregate(
     """
     if iterations < 1:
         raise ParameterError("iterations must be >= 1")
-    table = _BigramTable(counts)
+    table = _BigramTable(counts, counts.vocab_size)
     if initial is not None:
         model = initial
         if model.vocab_size != counts.vocab_size:

@@ -114,15 +114,22 @@ class ArtifactReader:
         """DataError at the first row of the last block whose key, one value
         per column, repeats an earlier row's; rows need not be sorted.
         Returns the order of the rows sorted by key."""
-        keys = np.stack(columns, axis=1)
-        _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        first_of = first[group.reshape(-1)]
-        repeat = first_of != np.arange(len(keys))
-        if repeat.any():
-            i = int(np.argmax(repeat))
-            earlier = self.first + int(first_of[i])
-            raise self.error(self.first + i, "repeats the key of line %d" % earlier)
-        return first
+        # A stable sort by key, first column first: equal keys end up
+        # adjacent, each run led by the row that holds the key first.
+        order = np.lexsort(columns[::-1])
+        same = np.ones(max(len(order) - 1, 0), dtype=bool)
+        for column in columns:
+            ranked = column[order]
+            same &= ranked[1:] == ranked[:-1]
+        if same.any():
+            repeats = np.flatnonzero(same) + 1
+            at = repeats[np.argmin(order[repeats])]
+            leads = np.flatnonzero(np.concatenate(([True], ~same)))
+            earlier = order[leads[np.searchsorted(leads, at, side="right") - 1]]
+            raise self.error(
+                self.first + int(order[at]), "repeats the key of line %d" % (self.first + earlier)
+            )
+        return order
 
     def records(self):
         """(file line, fields) for each remaining line."""

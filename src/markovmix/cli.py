@@ -364,13 +364,16 @@ def cmd_sweep_truncate(cfg: RunConfig) -> None:
     sentences = _load_sentences(cfg.test, vocab)
     katz_bigram = smoothing.KatzBigram(counts, k_gt=cfg.gt_threshold)
     discounts = smoothing.good_turing_discounts(counts.trigrams, cfg.gt_threshold)
+    totals = dict(counts.trigram_context_totals())
     rows = []
     for t in range(1, cfg.t_max + 1):
         baseline = smoothing.build_katz_trigram(
-            counts, katz_bigram, k_gt=cfg.gt_threshold, truncation=t, discounts=discounts
+            counts, katz_bigram, k_gt=cfg.gt_threshold, truncation=t, discounts=discounts,
+            context_totals=totals,
         )
         mixed = smoothing.build_katz_trigram(
-            counts, cascade.top, k_gt=cfg.gt_threshold, truncation=t, discounts=discounts
+            counts, cascade.top, k_gt=cfg.gt_threshold, truncation=t, discounts=discounts,
+            context_totals=totals,
         )
         n_trigrams = sum(1 for n in counts.trigrams.values() if n >= t)
         rep_base = evaluation.evaluate(baseline, sentences, unseen_from_backoff=True)

@@ -571,21 +571,30 @@ def build_katz_trigram(
     k_gt: int = DEFAULT_GT_THRESHOLD,
     truncation: int = 1,
     discounts: dict[int, float] | None = None,
+    context_totals: dict[tuple[int, int], int] | None = None,
 ) -> KatzTrigram:
     """Katz trigram level from (optionally truncated) counts.
 
     Trigrams below the truncation threshold are dropped from the stored
     table, but context totals and the discount statistics come from the full
     table, so the dropped probability mass is redistributed to the backoff
-    model rather than inflating the survivors.
+    model rather than inflating the survivors.  `context_totals`, the full
+    table's `trigram_context_totals()`, is used only when truncating and
+    computed when None; a sweep over thresholds passes it once for all.
     """
     if not counts.trigrams:
         raise DataError("empty trigram table")
     if discounts is None:
         discounts = good_turing_discounts(counts.trigrams, k_gt)
     if truncation > 1:
-        table = truncate_counts(counts, truncation).trigrams
-        totals = dict(counts.trigram_context_totals())
+        table = {key: n for key, n in counts.trigrams.items() if n >= truncation}
+        if not table:
+            raise DataError(
+                "no trigram occurs at least %d times (t=%d)" % (truncation, truncation)
+            )
+        totals = context_totals
+        if totals is None:
+            totals = dict(counts.trigram_context_totals())
     else:
         table = counts.trigrams
         totals = None

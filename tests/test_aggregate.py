@@ -193,6 +193,23 @@ class TestEmStep:
         with pytest.raises(DataError, match="no bigram events"):
             ag.em_step(model, counts)
 
+    @pytest.mark.parametrize("pair", [(3, 5), (-1, 2)])
+    def test_ids_outside_the_vocabulary_rejected(self, pair):
+        counts = mm.NgramCounts(5, 2, (1,))
+        counts.bigrams[pair] = 1
+        model = mm.AggregateModel.random_init(5, 2, seed=0)
+        with pytest.raises(ParameterError, match=r"word ids must lie in \[0, 5\)"):
+            ag.em_step(model, counts)
+        with pytest.raises(ParameterError, match=r"word ids must lie in \[0, 5\)"):
+            ag.log_likelihood(model, counts)
+
+    def test_model_of_another_vocabulary_rejected(self):
+        counts = mm.NgramCounts(5, 2, (1,))
+        counts.bigrams[(3, 4)] = 1
+        model = mm.AggregateModel.random_init(6, 2, seed=0)
+        with pytest.raises(ParameterError, match="vocabulary size"):
+            ag.em_step(model, counts)
+
     def test_monotone_loglik(self):
         rng = random.Random(14)
         for trial in range(10):

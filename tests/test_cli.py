@@ -555,6 +555,26 @@ class TestSweep:
         for a, b in zip(trigram_counts, trigram_counts[1:]):
             assert b <= a
 
+    def test_threshold_no_trigram_reaches_exits_3_naming_it(self, workdir, capsys):
+        # Every trigram of this corpus occurs once, so t=2 keeps none.
+        (workdir / "train.txt").write_text(
+            "a b .\nc d .\ne f .\ng h .\n", encoding="utf-8"
+        )
+        build_pipeline(workdir)
+        capsys.readouterr()
+        code = run(
+            workdir,
+            "sweep-truncate",
+            "--counts", "counts.txt",
+            "--vocab", "vocab.txt",
+            "--cascade", "cascade.txt",
+            "--test", "test.txt",
+            "--t-max", "2",
+            "--csv-out", "sweep.csv",
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: no trigram occurs at least 2 times (t=2)\n"
+
     def test_rejects_trigram_cascade(self, workdir):
         build_pipeline(workdir, with_trigram=True)
         code = run(

@@ -1,14 +1,15 @@
 """Property tests on random tiny corpora: the array implementations of
-counting, the mixed-order event table, the aggregate E-step, both
-smoothing-weight fits and evaluation against plain loop references, and the
-distinct-row helper against numpy's unique; every level's scalar prob and
-the Katz alphas against reference formulas, bit for bit, and the messages
-for out-of-range ids; row normalisation of every cascade level and Katz mass
-conservation; and save -> load -> save byte identity of every artifact
-type."""
+counting, the mixed-order event table, the aggregate E-step (two-pass and
+row-major references), both smoothing-weight fits and evaluation against
+plain loop references, and the distinct-row helper and the artifact key
+check against numpy's unique; every level's scalar prob and the Katz alphas
+against reference formulas, bit for bit, and the messages for out-of-range
+ids; row normalisation of every cascade level and Katz mass conservation;
+and save -> load -> save byte identity of every artifact type."""
 
 import math
 import os
+import re
 import tempfile
 import warnings
 from collections import Counter
@@ -33,7 +34,8 @@ from markovmix.corpus import (
     _distinct_rows,
     _event_windows,
 )
-from markovmix.errors import NumericError, ParameterError
+from markovmix.artifact import ArtifactReader
+from markovmix.errors import DataError, NumericError, ParameterError
 
 from test_corpus import make_vocab
 
@@ -325,6 +327,116 @@ def test_single_pass_em_step_matches_two_pass(corpus, data):
     assert np.allclose(stepped.word_given_class, wgc, rtol=1e-12, atol=0)
 
 
+def row_major_em_step(cgw, wgc, table):
+    """The aggregate EM step over an (entries, C) posterior block per chunk,
+    reduced along axis 0: the row-major form the class-major step replaced.
+    Returns the updated pair and the log-likelihood of the input pair."""
+    V, C = cgw.shape
+    wgc_t = np.ascontiguousarray(wgc.T)
+    num_cgw = np.zeros((V, C))
+    num_wgc_t = np.zeros((V, C))
+    ll = 0.0
+    for chunk in table.chunks(C):
+        block = cgw[chunk.rows] * wgc_t[chunk.cols]
+        denom = block.sum(axis=1)
+        pos = denom > 0.0
+        ll += float(chunk.vals[pos] @ np.log(denom[pos]))
+        scale = np.zeros_like(denom)
+        np.divide(chunk.vals, denom, out=scale, where=pos)
+        block *= scale[:, None]
+        num_cgw[chunk.row_ids] += np.add.reduceat(block, chunk.row_starts, axis=0)
+        num_wgc_t[chunk.col_ids] += np.add.reduceat(
+            block[chunk.col_order], chunk.col_starts, axis=0
+        )
+    new_cgw = cgw.copy()
+    row_mass = num_cgw.sum(axis=1)
+    touched = row_mass > 0.0
+    new_cgw[touched] = num_cgw[touched] / row_mass[touched, None]
+    num_wgc = np.ascontiguousarray(num_wgc_t.T)
+    new_wgc = wgc.copy()
+    class_mass = num_wgc.sum(axis=1)
+    alive = class_mass > 0.0
+    new_wgc[alive] = num_wgc[alive] / class_mass[alive, None]
+    return new_cgw, new_wgc, ll
+
+
+def row_major_log_likelihood(cgw, wgc, table):
+    wgc_t = np.ascontiguousarray(wgc.T)
+    ll = 0.0
+    for chunk in table.chunks(cgw.shape[1]):
+        denom = (cgw[chunk.rows] * wgc_t[chunk.cols]).sum(axis=1)
+        pos = denom > 0.0
+        ll += float(chunk.vals[pos] @ np.log(denom[pos]))
+    return ll
+
+
+def assert_em_matches_row_major(counts, C, seed, iterations, entries_per_chunk):
+    """em_step and train_aggregate equal the row-major reference bit for
+    bit, with the table cut into chunks of `entries_per_chunk` entries."""
+    V = counts.vocab_size
+    with mock.patch.object(ag, "_CHUNK_CELLS", entries_per_chunk * C):
+        table = ag._BigramTable(counts, V)
+        model = mm.AggregateModel.random_init(V, C, seed)
+        stepped, ll = ag.em_step(model, counts)
+        cgw, wgc, ref_ll = row_major_em_step(
+            model.class_given_word, model.word_given_class, table
+        )
+        assert ll == ref_ll
+        assert stepped.class_given_word.tobytes() == cgw.tobytes()
+        assert stepped.word_given_class.tobytes() == wgc.tobytes()
+
+        trained, trace = mm.train_aggregate(counts, C, iterations, seed=seed)
+        cgw, wgc = model.class_given_word, model.word_given_class
+        ref_lls = []
+        for _ in range(iterations):
+            cgw, wgc, ll_before = row_major_em_step(cgw, wgc, table)
+            ref_lls.append(ll_before)
+        ref_lls = ref_lls[1:] + [row_major_log_likelihood(cgw, wgc, table)]
+    assert trace.log_likelihoods == ref_lls
+    assert trained.class_given_word.tobytes() == cgw.tobytes()
+    assert trained.word_given_class.tobytes() == wgc.tobytes()
+
+
+@SETTINGS
+@given(corpora(min_sentences=1), st.data())
+def test_class_major_em_matches_row_major_bitwise(corpus, data):
+    V, sentences = corpus
+    counts = NgramCounts(V, 2, (1,))
+    for s in sentences:
+        counts.add_sentence(s)
+    # One chunk when entries_per_chunk reaches the table size, several below.
+    entries_per_chunk = data.draw(st.integers(1, len(counts.bigrams)))
+    assert_em_matches_row_major(
+        counts,
+        C=data.draw(st.integers(1, V)),
+        seed=data.draw(st.integers(0, 99)),
+        iterations=data.draw(st.integers(1, 3)),
+        entries_per_chunk=entries_per_chunk,
+    )
+
+
+@pytest.mark.parametrize("C", [129, 257, 300])
+@pytest.mark.parametrize("entries_per_chunk", [10_000, 397])
+def test_class_major_em_matches_row_major_at_large_class_counts(C, entries_per_chunk):
+    # Class counts above 128 take the split branch of the class sum.
+    V = 300
+    rng = np.random.default_rng(C)
+    counts = NgramCounts(V, 2, (1,))
+    pairs = zip(rng.integers(0, V, 3000).tolist(), rng.integers(0, V, 3000).tolist())
+    counts.bigrams = Counter(pairs)
+    assert_em_matches_row_major(counts, C, seed=C, iterations=2, entries_per_chunk=entries_per_chunk)
+
+
+@pytest.mark.parametrize(
+    "C", [*range(1, 10), 15, 16, 17, 127, 128, 129, 255, 256, 257, 1000]
+)
+def test_class_sums_match_row_major_sum(C):
+    rng = np.random.default_rng(C)
+    rows = rng.random((37, C)) * rng.random((37, C))
+    class_major = np.ascontiguousarray(rows.T)
+    assert ag._class_sums(class_major).tobytes() == rows.sum(axis=1).tobytes()
+
+
 def padded_walk(sentences, width):
     """(context, word) for every event: one padded loop per sentence."""
     for sentence in sentences:
@@ -592,6 +704,40 @@ def test_distinct_rows_match_np_unique(rows):
 def test_distinct_rows_of_no_rows():
     distinct, inverse = _distinct_rows(np.empty((0, 3), dtype=np.int64))
     assert distinct.shape == (0, 3) and inverse.shape == (0,)
+
+
+def np_unique_check(columns):
+    """What a reader's key check reports, by np.unique over the stacked key
+    rows: ("repeat", row, earlier row) for the first row, in file order,
+    whose key an earlier row holds, else ("order", rows sorted by key)."""
+    keys = np.stack(columns, axis=1)
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    first_of = first[group.reshape(-1)]
+    repeat = first_of != np.arange(len(keys))
+    if repeat.any():
+        i = int(np.argmax(repeat))
+        return "repeat", i, int(first_of[i])
+    return "order", first.tolist()
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.data())
+def test_check_unique_matches_np_unique(width, data):
+    keys = data.draw(st.lists(st.tuples(*[st.integers(-2, 3)] * width), max_size=25))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "keys.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("KEYS v1\n" + "".join(" ".join(map(str, key)) + "\n" for key in keys))
+        reader = ArtifactReader(path, "KEYS")
+        columns = reader.rows("i" * width)
+        expected = np_unique_check(columns) if keys else ("order", [])
+        if expected[0] == "repeat":
+            _, row, earlier = expected
+            message = "%s:%d: repeats the key of line %d" % (path, row + 2, earlier + 2)
+            with pytest.raises(DataError, match="^%s$" % re.escape(message)):
+                reader.check_unique(*columns)
+        else:
+            assert reader.check_unique(*columns).tolist() == expected[1]
 
 
 def contexts_of(size, sentences, extra):
