@@ -36,7 +36,6 @@ from .smoothing import (
     good_turing_discounts,
     interp_prob,
     load_cascade,
-    truncate_counts,
 )
 
 __version__ = "0.1.0"
@@ -71,6 +70,5 @@ __all__ = [
     "tokenize_corpus",
     "train_aggregate",
     "train_mixed",
-    "truncate_counts",
     "unseen_perplexity",
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifact import ArtifactReader, positive, write_artifact
-from .corpus import NgramCounts, _check_ids, _sorted_pairs
+from .corpus import NgramCounts, _check_ids
 from .errors import DataError, ParameterError, id_out_of_range
 
 # Entries processed per E-step chunk are capped so the dense (C x entries)
@@ -155,8 +155,10 @@ class AggregateModel:
         V, C = reader.header["V"], reader.header["C"]
         cgw = reader.matrix(V, C)
         reader.check_unit(cgw, "class membership probability")
+        reader.check_sums(cgw.sum(axis=1), "class memberships of this word do not sum to 1")
         wgc = reader.matrix(C, V)
         reader.check_unit(wgc, "word emission probability")
+        reader.check_sums(wgc.sum(axis=1), "word emissions of this class do not sum to 1")
         reader.end()
         return cls(cgw, wgc)
 
@@ -177,7 +179,8 @@ class _BigramTable:
             raise DataError("no bigram events")
         if vocab_size != counts.vocab_size:
             raise ParameterError("model does not match the vocabulary size")
-        self.rows, self.cols, self.vals = _sorted_pairs(counts.bigrams)
+        self.rows, self.cols = np.ascontiguousarray(counts.bigrams.ids.T)
+        self.vals = counts.bigrams.n.astype(np.float64)
         _check_ids(self.rows, vocab_size)
         _check_ids(self.cols, vocab_size)
         self.total = float(self.vals.sum())

@@ -17,6 +17,14 @@ from .errors import DataError
 # Row field kinds: the dtype of their column and their name in messages.
 _KINDS = {"i": (np.int64, "int"), "f": (np.float64, "float")}
 
+# How far from 1 a loaded row of probabilities may sum: numpy's own
+# tolerance for probabilities (numpy.random's choice).  Floats load back
+# exactly as written, so a row the package wrote misses 1 only by the
+# rounding of training, which grows with the events summed into the row:
+# at most 2.2e-13 (1009 ulps of 1; 40 per entry of the row) in mixed
+# models of the 30k-sentence test corpus.
+SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
 
 def read_utf8(path) -> str:
     """The text of a file; bytes that are not UTF-8 are a DataError."""
@@ -109,6 +117,12 @@ class ArtifactReader:
         (one per row, or a row of them) outside [0, 1]."""
         ok = (values >= 0.0) & (values <= 1.0)
         self.check(ok if ok.ndim == 1 else ok.all(axis=1), "%s outside [0, 1]" % what)
+
+    def check_sums(self, sums: np.ndarray, message: str) -> None:
+        """DataError at the first row of the last block whose entry of
+        `sums` is further than SUM_TOLERANCE from 1."""
+        ok = np.abs(sums - 1.0) <= SUM_TOLERANCE
+        self.check(ok, "%s (tolerance %.2g)" % (message, SUM_TOLERANCE))
 
     def check_unique(self, *columns: np.ndarray) -> np.ndarray:
         """DataError at the first row of the last block whose key, one value

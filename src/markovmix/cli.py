@@ -364,7 +364,7 @@ def cmd_sweep_truncate(cfg: RunConfig) -> None:
     sentences = _load_sentences(cfg.test, vocab)
     katz_bigram = smoothing.KatzBigram(counts, k_gt=cfg.gt_threshold)
     discounts = smoothing.good_turing_discounts(counts.trigrams, cfg.gt_threshold)
-    totals = dict(counts.trigram_context_totals())
+    totals = counts.trigram_context_totals()
     rows = []
     for t in range(1, cfg.t_max + 1):
         baseline = smoothing.build_katz_trigram(
@@ -375,7 +375,7 @@ def cmd_sweep_truncate(cfg: RunConfig) -> None:
             counts, cascade.top, k_gt=cfg.gt_threshold, truncation=t, discounts=discounts,
             context_totals=totals,
         )
-        n_trigrams = sum(1 for n in counts.trigrams.values() if n >= t)
+        n_trigrams = int((counts.trigrams.n >= t).sum())
         rep_base = evaluation.evaluate(baseline, sentences, unseen_from_backoff=True)
         rep_mixed = evaluation.evaluate(mixed, sentences, unseen_from_backoff=True)
         rows.append(

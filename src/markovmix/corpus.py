@@ -11,18 +11,19 @@ requires, so a skip-k pair is defined at every event position.
 
 _event_windows is the one walk over these events: counting, mixed-order EM,
 both smoothing-weight fits and evaluation read its rows, and the fits and
-evaluation score each distinct row (_distinct_rows) once.  The per-sentence
-NgramCounts.add_sentence is kept as the reference the tests compare it to.
+evaluation score each distinct row (_distinct_rows) once.  The tests keep
+a per-sentence counting loop as the reference that count_ngrams must
+match.
 
-Pair counts become row-normalized dict rows through one normaliser,
-_row_normalised, and one row builder, _dict_rows (normalized_rows is gone).
+Every count table is a CountTable of sorted int64 id columns, a form
+only this module knows.  Sorted entries become dict rows through one row
+builder, _dict_rows, and pair counts are row-normalised by _row_normalised.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -98,12 +99,12 @@ def build_vocabulary(lines: Iterable[str], max_size: int) -> Vocabulary:
     """
     if max_size < 4:
         raise ParameterError("max_size must be at least 4, got %d" % max_size)
-    freqs: Counter[str] = Counter()
+    freqs: dict[str, int] = {}
     for line in lines:
         for tok in line.split():
             if tok in _RESERVED:
                 continue
-            freqs[tok] += 1
+            freqs[tok] = freqs.get(tok, 0) + 1
     if not freqs:
         raise DataError("empty corpus")
     ranked = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -135,7 +136,7 @@ def read_lines(path) -> list[str]:
     return lines[:-1] if lines[-1] == "" else lines
 
 
-def most_frequent(unigrams: Counter, top_n: int) -> list[int]:
+def most_frequent(unigrams: Mapping[int, int], top_n: int) -> list[int]:
     """The top_n most frequent ids, boundary markers left out; ties break
     toward the lower id."""
     ranked = sorted(
@@ -145,14 +146,77 @@ def most_frequent(unigrams: Counter, top_n: int) -> list[int]:
     return [w for w, _ in ranked[:top_n]]
 
 
+class CountTable(Mapping):
+    """A read-only count table: `ids`, an (entries, k) int64 array of
+    distinct n-grams in lexicographic row order, and `n`, their counts.  As
+    a Mapping it is keyed by id tuples (bare ids when k is 1), in that order.
+
+    `first` ranks the entries by their first occurrence in the counted
+    events, or as sorted for a table read from a file or a mapping.  The
+    Katz levels sum each row in this order (rows()); where a row's backoff
+    mass sums to about 1, the order decides between a rounding residue and
+    the ML revert, so counts in memory and from a file can differ there.
+    """
+
+    def __init__(self, ids: np.ndarray, n: np.ndarray, first: np.ndarray | None = None):
+        self.ids, self.n = ids, n
+        self.first = np.arange(len(n)) if first is None else first
+
+    @classmethod
+    def of(cls, counts: Mapping, width: int) -> "CountTable":
+        """`counts` if it is a CountTable, else a mapping such as a Counter,
+        keyed by tuples of `width` ids (bare ids for width 1), sorted."""
+        if isinstance(counts, CountTable):
+            return counts
+        ids = np.array(list(counts), dtype=np.int64).reshape(len(counts), width)
+        order = np.lexsort(ids.T[::-1])
+        return cls(ids[order], np.fromiter(counts.values(), np.int64, len(ids))[order])
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __iter__(self):
+        columns = self.ids.T.tolist()
+        return iter(columns[0]) if len(columns) == 1 else zip(*columns)
+
+    def __getitem__(self, key) -> int:
+        ids = key if isinstance(key, tuple) else (key,)
+        if len(ids) != self.ids.shape[1]:
+            raise KeyError(key)
+        lo, hi = 0, len(self.n)
+        for column, x in zip(self.ids.T, ids):  # sorted within each run
+            run = column[lo:hi]
+            lo, hi = lo + int(np.searchsorted(run, x)), lo + int(np.searchsorted(run, x, "right"))
+        if lo == hi:
+            raise KeyError(key)
+        return int(self.n[lo])
+
+    def items(self) -> list:
+        return list(zip(self, self.n.tolist()))
+
+    def values(self) -> list[int]:
+        return self.n.tolist()
+
+    def rows(self) -> dict:
+        """The table as dict rows {context: {word: count}} of Python ints,
+        each row's words ranked by `first`; a context is the first id of a
+        pair, or the first two ids of a triple."""
+        order = np.lexsort((self.first, *self.ids[:, :-1].T[::-1]))
+        ids, n = self.ids[order], self.n[order]
+        return _dict_rows(ids[:, 0] if ids.shape[1] == 2 else ids[:, :-1], ids[:, -1], n)
+
+
 class NgramCounts:
     """Sparse n-gram and skip-k pair counts plus the total event count.
 
+    Every table is a CountTable; load gives equal tables, in which only the
+    first-occurrence order of count_ngrams is lost (CountTable.first).
+
     Attributes:
-        unigrams: Counter of predicted tokens N(w) (interior + end events).
-        bigrams: Counter over (w1, w2) pairs, present when max_order >= 2.
-        trigrams: Counter over (w1, w2, w3) triples, when max_order == 3.
-        skips: per-k Counter of pairs (w at t-k, w at t).
+        unigrams: counts of predicted tokens N(w) (interior + end events).
+        bigrams: counts of (w1, w2) pairs, present when max_order >= 2.
+        trigrams: counts of (w1, w2, w3) triples, when max_order == 3.
+        skips: per-k table of pairs (w at t-k, w at t).
         total: number of prediction events N.
         vocab_size: V, carried for model dimensioning.
     """
@@ -165,12 +229,10 @@ class NgramCounts:
         self.vocab_size = vocab_size
         self.max_order = max_order
         self.skip_ks = tuple(sorted(set(skip_ks)))
-        self.unigrams: Counter[int] = Counter()
-        self.bigrams: Counter[tuple[int, int]] = Counter()
-        self.trigrams: Counter[tuple[int, int, int]] = Counter()
-        self.skips: dict[int, Counter[tuple[int, int]]] = {
-            k: Counter() for k in self.skip_ks
-        }
+        self.unigrams = CountTable.of({}, 1)
+        self.bigrams = CountTable.of({}, 2)
+        self.trigrams = CountTable.of({}, 3)
+        self.skips = {k: CountTable.of({}, 2) for k in self.skip_ks}
         self.total = 0
 
     @property
@@ -178,34 +240,24 @@ class NgramCounts:
         """Number of start markers prepended before the first interior word."""
         return max(self.skip_ks + (self.max_order - 1,))
 
-    def add_sentence(self, sentence: TokenSentence) -> None:
-        pad = self.pad
-        padded = [START_ID] * pad + list(sentence) + [END_ID]
-        for i in range(pad, len(padded)):
-            w = padded[i]
-            self.unigrams[w] += 1
-            if self.max_order >= 2:
-                self.bigrams[(padded[i - 1], w)] += 1
-            if self.max_order >= 3:
-                self.trigrams[(padded[i - 2], padded[i - 1], w)] += 1
-            for k in self.skip_ks:
-                self.skips[k][(padded[i - k], w)] += 1
-            self.total += 1
-
-    def trigram_context_totals(self) -> Counter:
-        totals: Counter[tuple[int, int]] = Counter()
-        for (u, v, _), n in self.trigrams.items():
-            totals[(u, v)] += n
-        return totals
+    def trigram_context_totals(self) -> dict[tuple[int, int], int]:
+        """The total count of each (w1, w2) context of the trigram table."""
+        contexts, inverse = _distinct_rows(self.trigrams.ids[:, :2])
+        totals = np.bincount(inverse, weights=self.trigrams.n, minlength=len(contexts))
+        return dict(zip(map(tuple, contexts.tolist()), totals.astype(np.int64).tolist()))
 
     def save(self, path) -> None:
         """Write the sorted sparse text format (one entry per line)."""
+
+        def lines(table: CountTable, *tag):
+            return zip(*map(itertools.repeat, tag), *table.ids.T.tolist(), table.n.tolist())
+
         rows = itertools.chain(
             [("V", self.vocab_size), ("N", self.total)],
-            (("U", w, n) for w, n in sorted(self.unigrams.items())),
-            (("B", *key, n) for key, n in sorted(self.bigrams.items())),
-            (("T", *key, n) for key, n in sorted(self.trigrams.items())),
-            (("S", k, *key, n) for k in self.skip_ks for key, n in sorted(self.skips[k].items())),
+            lines(self.unigrams, "U"),
+            lines(self.bigrams, "B"),
+            lines(self.trigrams, "T"),
+            *(lines(self.skips[k], "S", k) for k in self.skip_ks),
         )
         skips = ",".join(str(k) for k in self.skip_ks)
         write_artifact(path, "NGRAM-COUNTS", rows, order=self.max_order, skips=skips)
@@ -228,8 +280,9 @@ class NgramCounts:
         V = counts.vocab_size
         tables = {}
         for tag, kinds in (("U", "ii"), ("B", "iii"), ("T", "iiii"), ("S", "iiii")):
-            *ids, n = tables[tag] = reader.rows(kinds, tag=tag)
-            reader.check_unique(*ids)
+            *ids, n = reader.rows(kinds, tag=tag)
+            order = reader.check_unique(*ids)
+            tables[tag] = np.column_stack(ids)[order], n[order]
             if tag == "S":
                 reader.check(np.isin(ids[0], counts.skip_ks), "skip distance not in the header")
                 ids = ids[1:]
@@ -238,28 +291,21 @@ class NgramCounts:
             reader.check(n >= 1, "counts must be positive")
         reader.end()
         counts.unigrams, counts.bigrams, counts.trigrams = (
-            _keyed_counter(*tables[tag]) for tag in "UBT"
+            CountTable(*tables[tag]) for tag in "UBT"
         )
-        k, w1, w2, n = tables["S"]
-        for skip in counts.skip_ks:
-            counts.skips[skip] = _keyed_counter(w1[k == skip], w2[k == skip], n[k == skip])
+        ids, n = tables["S"]
+        for k in counts.skip_ks:
+            at = ids[:, 0] == k
+            counts.skips[k] = CountTable(ids[at, 1:], n[at])
         return counts
-
-
-def _keyed_counter(*columns: np.ndarray) -> Counter:
-    """Counter from id columns and a count column, keyed by the id tuple (a
-    bare id for a single id column)."""
-    *ids, n = (col.tolist() for col in columns)
-    keys = ids[0] if len(ids) == 1 else zip(*ids)
-    return Counter(dict(zip(keys, n)))
 
 
 def _event_windows(sentences: Iterable[TokenSentence], width: int) -> np.ndarray:
     """Every prediction event as one row of an (events, width + 1) int64 array.
 
-    Row t holds w_{t-width} .. w_{t-1}, w_t: the padded walk of
-    NgramCounts.add_sentence (width start markers, the sentence, the end
-    marker), in sentence order and then position order.
+    Row t holds w_{t-width} .. w_{t-1}, w_t: the padded walk (width start
+    markers, the sentence, the end marker), in sentence order and then
+    position order.
     """
     sentences = list(sentences)
     events_per = np.fromiter(
@@ -295,14 +341,6 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], inverse
 
 
-def _sorted_pairs(pairs: Counter) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A pair Counter as id columns w1, w2 sorted by (w1, w2) and float counts."""
-    ids = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-    n = np.fromiter(pairs.values(), dtype=np.float64, count=len(ids))
-    order = np.lexsort((ids[:, 1], ids[:, 0]))
-    return ids[order, 0], ids[order, 1], n[order]
-
-
 def _row_normalised(rows: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """n / total[row] per entry and the totals by row id; integer counts
     give exact totals."""
@@ -310,20 +348,22 @@ def _row_normalised(rows: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.nda
     return n / totals[rows], totals
 
 
-def _pair_rows(pairs: Counter) -> tuple[dict[int, dict[int, float]], np.ndarray]:
-    """A pair Counter as dict rows of relative frequencies and row totals."""
-    w1, w2, n = _sorted_pairs(pairs)
-    probs, totals = _row_normalised(w1, n)
+def _pair_rows(pairs: CountTable) -> tuple[dict[int, dict[int, float]], np.ndarray]:
+    """A pair count table as dict rows of relative frequencies and row totals."""
+    w1, w2 = pairs.ids.T
+    probs, totals = _row_normalised(w1, pairs.n)
     return _dict_rows(w1, w2, probs), totals
 
 
-def _dict_rows(w1: np.ndarray, w2: np.ndarray, values: np.ndarray) -> dict[int, dict[int, float]]:
-    """Entries sorted by (w1, w2) as rows {w1: {w2: value}} of Python ints
-    and floats, the form that scalar scoring reads."""
-    starts = np.flatnonzero(np.diff(w1, prepend=w1[:1] - 1)).tolist()
-    bounds, cols, vals = starts + [len(w1)], w2.tolist(), values.tolist()
-    rows = zip(w1[starts].tolist(), bounds, bounds[1:])
-    return {row: dict(zip(cols[a:b], vals[a:b])) for row, a, b in rows}
+def _dict_rows(ctx: np.ndarray, words: np.ndarray, values: np.ndarray) -> dict:
+    """Entries grouped by context as rows {context: {word: value}} of Python
+    ints and floats, the form that scalar scoring reads; a context is an id
+    (`ctx` 1-D) or a tuple of ids (`ctx` (entries, j))."""
+    wide = ctx[:, None] if ctx.ndim == 1 else ctx
+    starts = np.flatnonzero(np.diff(wide, axis=0, prepend=wide[:1] - 1).any(axis=1)).tolist()
+    bounds, cols, vals = starts + [len(words)], words.tolist(), values.tolist()
+    keys = ctx[starts].tolist() if ctx.ndim == 1 else map(tuple, ctx[starts].tolist())
+    return {key: dict(zip(cols[a:b], vals[a:b])) for key, a, b in zip(keys, bounds, bounds[1:])}
 
 
 def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
@@ -333,11 +373,18 @@ def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
         raise ParameterError("word ids must lie in [0, %d)" % vocab_size)
 
 
-def _tally(keys: np.ndarray, decode) -> Counter:
-    """Counter of int64 keys in first-occurrence order, as add_sentence fills it."""
-    uniq, first, n = np.unique(keys, return_index=True, return_counts=True)
-    order = np.argsort(first, kind="stable")
-    return Counter(dict(zip(decode(uniq[order]), n[order].tolist())))
+def _counted(columns: np.ndarray, V: int) -> CountTable:
+    """The distinct rows of an (events, k) id array, sorted, with how often
+    each occurs and where each first occurs; each row is counted as one
+    int64 key, its ids the base-V digits."""
+    keys = np.zeros(len(columns), dtype=np.int64)
+    for column in columns.T:
+        keys = keys * V + column
+    keys, first, n = np.unique(keys, return_index=True, return_counts=True)
+    ids = np.empty((len(keys), columns.shape[1]), dtype=np.int64)
+    for j in reversed(range(columns.shape[1])):
+        keys, ids[:, j] = np.divmod(keys, V)
+    return CountTable(ids, n, first)
 
 
 def count_ngrams(
@@ -349,34 +396,23 @@ def count_ngrams(
     """Count n-grams and skip-k pairs over tokenized sentences.
 
     Each n-gram and skip pair is encoded as one int64 key, (w1*V + w2)*V + w3
-    for a trigram, and the keys are counted with np.unique.  The Counters
-    equal those of an add_sentence loop, down to their iteration order (first
-    occurrence).  Raises ParameterError for an id outside [0, V), which would
-    otherwise alias another key.
+    for a trigram, and the keys are counted with np.unique, whose sorted
+    keys become the tables' sorted id columns.  Raises ParameterError for an
+    id outside [0, V), which would otherwise alias another key.
     """
     counts = NgramCounts(len(vocab), max_order, tuple(skips))
     V, pad = counts.vocab_size, counts.pad
     windows = _event_windows(sentences, pad)
     # Every interior id is predicted once, so the last column holds them all.
-    w = windows[:, pad]
-    _check_ids(w, V)
+    _check_ids(windows[:, pad], V)
     if V ** max(counts.max_order, 2) >= 2**63:
         raise ParameterError("vocabulary of %d ids is too large for int64 keys" % V)
-
-    def pairs(keys):
-        return zip((keys // V).tolist(), (keys % V).tolist())
-
-    def triples(keys):
-        return zip((keys // (V * V)).tolist(), (keys // V % V).tolist(), (keys % V).tolist())
-
-    counts.unigrams = _tally(w, np.ndarray.tolist)
+    counts.unigrams = _counted(windows[:, pad:], V)
     if counts.max_order >= 2:
-        counts.bigrams = _tally(windows[:, pad - 1] * V + w, pairs)
+        counts.bigrams = _counted(windows[:, pad - 1 :], V)
     if counts.max_order >= 3:
-        counts.trigrams = _tally(
-            (windows[:, pad - 2] * V + windows[:, pad - 1]) * V + w, triples
-        )
+        counts.trigrams = _counted(windows[:, pad - 2 :], V)
     for k in counts.skip_ks:
-        counts.skips[k] = _tally(windows[:, pad - k] * V + w, pairs)
+        counts.skips[k] = _counted(windows[:, [pad - k, pad]], V)
     counts.total = len(windows)
     return counts

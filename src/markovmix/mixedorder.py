@@ -30,10 +30,10 @@ from .corpus import (
     TokenSentence,
     _check_ids,
     _dict_rows,
+    _distinct_rows,
     _event_windows,
     _pair_rows,
     _row_normalised,
-    _sorted_pairs,
     most_frequent,
 )
 from .errors import DataError, NumericError, ParameterError, id_out_of_range
@@ -130,12 +130,16 @@ class MixedOrderModel:
         V, m = reader.header["V"], reader.header["m"]
         lambdas = reader.matrix(V, m)
         reader.check_unit(lambdas, "mixing weight")
+        reader.check_sums(lambdas[:, -1], "last mixing weight is not 1")
         k, w1, w2, p = reader.rows("iiif")
         reader.check((k >= 1) & (k <= m), "skip distance outside 1..%d" % m)
         in_range = (w1 >= 0) & (w1 < V) & (w2 >= 0) & (w2 < V)
         reader.check(in_range, "word id out of range [0, %d)" % V)
         reader.check_unit(p, "transition probability")
         order = reader.check_unique(k, w1, w2)
+        row = _distinct_rows(np.column_stack([k, w1]))[1]
+        sums = np.bincount(row, weights=p)[row]
+        reader.check_sums(sums, "transition row (k, w1) does not sum to 1")
         k, w1, w2, p = (col[order] for col in (k, w1, w2, p))
         at = [k == j for j in range(1, m + 1)]
         return cls(lambdas, [_dict_rows(w1[i], w2[i], p[i]) for i in at])
@@ -168,9 +172,10 @@ class _EventTable:
                 keys, n = np.unique(events[:, k], return_counts=True)
                 vals = _row_normalised(keys // V, n)[0]
             else:
-                flat = {(w1, w2): p for w1, row in matrices[k].items() for w2, p in row.items()}
-                w1, w2, vals = _sorted_pairs(flat)
-                keys = w1 * V + w2
+                flat = {w1 * V + w2: p for w1, row in matrices[k].items() for w2, p in row.items()}
+                keys = np.fromiter(flat, np.int64, len(flat))
+                order = np.argsort(keys)
+                keys, vals = keys[order], np.fromiter(flat.values(), np.float64, len(flat))[order]
             pos = np.searchsorted(keys, events[:, k])
             found = pos < len(keys)
             found[found] = keys[pos[found]] == events[found, k]

@@ -21,12 +21,15 @@ import itertools
 import os
 import warnings
 from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 
 from .aggregate import AggregateModel
 from .artifact import ArtifactReader, positive, write_artifact
-from .corpus import NgramCounts, TokenSentence, _distinct_rows, _event_windows, _pair_rows
+from .corpus import (
+    CountTable, NgramCounts, TokenSentence, _distinct_rows, _event_windows, _pair_rows
+)
 from .errors import DataError, ParameterError, id_out_of_range
 from .mixedorder import MixedOrderModel, _components, _EventTable
 
@@ -40,7 +43,7 @@ class MLUnigram:
 
     context_size = 0
 
-    def __init__(self, unigrams: Counter, total: int):
+    def __init__(self, unigrams: Mapping[int, int], total: int):
         if total <= 0:
             raise DataError("no unigram events")
         self.probs = {w: n / total for w, n in unigrams.items()}
@@ -58,8 +61,8 @@ class MLBigram:
 
     context_size = 1
 
-    def __init__(self, bigrams: Counter):
-        self.rows, totals = _pair_rows(bigrams)
+    def __init__(self, bigrams: Mapping[tuple[int, int], int]):
+        self.rows, totals = _pair_rows(CountTable.of(bigrams, 2))
         self.row_totals = {w: float(totals[w]) for w in self.rows}
 
     @classmethod
@@ -370,7 +373,7 @@ def fit_mixed_smoothing(
     return MixedSmoothingParams(values, fallbacks)
 
 
-def good_turing_discounts(table: Counter, k_gt: int = DEFAULT_GT_THRESHOLD) -> dict[int, float]:
+def good_turing_discounts(table: Mapping, k_gt: int = DEFAULT_GT_THRESHOLD) -> dict[int, float]:
     """Good-Turing discount ratios d_r for counts r = 1..k_gt.
 
     Uses adjusted counts r* = (r+1) n_{r+1} / n_r normalized so that counts
@@ -433,16 +436,14 @@ class _KatzLevel:
 
     def __init__(
         self,
-        grouped: dict,
+        table: CountTable,
         discounts: dict[int, float],
         k_gt: int,
         totals: dict | None = None,
     ):
-        self.rows = grouped
-        if totals is None:
-            totals = {ctx: sum(row.values()) for ctx, row in grouped.items()}
-        self.totals = totals
-        self.stored_totals = {ctx: sum(row.values()) for ctx, row in grouped.items()}
+        self.rows = table.rows()
+        self.stored_totals = {ctx: sum(row.values()) for ctx, row in self.rows.items()}
+        self.totals = self.stored_totals if totals is None else totals
         # Counts above k_gt, and counts with no ratio, are not discounted.
         self.discounts = {r: d for r, d in discounts.items() if r <= k_gt}
         self.alphas: dict = {}
@@ -496,10 +497,7 @@ class KatzBigram:
             raise DataError("no bigram events")
         if discounts is None:
             discounts = good_turing_discounts(counts.bigrams, k_gt)
-        grouped: dict[int, dict[int, int]] = {}
-        for (w1, w2), n in counts.bigrams.items():
-            grouped.setdefault(w1, {})[w2] = n
-        self.level = _KatzLevel(grouped, discounts, k_gt)
+        self.level = _KatzLevel(counts.bigrams, discounts, k_gt)
         self.unigram = MLUnigram.from_counts(counts)
         self.vocab_size = counts.vocab_size
         self.level.compute_alphas(lambda ctx, w: self.unigram.prob((), w))
@@ -525,7 +523,7 @@ class KatzTrigram:
 
     def __init__(
         self,
-        trigrams: Counter,
+        trigrams: Mapping[tuple[int, int, int], int],
         backoff,
         k_gt: int = DEFAULT_GT_THRESHOLD,
         discounts: dict[int, float] | None = None,
@@ -538,10 +536,7 @@ class KatzTrigram:
             raise ParameterError("backoff model may condition on at most 2 words")
         if discounts is None:
             discounts = good_turing_discounts(trigrams, k_gt)
-        grouped: dict[tuple[int, int], dict[int, int]] = {}
-        for (u, v, w), n in trigrams.items():
-            grouped.setdefault((u, v), {})[w] = n
-        self.level = _KatzLevel(grouped, discounts, k_gt, totals=context_totals)
+        self.level = _KatzLevel(CountTable.of(trigrams, 3), discounts, k_gt, totals=context_totals)
         self.backoff = backoff
         self.vocab_size = vocab_size
         self.level.compute_alphas(self._backoff_prob)
@@ -582,22 +577,23 @@ def build_katz_trigram(
     table's `trigram_context_totals()`, is used only when truncating and
     computed when None; a sweep over thresholds passes it once for all.
     """
+    if truncation < 1:
+        raise ParameterError("truncation threshold must be >= 1")
     if not counts.trigrams:
         raise DataError("empty trigram table")
     if discounts is None:
         discounts = good_turing_discounts(counts.trigrams, k_gt)
+    table, totals = counts.trigrams, None
     if truncation > 1:
-        table = {key: n for key, n in counts.trigrams.items() if n >= truncation}
-        if not table:
+        kept = table.n >= truncation
+        if not kept.any():
             raise DataError(
                 "no trigram occurs at least %d times (t=%d)" % (truncation, truncation)
             )
+        table = CountTable(table.ids[kept], table.n[kept], table.first[kept])
         totals = context_totals
         if totals is None:
-            totals = dict(counts.trigram_context_totals())
-    else:
-        table = counts.trigrams
-        totals = None
+            totals = counts.trigram_context_totals()
     return KatzTrigram(
         table,
         backoff,
@@ -606,26 +602,6 @@ def build_katz_trigram(
         context_totals=totals,
         vocab_size=counts.vocab_size,
     )
-
-
-def truncate_counts(counts: NgramCounts, threshold: int) -> NgramCounts:
-    """Drop trigram entries occurring fewer than `threshold` times.
-
-    Unigram, bigram, and skip tables are untouched; threshold 1 is the
-    identity.
-    """
-    if threshold < 1:
-        raise ParameterError("truncation threshold must be >= 1")
-    out = NgramCounts(counts.vocab_size, counts.max_order, counts.skip_ks)
-    out.unigrams = Counter(counts.unigrams)
-    out.bigrams = Counter(counts.bigrams)
-    out.trigrams = Counter(
-        {key: n for key, n in counts.trigrams.items() if n >= threshold}
-    )
-    for k in counts.skip_ks:
-        out.skips[k] = Counter(counts.skips[k])
-    out.total = counts.total
-    return out
 
 
 class SmoothedCascade:

@@ -14,11 +14,19 @@ import pytest
 
 import markovmix as mm
 from corpusgen import generate_lines
+from markovmix.corpus import CountTable
 
 TRAIN_SEED, VALID_SEED, TEST_SEED = 101, 202, 303
 TRAIN_SENTENCES, VALID_SENTENCES, TEST_SENTENCES = 30_000, 3_000, 3_000
 VOCAB_SIZE = 4_200
 SKIPS = (1, 2, 3, 4)
+
+
+def count_table(entries: dict) -> CountTable:
+    """A count table holding `entries`, keyed by id tuples (bare ids for a
+    unigram table)."""
+    key = next(iter(entries))
+    return CountTable.of(entries, len(key) if isinstance(key, tuple) else 1)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from markovmix import aggregate as ag
 from markovmix.corpus import count_ngrams
 from markovmix.errors import DataError, ParameterError
 
+from conftest import count_table
 from test_corpus import make_vocab
 
 
@@ -155,7 +156,7 @@ class TestEmStep:
         # One observed pair: every class carrying mass must emit it surely,
         # so the mixture gives it probability one.
         counts = mm.NgramCounts(5, 2, (1,))
-        counts.bigrams[(3, 4)] = 1
+        counts.bigrams = count_table({(3, 4): 1})
         counts.total = 1
         model = mm.AggregateModel.random_init(5, 2, seed=5)
         stepped, _ = ag.em_step(model, counts)
@@ -181,7 +182,7 @@ class TestEmStep:
 
     def test_zero_outgoing_rows_keep_prior(self):
         counts = mm.NgramCounts(5, 2, (1,))
-        counts.bigrams[(3, 4)] = 2
+        counts.bigrams = count_table({(3, 4): 2})
         counts.total = 2
         model = mm.AggregateModel.random_init(5, 2, seed=9)
         stepped, _ = ag.em_step(model, counts)
@@ -196,7 +197,7 @@ class TestEmStep:
     @pytest.mark.parametrize("pair", [(3, 5), (-1, 2)])
     def test_ids_outside_the_vocabulary_rejected(self, pair):
         counts = mm.NgramCounts(5, 2, (1,))
-        counts.bigrams[pair] = 1
+        counts.bigrams = count_table({pair: 1})
         model = mm.AggregateModel.random_init(5, 2, seed=0)
         with pytest.raises(ParameterError, match=r"word ids must lie in \[0, 5\)"):
             ag.em_step(model, counts)
@@ -205,7 +206,7 @@ class TestEmStep:
 
     def test_model_of_another_vocabulary_rejected(self):
         counts = mm.NgramCounts(5, 2, (1,))
-        counts.bigrams[(3, 4)] = 1
+        counts.bigrams = count_table({(3, 4): 1})
         model = mm.AggregateModel.random_init(6, 2, seed=0)
         with pytest.raises(ParameterError, match="vocabulary size"):
             ag.em_step(model, counts)

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 import markovmix as mm
+from markovmix.artifact import SUM_TOLERANCE
 from markovmix.cli import RunConfig, main
 
 CORPUS = [
@@ -175,6 +176,41 @@ def cut(text):
     return text[:-4]
 
 
+def nudged(pattern, first_field, delta):
+    """Garble: subtract `delta` from the largest of the values from field
+    `first_field` on of the first line matching `pattern`."""
+
+    def edit(fields):
+        i = max(range(first_field, len(fields)), key=lambda j: float(fields[j]))
+        return fields[:i] + [repr(float(fields[i]) - delta)] + fields[i + 1 :]
+
+    return edit_line(pattern, edit)
+
+
+def halved(pattern):
+    """Garble: halve the last field of every line matching `pattern`."""
+
+    def garble(text):
+        lines = text.split("\n")
+        for i, line in enumerate(lines):
+            if re.match(pattern, line):
+                fields = line.split(" ")
+                lines[i] = " ".join(fields[:-1] + [repr(float(fields[-1]) / 2)])
+        return "\n".join(lines)
+
+    return garble
+
+
+# (file, line pattern, first value field): a row of probabilities whose sum
+# is moved by nudging one line.  Moved by twice the row-sum tolerance, the
+# file exits 3 (GARBLES); moved by half of it, the file still loads.
+NUDGES = {
+    "agg-membership_row": ("agg.txt", r"\d\S*( \S+){3}$", 0),
+    "agg-emission_row": ("agg.txt", r"\d\S*( \S+){14}$", 0),
+    "mix-transition_row": ("mix2.txt", r"1 \d+ \d+ (0\.[5-9]|1\.0$)", 3),
+}
+
+
 # (file, garble) per case; each garbled file makes `eval` of the cascade exit 3.
 GARBLES = {
     "counts-non_numeric": ("counts.txt", edit_line("B ", non_numeric)),
@@ -204,6 +240,12 @@ GARBLES = {
         "mix2.txt", edit_line(r"1 \d+ \d+ ", lambda f: f[:-1] + ["-3.0"])
     ),
     "mix-repeated_pair": ("mix2.txt", repeat_line(r"2 \d+ \d+ ")),
+    "mix-k1_rows_halved": ("mix2.txt", halved(r"1 \d+ \d+ ")),
+    "mix-last_lambda": ("mix2.txt", edit_line(r"\S+ \S+$", lambda f: [f[0], "0.5"])),
+    **{
+        case + "_off_by_2_tolerances": (name, nudged(pattern, first, 2 * SUM_TOLERANCE))
+        for case, (name, pattern, first) in NUDGES.items()
+    },
     "sigma_bigram-non_numeric": ("smooth/sigma_bigram.txt", edit_line(r"1 \d+ ", non_numeric)),
     "sigma_bigram-bad_header": ("smooth/sigma_bigram.txt", drop(" v1")),
     "sigma_bigram-field_count": ("smooth/sigma_bigram.txt", edit_line(r"1 \d+ ", too_few)),
@@ -341,6 +383,23 @@ class TestMalformedCounts:
         err = capsys.readouterr().err
         assert code == 3, err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", sorted(NUDGES))
+    def test_rows_within_the_sum_tolerance_load(self, pipeline_dir, tmp_path, capsys, case):
+        name, pattern, first = NUDGES[case]
+        workdir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, workdir)
+        path = workdir / name
+        text = nudged(pattern, first, SUM_TOLERANCE / 2)(path.read_text(encoding="utf-8"))
+        path.write_text(text, encoding="utf-8")
+        code = run(
+            workdir,
+            "eval",
+            "--test", "test.txt",
+            "--vocab", "vocab.txt",
+            "--cascade", "cascade.txt",
+        )
+        assert code == 0, capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(SMOOTH_BAD_INPUTS))
     def test_smooth_exits_3(self, pipeline_dir, tmp_path, capsys, case):
@@ -509,6 +568,22 @@ class TestEval:
 
         report = json.loads((workdir / "report.json").read_text(encoding="utf-8"))
         assert "unseen_events" in report
+
+    @pytest.mark.parametrize("truncate", ["0", "-3"])
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # sparse Good-Turing statistics
+    def test_katz_baseline_truncation_below_one_exits_2(self, workdir, capsys, truncate):
+        prepare(workdir)
+        code = run(
+            workdir,
+            "eval",
+            "--test", "test.txt",
+            "--vocab", "vocab.txt",
+            "--counts", "counts.txt",
+            "--truncate", truncate,
+        )
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == "error: truncation threshold must be >= 1\n"
 
     def test_zero_mass_model_exits_4(self, workdir):
         prepare(workdir)

@@ -107,10 +107,10 @@ class TestCountNgrams:
             joint = count_ngrams(s1 + s2, vocab, max_order=3, skips=(1, 2, 3))
             a = count_ngrams(s1, vocab, max_order=3, skips=(1, 2, 3))
             b = count_ngrams(s2, vocab, max_order=3, skips=(1, 2, 3))
-            assert joint.unigrams == a.unigrams + b.unigrams
-            assert joint.bigrams == a.bigrams + b.bigrams
-            assert joint.trigrams == a.trigrams + b.trigrams
-            assert joint.skips == {k: a.skips[k] + b.skips[k] for k in (1, 2, 3)}
+            assert joint.unigrams == Counter(a.unigrams) + Counter(b.unigrams)
+            assert joint.bigrams == Counter(a.bigrams) + Counter(b.bigrams)
+            assert joint.trigrams == Counter(a.trigrams) + Counter(b.trigrams)
+            assert joint.skips == {k: Counter(a.skips[k]) + Counter(b.skips[k]) for k in (1, 2, 3)}
             assert joint.total == a.total + b.total
 
     def test_skip1_equals_bigram(self):

@@ -17,6 +17,7 @@ from markovmix import mixedorder as mo
 from markovmix.corpus import END_ID, START_ID, NgramCounts
 from markovmix.errors import DataError, NumericError, ParameterError
 
+from conftest import count_table
 from test_corpus import make_vocab
 
 
@@ -28,10 +29,7 @@ def random_sentences(rng, n_words=4, n_sentences=5, max_len=6):
 
 
 def skip_counts(sentences, vocab_size, order):
-    counts = NgramCounts(vocab_size, 1, tuple(range(1, order + 1)))
-    for s in sentences:
-        counts.add_sentence(s)
-    return counts
+    return mm.count_ngrams(sentences, range(vocab_size), 1, range(1, order + 1))
 
 
 def brute_mixture_prob(model, context, word):
@@ -116,9 +114,7 @@ class TestInit:
 
     def test_rows_ml_normalized(self):
         counts = NgramCounts(6, 1, (1, 2))
-        counts.skips[1][(3, 4)] = 1
-        counts.skips[1][(3, 5)] = 1
-        counts.skips[2][(3, 4)] = 2
+        counts.skips = {1: count_table({(3, 4): 1, (3, 5): 1}), 2: count_table({(3, 4): 2})}
         model = mm.MixedOrderModel.from_counts(counts, 2)
         assert model.matrices[0][3] == {4: 0.5, 5: 0.5}
 

@@ -37,6 +37,7 @@ from markovmix.corpus import (
 from markovmix.artifact import ArtifactReader
 from markovmix.errors import DataError, NumericError, ParameterError
 
+from conftest import count_table
 from test_corpus import make_vocab
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -54,11 +55,37 @@ def corpora(draw, min_sentences=0):
     return V, sentences
 
 
-def counters(counts):
-    """Every table of the counts with its entries in iteration order."""
-    tables = [counts.unigrams, counts.bigrams, counts.trigrams]
-    tables += [counts.skips[k] for k in counts.skip_ks]
-    return [list(t.items()) for t in tables] + [counts.total]
+def add_sentence(self, sentence):
+    """The per-sentence counting loop that count_ngrams replaced, once the
+    method NgramCounts.add_sentence: every event of one sentence added to
+    Counter tables."""
+    pad = self.pad
+    padded = [START_ID] * pad + list(sentence) + [END_ID]
+    for i in range(pad, len(padded)):
+        w = padded[i]
+        self.unigrams[w] += 1
+        if self.max_order >= 2:
+            self.bigrams[(padded[i - 1], w)] += 1
+        if self.max_order >= 3:
+            self.trigrams[(padded[i - 2], padded[i - 1], w)] += 1
+        for k in self.skip_ks:
+            self.skips[k][(padded[i - k], w)] += 1
+        self.total += 1
+
+
+def loop_counts(V, order, skips, sentences):
+    """NgramCounts with Counter tables, filled by add_sentence."""
+    counts = NgramCounts(V, order, tuple(skips))
+    counts.unigrams, counts.bigrams, counts.trigrams = Counter(), Counter(), Counter()
+    counts.skips = {k: Counter() for k in counts.skip_ks}
+    for s in sentences:
+        add_sentence(counts, s)
+    return counts
+
+
+def tables(counts):
+    """Every table of the counts."""
+    return [counts.unigrams, counts.bigrams, counts.trigrams] + list(counts.skips.values())
 
 
 @SETTINGS
@@ -69,11 +96,15 @@ def counters(counts):
 )
 def test_count_ngrams_matches_add_sentence_loop(corpus, order, skips):
     V, sentences = corpus
-    loop = NgramCounts(V, order, tuple(skips))
-    for s in sentences:
-        loop.add_sentence(s)
+    loop = loop_counts(V, order, skips, sentences)
     vocab = make_vocab(*("w%d" % i for i in range(V - 3)))
-    assert counters(mm.count_ngrams(sentences, vocab, order, skips)) == counters(loop)
+    counts = mm.count_ngrams(sentences, vocab, order, skips)
+    assert counts.total == loop.total
+    for table, reference in zip(tables(counts), tables(loop), strict=True):
+        # Sorted items, and `first` ranks them in first-occurrence order,
+        # the order in which the loop's Counters iterate.
+        assert table.items() == sorted(reference.items())
+        assert [table.items()[i] for i in np.argsort(table.first)] == list(reference.items())
 
 
 def naive_event_table(model, sentences):
@@ -103,9 +134,7 @@ def test_event_table_matches_per_event_loop(data, order):
     # so some events hit pairs the model does not store.
     V, train = data.draw(corpora(min_sentences=1))
     events = data.draw(st.lists(st.lists(st.integers(0, V - 1), max_size=7), max_size=6))
-    counts = NgramCounts(V, 1, tuple(range(1, order + 1)))
-    for s in train:
-        counts.add_sentence(s)
+    counts = mm.count_ngrams(train, range(V), 1, range(1, order + 1))
     model = mo.MixedOrderModel.from_counts(counts, order)
     table = mo._EventTable(_event_windows(events, order), V, model.matrices)
     ctx, pair_idx = naive_event_table(model, events)
@@ -186,9 +215,7 @@ def dict_em_step(model, sentences):
 
 def dict_train_mixed(sentences, order, V, iterations):
     """train_mixed through Counters, dict_normalized_rows and dict_em_step."""
-    counts = NgramCounts(V, 1, tuple(range(1, order + 1)))
-    for s in sentences:
-        counts.add_sentence(s)
+    counts = loop_counts(V, 1, range(1, order + 1), sentences)
     lambdas = np.empty((V, order))
     for k in range(1, order + 1):
         lambdas[:, k - 1] = 1.0 / (order - k + 1)
@@ -223,9 +250,7 @@ def test_em_step_matches_dict_rebuilding_em(data, order):
     V, train = data.draw(corpora(min_sentences=1))
     word = st.integers(0, V - 1)
     events = data.draw(st.lists(st.lists(word, max_size=7), min_size=1, max_size=6))
-    counts = NgramCounts(V, 1, tuple(range(1, order + 1)))
-    for s in train:
-        counts.add_sentence(s)
+    counts = mm.count_ngrams(train, range(V), 1, range(1, order + 1))
     model = mo.MixedOrderModel.from_counts(counts, order)
     try:
         ref, ref_ll, ref_skipped = dict_em_step(model, events)
@@ -243,9 +268,7 @@ def test_em_step_matches_dict_rebuilding_em(data, order):
 @given(corpora(), st.integers(1, 3))
 def test_from_counts_and_ml_bigram_rows_match_dict_normaliser(corpus, order):
     V, sentences = corpus
-    counts = NgramCounts(V, 2, tuple(range(1, order + 1)))
-    for s in sentences:
-        counts.add_sentence(s)
+    counts = mm.count_ngrams(sentences, range(V), 2, range(1, order + 1))
     model = mo.MixedOrderModel.from_counts(counts, order)
     assert model.matrices == [dict_normalized_rows(counts.skips[k])[0] for k in range(1, order + 1)]
     ml = sm.MLBigram(counts.bigrams)
@@ -304,9 +327,7 @@ def two_pass_em_step(model, counts, step):
 @given(corpora(min_sentences=1), st.data())
 def test_single_pass_em_step_matches_two_pass(corpus, data):
     V, sentences = corpus
-    counts = NgramCounts(V, 2, (1,))
-    for s in sentences:
-        counts.add_sentence(s)
+    counts = mm.count_ngrams(sentences, range(V), 2, (1,))
     C = data.draw(st.integers(1, V))
     model = mm.AggregateModel.random_init(V, C, seed=data.draw(st.integers(0, 99)))
 
@@ -401,9 +422,7 @@ def assert_em_matches_row_major(counts, C, seed, iterations, entries_per_chunk):
 @given(corpora(min_sentences=1), st.data())
 def test_class_major_em_matches_row_major_bitwise(corpus, data):
     V, sentences = corpus
-    counts = NgramCounts(V, 2, (1,))
-    for s in sentences:
-        counts.add_sentence(s)
+    counts = mm.count_ngrams(sentences, range(V), 2, (1,))
     # One chunk when entries_per_chunk reaches the table size, several below.
     entries_per_chunk = data.draw(st.integers(1, len(counts.bigrams)))
     assert_em_matches_row_major(
@@ -423,7 +442,7 @@ def test_class_major_em_matches_row_major_at_large_class_counts(C, entries_per_c
     rng = np.random.default_rng(C)
     counts = NgramCounts(V, 2, (1,))
     pairs = zip(rng.integers(0, V, 3000).tolist(), rng.integers(0, V, 3000).tolist())
-    counts.bigrams = Counter(pairs)
+    counts.bigrams = count_table(Counter(pairs))
     assert_em_matches_row_major(counts, C, seed=C, iterations=2, entries_per_chunk=entries_per_chunk)
 
 
@@ -811,9 +830,9 @@ def test_katz_rounding_residue_loses_leftover():
     # 1 - (sum of the five unigram probabilities) rounds to 2.2e-16.  Row 0
     # should revert to ML; instead alpha is about 4.5e15, the unseen set is
     # empty and the row sums to 0.5.
-    counts = NgramCounts(5, 2, (1,))
-    for s in ([0, 0, 4, 0, 4, 2], [2, 3, 0, 3], [], [], [0, 2, 4]):
-        counts.add_sentence(s)
+    counts = mm.count_ngrams(
+        ([0, 0, 4, 0, 4, 2], [2, 3, 0, 3], [], [], [0, 2, 4]), range(5), 2, (1,)
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # sparse Good-Turing statistics
         bigram = sm.KatzBigram(counts, k_gt=2)
@@ -1033,6 +1052,13 @@ def resaved_equal(obj, load, save=lambda obj, path: obj.save(path)):
 unit = st.floats(0.0, 1.0)
 
 
+def normalised(rows):
+    """Rows of [0, 1] values divided by their sums, a row of zeros made
+    uniform: loaded model rows must sum to 1."""
+    rows[rows.sum(axis=1) == 0.0] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
 @SETTINGS
 @given(st.lists(st.text(st.characters(exclude_categories=("Z", "C")), min_size=1), unique=True))
 def test_vocabulary_resaves_identically(words):
@@ -1056,8 +1082,8 @@ def test_counts_resave_identically(corpus, order, skips):
 @SETTINGS
 @given(st.data(), st.integers(1, 5), st.integers(1, 4))
 def test_aggregate_model_resaves_identically(data, V, C):
-    cgw = data.draw(arrays(np.float64, (V, C), elements=unit))
-    wgc = data.draw(arrays(np.float64, (C, V), elements=unit))
+    cgw = normalised(data.draw(arrays(np.float64, (V, C), elements=unit)))
+    wgc = normalised(data.draw(arrays(np.float64, (C, V), elements=unit)))
     assert resaved_equal(mm.AggregateModel(cgw, wgc), mm.AggregateModel.load)
 
 
@@ -1065,12 +1091,15 @@ def test_aggregate_model_resaves_identically(data, V, C):
 @given(st.data(), st.integers(1, 5), st.integers(1, 3))
 def test_mixed_model_resaves_identically(data, V, m):
     lambdas = data.draw(arrays(np.float64, (V, m), elements=unit))
+    lambdas[:, -1] = 1.0
     ids = st.integers(0, V - 1)
     matrices = []
     for _ in range(m):
         rows = {}
         for (w1, w2), p in data.draw(st.dictionaries(st.tuples(ids, ids), unit)).items():
             rows.setdefault(w1, {})[w2] = p
+        for w1, row in rows.items():
+            rows[w1] = dict(zip(row, normalised(np.array([list(row.values())]))[0].tolist()))
         matrices.append(rows)
     assert resaved_equal(mo.MixedOrderModel(lambdas, matrices), mo.MixedOrderModel.load)
 

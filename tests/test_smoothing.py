@@ -10,9 +10,11 @@ import pytest
 import markovmix as mm
 from markovmix import evaluation as ev
 from markovmix import smoothing as sm
-from markovmix.corpus import END_ID, START_ID, NgramCounts, count_ngrams
+from markovmix.corpus import END_ID, START_ID, CountTable, NgramCounts, count_ngrams
 from markovmix.errors import DataError, ParameterError
 
+from conftest import count_table
+from corpusgen import generate_lines
 from test_corpus import make_vocab
 
 
@@ -222,9 +224,9 @@ class TestSmoothedMixedLevel:
         params = mm.MixedSmoothingParams(values, fallbacks)
         base = mm.AggregateModel.random_init(V, 2, seed=rng.randrange(1 << 30))
         counts = NgramCounts(V, 2, (1,))
-        for w1 in range(V):
-            for w2 in range(3, V):
-                counts.bigrams[(w1, w2)] = rng.randrange(1, 4)
+        counts.bigrams = count_table(
+            {(w1, w2): rng.randrange(1, 4) for w1 in range(V) for w2 in range(3, V)}
+        )
         ml = sm.MLBigram.from_counts(counts)
         iparams = sm.InterpolationParams({w: rng.random() for w in range(V)}, 0.3)
         level1 = sm.InterpolatedBigram(ml, base, iparams)
@@ -449,9 +451,9 @@ def katz_fixture(rng, n_words=5, n_sentences=40):
 class TestKatzBackoff:
     def test_high_count_trigram_is_exact_ml(self):
         counts = NgramCounts(6, 3, (1,))
-        counts.trigrams = Counter({(3, 4, 5): 9, (3, 4, 3): 3})
-        counts.bigrams = Counter({(3, 4): 12, (4, 5): 9, (4, 3): 3})
-        counts.unigrams = Counter({3: 6, 4: 6, 5: 9})
+        counts.trigrams = count_table({(3, 4, 5): 9, (3, 4, 3): 3})
+        counts.bigrams = count_table({(3, 4): 12, (4, 5): 9, (4, 3): 3})
+        counts.unigrams = count_table({3: 6, 4: 6, 5: 9})
         counts.total = 21
         trigram = sm.build_katz_trigram(counts, sm.KatzBigram(counts, k_gt=2), k_gt=2)
         p, backed = trigram.prob_and_backoff((3, 4), 5)
@@ -515,6 +517,45 @@ class TestKatzBackoff:
                 for w in unseen:
                     assert trigram.prob(ctx, w) > 0.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: Katz rows of counts made in memory are summed in "
+        "first-occurrence order, those of loaded counts in sorted order",
+    )
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # sparse Good-Turing statistics
+    def test_counts_from_memory_and_from_a_file_give_the_same_katz_model(self, tmp_path):
+        # The smallest desk-seed corpus whose Katz bigram alphas differ.
+        lines = generate_lines(101, 9)
+        vocab = mm.build_vocabulary(lines, 200)
+        counts = count_ngrams(mm.tokenize_corpus(lines, vocab), vocab, max_order=3, skips=(1,))
+        counts.save(tmp_path / "counts.txt")
+        models = []
+        for source in (counts, NgramCounts.load(tmp_path / "counts.txt")):
+            bigram = sm.KatzBigram(source)
+            trigram = sm.build_katz_trigram(source, bigram)
+            models.append([(m.level.alphas, m.level.ml_contexts) for m in (bigram, trigram)])
+        assert models[0] == models[1]
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # sparse Good-Turing statistics
+    def test_counters_give_the_levels_of_sorted_count_tables(self):
+        rng = random.Random(91)
+        _, counts, bigram, _ = katz_fixture(rng)
+        # Counters in reverse key order, against the tables as a file holds them.
+        counter = lambda table: Counter(dict(reversed(table.items())))
+        as_loaded = lambda table: CountTable(table.ids, table.n)
+        katz = [
+            sm.KatzTrigram(trigrams, bigram, k_gt=3)
+            for trigrams in (counter(counts.trigrams), as_loaded(counts.trigrams))
+        ]
+        assert katz[0].level.rows == katz[1].level.rows
+        assert katz[0].level.alphas == katz[1].level.alphas
+        ml = [sm.MLBigram(counter(counts.bigrams)), sm.MLBigram(counts.bigrams)]
+        assert (ml[0].rows, ml[0].row_totals) == (ml[1].rows, ml[1].row_totals)
+        unigram = sm.MLUnigram(counter(counts.unigrams), counts.total)
+        assert unigram.probs == sm.MLUnigram.from_counts(counts).probs
+        tables = (counter(counts.trigrams), counts.trigrams)
+        assert sm.good_turing_discounts(tables[0], 3) == sm.good_turing_discounts(tables[1], 3)
+
     def test_backoff_context_size_checked(self):
         rng = random.Random(84)
         _, counts, _, _ = katz_fixture(rng)
@@ -538,34 +579,11 @@ class TestKatzBackoff:
 
 
 class TestTruncation:
-    def test_threshold_one_is_identity(self):
-        rng = random.Random(85)
-        vocab, train = random_corpus(rng, 5, 20)
-        counts = count_ngrams(train, vocab, max_order=3, skips=(1, 2))
-        out = sm.truncate_counts(counts, 1)
-        assert out.trigrams == counts.trigrams
-        assert out.bigrams == counts.bigrams
-
-    def test_drops_low_counts(self):
-        counts = NgramCounts(6, 3, (1,))
-        counts.trigrams = Counter({(3, 4, 5): 1, (3, 4, 3): 3})
-        out = sm.truncate_counts(counts, 2)
-        assert out.trigrams == Counter({(3, 4, 3): 3})
-
-    def test_other_tables_untouched(self):
-        rng = random.Random(86)
-        vocab, train = random_corpus(rng, 5, 20)
-        counts = count_ngrams(train, vocab, max_order=3, skips=(1, 2))
-        out = sm.truncate_counts(counts, 3)
-        assert out.bigrams == counts.bigrams
-        assert out.unigrams == counts.unigrams
-        assert out.skips == counts.skips
-        assert out.total == counts.total
-
     def test_threshold_validated(self):
         counts = NgramCounts(4, 3, (1,))
-        with pytest.raises(ParameterError):
-            sm.truncate_counts(counts, 0)
+        for threshold in (0, -3):
+            with pytest.raises(ParameterError, match="truncation threshold"):
+                sm.build_katz_trigram(counts, None, truncation=threshold)
 
     def test_truncated_katz_keeps_survivor_estimates(self):
         # Dropping rare trigrams must not inflate the survivors: their
