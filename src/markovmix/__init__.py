@@ -34,7 +34,6 @@ from .smoothing import (
     fit_interpolation,
     fit_mixed_smoothing,
     good_turing_discounts,
-    interp_prob,
     load_cascade,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "fit_interpolation",
     "fit_mixed_smoothing",
     "good_turing_discounts",
-    "interp_prob",
     "lambda_report",
     "load_cascade",
     "missing_fraction",

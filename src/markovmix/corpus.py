@@ -11,9 +11,9 @@ requires, so a skip-k pair is defined at every event position.
 
 _event_windows is the one walk over these events: counting, mixed-order EM,
 both smoothing-weight fits and evaluation read its rows, and the fits and
-evaluation score each distinct row (_distinct_rows) once.  The tests keep
-a per-sentence counting loop as the reference that count_ngrams must
-match.
+evaluation score each distinct row (_distinct_rows) once, reading the rows
+as Python ints block by block (_per_row).  The tests keep a per-sentence
+counting loop as the reference that count_ngrams must match.
 
 Every count table is a CountTable of sorted int64 id columns, a form
 only this module knows.  Sorted entries become dict rows through one row
@@ -39,6 +39,7 @@ END_ID = 1
 UNK_ID = 2
 
 _RESERVED = (START_TOKEN, END_TOKEN, UNK_TOKEN)
+_BLOCK = 4096  # rows converted to Python objects at a time (_per_row)
 
 TokenSentence = list[int]
 
@@ -153,7 +154,7 @@ class CountTable(Mapping):
 
     `first` ranks the entries by their first occurrence in the counted
     events, or as sorted for a table read from a file or a mapping.  The
-    Katz levels sum each row in this order (rows()); where a row's backoff
+    Katz levels sum each row in this order (ranked()); where a row's backoff
     mass sums to about 1, the order decides between a rounding residue and
     the ML revert, so counts in memory and from a file can differ there.
     """
@@ -197,13 +198,12 @@ class CountTable(Mapping):
     def values(self) -> list[int]:
         return self.n.tolist()
 
-    def rows(self) -> dict:
-        """The table as dict rows {context: {word: count}} of Python ints,
-        each row's words ranked by `first`; a context is the first id of a
-        pair, or the first two ids of a triple."""
-        order = np.lexsort((self.first, *self.ids[:, :-1].T[::-1]))
-        ids, n = self.ids[order], self.n[order]
-        return _dict_rows(ids[:, 0] if ids.shape[1] == 2 else ids[:, :-1], ids[:, -1], n)
+    def ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """`ids` and `n` grouped by context (every id but the last), the
+        contexts in sorted order and each context's entries ranked by
+        `first`: the order in which the Katz levels sum a row."""
+        order, _ = _lex_order(np.column_stack([self.ids[:, :-1], self.first]))
+        return self.ids[order], self.n[order]
 
 
 class NgramCounts:
@@ -324,21 +324,93 @@ def _event_windows(sentences: Iterable[TokenSentence], width: int) -> np.ndarray
     return stream[event_pos[:, None] + np.arange(-width, 1, dtype=np.int64)]
 
 
+def _key_base(*arrays: np.ndarray) -> tuple[int, int] | None:
+    """(lo, base) such that the ids of 2-D int64 arrays of one width, less
+    lo, are digits of base, and the digits of a row fit one int64 key; None
+    when the arrays hold no id, or the ids span too wide a range."""
+    filled = [a for a in arrays if a.size]
+    if not filled:
+        return None
+    lo, hi = min(int(a.min()) for a in filled), max(int(a.max()) for a in filled)
+    base = hi - lo + 1
+    return (lo, base) if base ** filled[0].shape[1] < 2**63 else None
+
+
+def _row_keys(rows: np.ndarray, lo: int, base: int) -> np.ndarray:
+    """One int64 key per row, its ids less lo as digits of base (_key_base),
+    so that the keys sort as the rows do in lexicographic order."""
+    keys = rows[:, 0] - lo
+    for column in rows.T[1:]:
+        keys *= base
+        keys += column - lo
+    return keys
+
+
+def _lex_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A permutation that puts the rows of a 2-D int64 array in lexicographic
+    order (equal rows in any order), and the rows' keys (_row_keys) in that
+    order, or None when they do not fit.  Sorting one key is much faster
+    than a lexsort over the columns."""
+    key_base = _key_base(rows)
+    if key_base is None:
+        return np.lexsort(rows.T[::-1]), None
+    keys = _row_keys(rows, *key_base)
+    order = np.argsort(keys)
+    return order, keys[order]
+
+
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D int64 array in lexicographic order, and the
     inverse index, so that distinct[inverse] == rows.
 
     The rows and order of numpy's row-wise unique (axis 0), on which the
-    weight fits' sums depend, found with a lexsort instead of its sort of
-    void rows.
+    weight fits' sums depend, found with _lex_order instead of numpy's sort
+    of void rows.
     """
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
+    order, keys = _lex_order(rows)
     starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    if keys is None:
+        ordered = rows[order]
+        starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    else:
+        starts[1:] = keys[1:] != keys[:-1]
     inverse = np.empty(len(rows), dtype=np.int64)
     inverse[order] = np.cumsum(starts) - 1
-    return ordered[starts], inverse
+    return rows[order[starts]], inverse
+
+
+def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Which rows of `rows` are also rows of `table`, two 2-D int64 arrays of
+    equal width, as a boolean mask: a search of the table's sorted keys
+    (_row_keys), or the distinct rows of both when the ids are too wide."""
+    key_base = _key_base(table, rows)
+    if key_base is None:
+        _, inverse = _distinct_rows(np.concatenate([table, rows]))
+        stored = np.zeros(len(inverse), dtype=bool)
+        stored[inverse[: len(table)]] = True
+        return stored[inverse[len(table) :]]
+    if not len(table):
+        return np.zeros(len(rows), dtype=bool)
+    stored = np.sort(_row_keys(table, *key_base))
+    query = _row_keys(rows, *key_base)
+    return stored[np.minimum(np.searchsorted(stored, query), len(stored) - 1)] == query
+
+
+def _per_row(call, rows: np.ndarray, *values: np.ndarray):
+    """An iterator over call(context, word, *row values) for each (context...,
+    word) row of `rows`, in Python ints, with the row's item of each array in
+    `values`.  It converts one block of _BLOCK rows at a time to Python
+    objects, so that a whole table is never held as Python objects at once."""
+    blocks = range(0, len(rows), _BLOCK)
+    return itertools.chain.from_iterable(
+        map(
+            call,
+            map(tuple, rows[i : i + _BLOCK, :-1].tolist()),
+            rows[i : i + _BLOCK, -1].tolist(),
+            *(v[i : i + _BLOCK].tolist() for v in values),
+        )
+        for i in blocks
+    )
 
 
 def _row_normalised(rows: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,12 +427,18 @@ def _pair_rows(pairs: CountTable) -> tuple[dict[int, dict[int, float]], np.ndarr
     return _dict_rows(w1, w2, probs), totals
 
 
+def _row_starts(ctx: np.ndarray) -> np.ndarray:
+    """Where each run of equal contexts begins, for contexts grouped into
+    runs: ids (`ctx` 1-D) or rows of ids (`ctx` (entries, j))."""
+    wide = ctx[:, None] if ctx.ndim == 1 else ctx
+    return np.flatnonzero(np.diff(wide, axis=0, prepend=wide[:1] - 1).any(axis=1))
+
+
 def _dict_rows(ctx: np.ndarray, words: np.ndarray, values: np.ndarray) -> dict:
     """Entries grouped by context as rows {context: {word: value}} of Python
     ints and floats, the form that scalar scoring reads; a context is an id
     (`ctx` 1-D) or a tuple of ids (`ctx` (entries, j))."""
-    wide = ctx[:, None] if ctx.ndim == 1 else ctx
-    starts = np.flatnonzero(np.diff(wide, axis=0, prepend=wide[:1] - 1).any(axis=1)).tolist()
+    starts = _row_starts(ctx).tolist()
     bounds, cols, vals = starts + [len(words)], words.tolist(), values.tolist()
     keys = ctx[starts].tolist() if ctx.ndim == 1 else map(tuple, ctx[starts].tolist())
     return {key: dict(zip(cols[a:b], vals[a:b])) for key, a, b in zip(keys, bounds, bounds[1:])}

@@ -6,10 +6,15 @@ was delegated to a backoff model.  A sentence w_1..w_n is scored over n+1
 events (each interior word plus the end marker), with the context padded on
 the left by start markers.
 
-Each distinct (context, word) event is scored once, with one scalar call,
-and its score is gathered back to every event; a seen predicate is likewise
-called once per distinct event.  Counts and log-likelihoods (summed in event
-order) equal those of scoring every event in turn.
+Each distinct (context, word) event is scored once, by the row scorer
+smoothing._score_rows, and its score is gathered back to every event; a
+seen predicate is likewise called once per distinct event.  Below the top,
+each cascade level scores each distinct row of its own context width once:
+a mixed level's lower level each distinct truncated event, a Katz trigram's
+backoff each distinct truncation of the events it has not stored.  Every
+level still makes one scalar call per row it scores.  Counts and
+log-likelihoods (summed in event order) equal those of scoring every event
+in turn.
 
 Events assigned exactly zero probability are excluded from the
 log-likelihood but counted, so perplexity stays finite and the coverage gap
@@ -25,8 +30,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .corpus import NgramCounts, TokenSentence, _distinct_rows, _event_windows
+from .corpus import NgramCounts, TokenSentence, _distinct_rows, _event_windows, _per_row
 from .errors import NumericError
+from .smoothing import _score_rows
 
 
 class EventFlags(NamedTuple):
@@ -90,24 +96,17 @@ class EvalReport:
 
 
 def _event_scores(model, sentences: list[TokenSentence]):
-    """Score each distinct event of the sentences once.
+    """Score each distinct event of the sentences once, through the row
+    scorer.
 
-    Returns (events, inverse, p, backed): the distinct (context, word) events
+    Returns (rows, inverse, p, backed): the distinct (context..., word) rows
     of _event_windows in lexicographic order, the index of each event's
-    distinct event in event order, and per distinct event the probability and
+    distinct row in event order, and per distinct row the probability and
     the backoff flag (False for a model without prob_and_backoff).
     """
-    width = model.context_size
-    rows, inverse = _distinct_rows(_event_windows(sentences, width))
-    events = [(tuple(row[:width]), row[width]) for row in rows.tolist()]
-    scorer = getattr(model, "prob_and_backoff", None)
-    if scorer is None:
-        scores = [(model.prob(ctx, w), False) for ctx, w in events]
-    else:
-        scores = [scorer(ctx, w) for ctx, w in events]
-    p = np.array([s[0] for s in scores], dtype=np.float64)
-    backed = np.array([bool(s[1]) for s in scores], dtype=bool)
-    return events, inverse, p, backed
+    rows, inverse = _distinct_rows(_event_windows(sentences, model.context_size))
+    p, backed = _score_rows(model, rows)
+    return rows, inverse, p, backed
 
 
 def _log_probs(p: np.ndarray) -> np.ndarray:
@@ -150,7 +149,7 @@ def evaluate(
     Zero-probability events never join the unseen log-likelihood either;
     they are counted in zero_events.
     """
-    events, inverse, p, backed = _event_scores(model, sentences)
+    rows, inverse, p, backed = _event_scores(model, sentences)
     positive = (p > 0.0)[inverse]
     logp = _log_probs(p)[inverse]
     scored = int(np.count_nonzero(positive))
@@ -169,7 +168,7 @@ def evaluate(
         if unseen_from_backoff:
             unseen = backed
         else:
-            unseen = np.array([not seen_predicate(ctx, w) for ctx, w in events], dtype=bool)
+            unseen = ~np.fromiter(_per_row(seen_predicate, rows), bool, len(rows))
         unseen = unseen[inverse]
         report.unseen_events = int(np.count_nonzero(unseen))
         unseen_scored = int(np.count_nonzero(unseen & positive))

@@ -28,7 +28,8 @@ import numpy as np
 from .aggregate import AggregateModel
 from .artifact import ArtifactReader, positive, write_artifact
 from .corpus import (
-    CountTable, NgramCounts, TokenSentence, _distinct_rows, _event_windows, _pair_rows
+    CountTable, NgramCounts, TokenSentence, _dict_rows, _distinct_rows, _event_windows,
+    _pair_rows, _per_row, _row_starts, _rows_in,
 )
 from .errors import DataError, ParameterError, id_out_of_range
 from .mixedorder import MixedOrderModel, _components, _EventTable
@@ -198,9 +199,8 @@ def fit_interpolation(
     # The distinct (w1, w2) rows in sorted order, with their counts.
     pairs, inverse = _distinct_rows(windows)
     w1, n = pairs[:, 0], np.bincount(inverse, minlength=len(pairs)).astype(np.float64)
-    pairs = pairs.tolist()
-    a = np.array([ml.pair_prob(u, v) for u, v in pairs])
-    b = np.array([base.prob((u,), v) for u, v in pairs])
+    a, _ = _score_rows(ml, pairs)
+    b, _ = _score_rows(base, pairs)
     keep = (a > 0.0) | (b > 0.0)
     w1, n, a, b = w1[keep], n[keep], a[keep], b[keep]
 
@@ -211,11 +211,6 @@ def fit_interpolation(
     s, seen = _sigma_em(a, b, n, w1, n_groups)
     sigma = {int(w): float(s[w]) for w in np.nonzero(seen)[0]}
     return InterpolationParams(sigma, float(s0[0]))
-
-
-def interp_prob(ml: MLBigram, base, params: InterpolationParams, w1: int, w2: int) -> float:
-    """(1 - sigma(w1)) * P_ML(w2|w1) + sigma(w1) * P_base(w2|w1)."""
-    return InterpolatedBigram(ml, base, params).prob((w1,), w2)
 
 
 class InterpolatedBigram:
@@ -246,7 +241,9 @@ class SmoothedMixedLevel:
     delegate that component entirely.
 
     The level reads its model's mixing weights, and the vocabulary size
-    that bounds its ids, as they were when the level was built.
+    that bounds its ids, as they were when the level was built.  `prob`
+    takes the lower level's prediction as `lower_p` when the caller has it
+    (the row scorer, _score_rows), and asks the lower level otherwise.
     """
 
     def __init__(self, model: MixedOrderModel, params: MixedSmoothingParams, lower):
@@ -265,7 +262,7 @@ class SmoothedMixedLevel:
         ]
         self._vocab_size = len(self._skips[0][1])
 
-    def prob(self, context: tuple[int, ...], word: int) -> float:
+    def prob(self, context: tuple[int, ...], word: int, lower_p: float | None = None) -> float:
         m = self.context_size
         if len(context) != m:
             raise ParameterError(
@@ -290,7 +287,9 @@ class SmoothedMixedLevel:
             else:
                 leftover += weight
             declined *= 1.0 - lam
-        return direct + leftover * self.lower.prob(context[1:], word)
+        if lower_p is None:
+            lower_p = self.lower.prob(context[1:], word)
+        return direct + leftover * lower_p
 
 
 def fit_mixed_smoothing(
@@ -314,11 +313,8 @@ def fit_mixed_smoothing(
         raise DataError("empty validation corpus")
     table = _EventTable(windows, V, model.matrices)
     weight, mk = _components(model.lambdas, table.vals, table)
-    # One lower-level call per distinct truncated event, gathered to events.
-    lower_rows, inverse = _distinct_rows(windows[:, 1:])
-    plow = np.array(
-        [lower.prob(tuple(row[:-1]), row[-1]) for row in lower_rows.tolist()], dtype=np.float64
-    )[inverse]
+    # The lower level scores each distinct truncated event once.
+    plow, _ = _score_rows(lower, windows)
     ctx = table.ctx
 
     sig = np.full((V, m), 0.5)
@@ -432,6 +428,10 @@ class _KatzLevel:
     have nowhere to send the discounted leftover; they revert to the plain
     ML distribution over their stored successors (`ml_contexts`) so the row
     still sums to one.
+
+    The backoff model scores each stored n-gram once, through the row
+    scorer, when the level is built.  `ids` are the table's sorted stored
+    n-grams, kept for the row scorer's lookup.  A table may be empty.
     """
 
     def __init__(
@@ -439,15 +439,22 @@ class _KatzLevel:
         table: CountTable,
         discounts: dict[int, float],
         k_gt: int,
+        backoff,
         totals: dict | None = None,
     ):
-        self.rows = table.rows()
-        self.stored_totals = {ctx: sum(row.values()) for ctx, row in self.rows.items()}
+        self.ids = table.ids
+        ranked, n = table.ranked()
+        backoff_p, _ = _score_rows(backoff, ranked)
+        ctx = ranked[:, 0] if ranked.shape[1] == 2 else ranked[:, :-1]
+        self.rows = _dict_rows(ctx, ranked[:, -1], n)
+        starts = _row_starts(ctx)
+        del ranked, ctx  # the rest reads counts and row starts only
+        stored = np.add.reduceat(n, starts).tolist() if len(n) else []
+        self.stored_totals = dict(zip(self.rows, stored))
         self.totals = self.stored_totals if totals is None else totals
         # Counts above k_gt, and counts with no ratio, are not discounted.
         self.discounts = {r: d for r, d in discounts.items() if r <= k_gt}
-        self.alphas: dict = {}
-        self.ml_contexts: set = set()
+        self.compute_alphas(n, starts, backoff_p)
 
     def seen_prob(self, ctx, word) -> float | None:
         row = self.rows.get(ctx)
@@ -460,26 +467,54 @@ class _KatzLevel:
             return r / self.stored_totals[ctx]
         return self.discounts.get(r, 1.0) * r / self.totals[ctx]
 
-    def compute_alphas(self, backoff_prob) -> None:
+    def compute_alphas(self, n: np.ndarray, starts: np.ndarray, backoff_p: np.ndarray) -> None:
         """Per-context normalizer: leftover discounted mass divided by the
-        backoff mass outside the seen successor set."""
-        discounts = self.discounts
-        for ctx, row in self.rows.items():
-            total = self.totals[ctx]
-            leftover = 1.0
-            seen_backoff = 0.0
-            for word, r in row.items():
-                leftover -= discounts.get(r, 1.0) * r / total
-                seen_backoff += backoff_prob(ctx, word)
-            leftover = max(leftover, 0.0)
-            unseen_backoff = 1.0 - seen_backoff
-            if leftover <= 0.0:
-                self.alphas[ctx] = 0.0
-            elif unseen_backoff <= 0.0:
-                self.ml_contexts.add(ctx)
-                self.alphas[ctx] = 0.0
-            else:
-                self.alphas[ctx] = leftover / unseen_backoff
+        backoff mass outside the seen successor set.
+
+        `n` and `backoff_p` hold the count and the backoff model's
+        probability of each stored n-gram, in the order in which `rows`
+        lists them (CountTable.ranked), and each row begins at its `starts`
+        entry.  A row's leftover and backoff mass are added in the order of
+        its stored successors, as a loop over the row adds them.
+        """
+        total = np.array([self.totals[ctx] for ctx in self.rows], dtype=np.float64)
+        lengths = np.diff(starts, append=len(n))
+        # Each entry takes discount * r / total from its row's leftover, and
+        # 1 - t1 - t2 - ... is 1 + (-t1) + (-t2) + ..., bit for bit.  In
+        # place, as the arrays are as long as the table.
+        taken = np.ones(len(n))
+        for r, d in self.discounts.items():
+            taken[n == r] = d
+        taken *= n
+        taken /= np.repeat(total, lengths)
+        np.negative(taken, out=taken)
+        leftover = np.maximum(_run_sums(1.0, taken, starts, lengths), 0.0)
+        unseen = 1.0 - _run_sums(0.0, backoff_p, starts, lengths)
+        spent, ml = leftover <= 0.0, unseen <= 0.0
+        ml &= ~spent
+        useful = ~(spent | ml)
+        alphas = np.zeros(len(starts))
+        alphas[useful] = leftover[useful] / unseen[useful]
+        self.alphas = dict(zip(self.rows, alphas.tolist()))
+        self.ml_contexts = set(itertools.compress(self.rows, ml.tolist()))
+
+
+def _run_sums(first: float, values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Per run values[start : start + length]: first + v0 + v1 + ..., added
+    left to right as a loop over the run adds them.  np.add.reduceat adds in
+    another order, which can move the last bits; np.cumsum along a row does
+    not.  Runs of one length are summed together, as the rows of one array."""
+    order = np.argsort(lengths, kind="stable")
+    sums = np.empty(len(starts))
+    for runs in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        if not len(runs):
+            continue
+        length = int(lengths[runs[0]])
+        block = np.empty((len(runs), length + 1))
+        block[:, 0] = first
+        block[:, 1:] = values[starts[runs, None] + np.arange(length)]
+        sums[runs] = np.cumsum(block, axis=1)[:, -1]
+    return sums
 
 
 class KatzBigram:
@@ -497,10 +532,9 @@ class KatzBigram:
             raise DataError("no bigram events")
         if discounts is None:
             discounts = good_turing_discounts(counts.bigrams, k_gt)
-        self.level = _KatzLevel(counts.bigrams, discounts, k_gt)
         self.unigram = MLUnigram.from_counts(counts)
         self.vocab_size = counts.vocab_size
-        self.level.compute_alphas(lambda ctx, w: self.unigram.prob((), w))
+        self.level = _KatzLevel(counts.bigrams, discounts, k_gt, self.unigram)
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         v = context[-1]
@@ -517,7 +551,13 @@ class KatzBigram:
 class KatzTrigram:
     """Discounted ML trigrams delegating unseen predictions to a backoff
     model, either the Katz bigram/unigram chain or a smoothed order-2
-    cascade."""
+    cascade.
+
+    With no stored trigram every event backs off, with alpha 1.
+    `prob_and_backoff` takes the backoff's prediction as `backoff_p` when
+    the caller has it (the row scorer, _score_rows), and asks the backoff
+    otherwise.
+    """
 
     context_size = 2
 
@@ -530,22 +570,22 @@ class KatzTrigram:
         context_totals: dict[tuple[int, int], int] | None = None,
         vocab_size: int | None = None,
     ):
-        if not trigrams:
-            raise DataError("empty trigram table")
         if getattr(backoff, "context_size", 99) > 2:
             raise ParameterError("backoff model may condition on at most 2 words")
         if discounts is None:
             discounts = good_turing_discounts(trigrams, k_gt)
-        self.level = _KatzLevel(CountTable.of(trigrams, 3), discounts, k_gt, totals=context_totals)
         self.backoff = backoff
         self.vocab_size = vocab_size
-        self.level.compute_alphas(self._backoff_prob)
+        table = CountTable.of(trigrams, 3)
+        self.level = _KatzLevel(table, discounts, k_gt, backoff, totals=context_totals)
 
     def _backoff_prob(self, context: tuple[int, int], word: int) -> float:
         bctx = context[len(context) - self.backoff.context_size :]
         return self.backoff.prob(bctx, word)
 
-    def prob_and_backoff(self, context: tuple[int, ...], word: int) -> tuple[float, bool]:
+    def prob_and_backoff(
+        self, context: tuple[int, ...], word: int, backoff_p: float | None = None
+    ) -> tuple[float, bool]:
         ctx = u, v = context[-2], context[-1]
         V = self.vocab_size
         if V is not None and not 0 <= u < V > v >= 0 <= word < V:  # all three in [0, V)
@@ -553,11 +593,61 @@ class KatzTrigram:
         p = self.level.seen_prob(ctx, word)
         if p is not None:
             return p, False
-        alpha = self.level.alphas.get(ctx, 1.0)
-        return alpha * self._backoff_prob(ctx, word), True
+        if backoff_p is None:
+            backoff_p = self._backoff_prob(ctx, word)
+        return self.level.alphas.get(ctx, 1.0) * backoff_p, True
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         return self.prob_and_backoff(context, word)[0]
+
+
+_SCORE = np.dtype([("p", np.float64), ("backed", np.bool_)])
+
+
+def _score_rows(model, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and backoff flags of int64 rows (context..., word).
+
+    Rows wider than the model's context_size + 1 keep their last columns,
+    and their distinct truncations are scored once and gathered back; rows
+    of exactly that width should be distinct.  A mixed level first scores
+    its lower level on the rows and a Katz trigram its backoff on the rows
+    it has not stored, each recursively, and passes each row's value into
+    its scalar call.  Every other model makes one scalar prob_and_backoff
+    (or prob) call per row.  A value passed in is the float that the scalar
+    call would compute, so every result is that of the scalar call.
+    """
+    width = model.context_size + 1
+    if rows.shape[1] > width:
+        narrow, inverse = _distinct_rows(rows[:, rows.shape[1] - width :])
+        p, backed = _score_rows(model, narrow)
+        return p[inverse], backed[inverse]
+    n = len(rows)
+    if isinstance(model, SmoothedMixedLevel):
+        _check_row_ids(rows, model._vocab_size)
+        lower_p, _ = _score_rows(model.lower, rows)
+        return np.fromiter(_per_row(model.prob, rows, lower_p), np.float64, n), np.zeros(n, bool)
+    if isinstance(model, KatzTrigram):
+        _check_row_ids(rows, model.vocab_size)
+        unseen = ~_rows_in(rows, model.level.ids)
+        backoff_p = np.full(n, np.nan)  # only unseen rows read theirs
+        backoff_p[unseen], _ = _score_rows(model.backoff, rows[unseen])
+        scores = np.fromiter(_per_row(model.prob_and_backoff, rows, backoff_p), _SCORE, n)
+        return scores["p"], scores["backed"]
+    scorer = getattr(model, "prob_and_backoff", None)
+    if scorer is None:
+        return np.fromiter(_per_row(model.prob, rows), np.float64, n), np.zeros(n, bool)
+    scores = np.fromiter(_per_row(scorer, rows), _SCORE, n)
+    return scores["p"], scores["backed"]
+
+
+def _check_row_ids(rows: np.ndarray, vocab_size: int | None) -> None:
+    """The error of the first row with an id outside [0, V), as its scalar
+    call would raise it before any lower level is asked."""
+    if vocab_size is None or not rows.size:
+        return
+    bad = ((rows < 0) | (rows >= vocab_size)).any(axis=1)
+    if bad.any():
+        raise id_out_of_range(rows[int(bad.argmax())].tolist(), vocab_size)
 
 
 def build_katz_trigram(
@@ -573,9 +663,11 @@ def build_katz_trigram(
     Trigrams below the truncation threshold are dropped from the stored
     table, but context totals and the discount statistics come from the full
     table, so the dropped probability mass is redistributed to the backoff
-    model rather than inflating the survivors.  `context_totals`, the full
-    table's `trigram_context_totals()`, is used only when truncating and
-    computed when None; a sweep over thresholds passes it once for all.
+    model rather than inflating the survivors.  When no trigram reaches the
+    threshold, the level stores none and every event backs off.
+    `context_totals`, the full table's `trigram_context_totals()`, is used
+    only when truncating and computed when None; a sweep over thresholds
+    passes it once for all.
     """
     if truncation < 1:
         raise ParameterError("truncation threshold must be >= 1")
@@ -586,10 +678,6 @@ def build_katz_trigram(
     table, totals = counts.trigrams, None
     if truncation > 1:
         kept = table.n >= truncation
-        if not kept.any():
-            raise DataError(
-                "no trigram occurs at least %d times (t=%d)" % (truncation, truncation)
-            )
         table = CountTable(table.ids[kept], table.n[kept], table.first[kept])
         totals = context_totals
         if totals is None:

@@ -630,13 +630,13 @@ class TestSweep:
         for a, b in zip(trigram_counts, trigram_counts[1:]):
             assert b <= a
 
-    def test_threshold_no_trigram_reaches_exits_3_naming_it(self, workdir, capsys):
-        # Every trigram of this corpus occurs once, so t=2 keeps none.
+    def test_threshold_no_trigram_reaches_writes_a_backoff_only_row(self, workdir, capsys):
+        # Every trigram of this corpus occurs once, so t=2 keeps none: every
+        # event backs off with alpha 1, and each perplexity is the backoff's.
         (workdir / "train.txt").write_text(
             "a b .\nc d .\ne f .\ng h .\n", encoding="utf-8"
         )
         build_pipeline(workdir)
-        capsys.readouterr()
         code = run(
             workdir,
             "sweep-truncate",
@@ -647,8 +647,17 @@ class TestSweep:
             "--t-max", "2",
             "--csv-out", "sweep.csv",
         )
-        assert code == 3
-        assert capsys.readouterr().err == "error: no trigram occurs at least 2 times (t=2)\n"
+        assert code == 0, capsys.readouterr().err
+        counts = mm.NgramCounts.load(str(workdir / "counts.txt"))
+        vocab = mm.Vocabulary.load(str(workdir / "vocab.txt"))
+        test = mm.tokenize_corpus(
+            (workdir / "test.txt").read_text(encoding="utf-8").splitlines(), vocab
+        )
+        cascade = mm.load_cascade(str(workdir / "cascade.txt"))
+        baseline = mm.evaluate(mm.KatzBigram(counts), test).perplexity
+        mixed = mm.evaluate(cascade.top, test).perplexity
+        rows = (workdir / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[2] == "2,%r,%r,0,1.0" % (baseline, mixed)
 
     def test_rejects_trigram_cascade(self, workdir):
         build_pipeline(workdir, with_trigram=True)

@@ -1,11 +1,14 @@
 """Property tests on random tiny corpora: the array implementations of
 counting, the mixed-order event table, the aggregate E-step (two-pass and
 row-major references), both smoothing-weight fits and evaluation against
-plain loop references, and the distinct-row helper and the artifact key
-check against numpy's unique; every level's scalar prob and the Katz alphas
-against reference formulas, bit for bit, and the messages for out-of-range
-ids; row normalisation of every cascade level and Katz mass conservation;
-and save -> load -> save byte identity of every artifact type."""
+plain loop references, the distinct-row helper and the artifact key check
+against numpy's unique, the row-membership helper against a set and the
+Katz run sums against a left-to-right loop; every level's scalar prob and
+the Katz alphas against reference formulas, bit for bit, the row scorer
+against the scalar calls, bit for bit, and how often it calls each level;
+the messages for out-of-range ids; row normalisation of every cascade level
+and Katz mass conservation; and save -> load -> save byte identity of every
+artifact type."""
 
 import math
 import os
@@ -33,6 +36,7 @@ from markovmix.corpus import (
     NgramCounts,
     _distinct_rows,
     _event_windows,
+    _rows_in,
 )
 from markovmix.artifact import ArtifactReader
 from markovmix.errors import DataError, NumericError, ParameterError
@@ -725,6 +729,37 @@ def test_distinct_rows_of_no_rows():
     assert distinct.shape == (0, 3) and inverse.shape == (0,)
 
 
+@SETTINGS
+@given(
+    st.integers(1, 4).flatmap(
+        lambda width: st.tuples(*[
+            arrays(np.int64, st.tuples(st.integers(0, 30), st.just(width)),
+                   elements=st.integers(0, 3) | st.integers(-(2**63), 2**63 - 1))
+        ] * 2)
+    )
+)
+def test_rows_in_matches_set_membership(tables):
+    rows, table = tables
+    stored = {tuple(row) for row in table.tolist()}
+    assert _rows_in(rows, table).tolist() == [tuple(row) in stored for row in rows.tolist()]
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12), max_size=20), st.floats(-2, 2))
+def test_run_sums_add_each_run_left_to_right(runs, first):
+    values = np.array([v for run in runs for v in run], dtype=np.float64)
+    lengths = np.array([len(run) for run in runs], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    expected = []
+    for run in runs:
+        total = first
+        for v in run:
+            total += v
+        expected.append(total)
+    sums = sm._run_sums(first, values, starts, lengths)
+    assert sums.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
 def np_unique_check(columns):
     """What a reader's key check reports, by np.unique over the stacked key
     rows: ("repeat", row, earlier row) for the first row, in file order,
@@ -984,6 +1019,147 @@ def test_scalar_prob_matches_reference_formulas_bitwise(corpus, data):
         )
         assert (trigram.level.alphas, trigram.level.ml_contexts) == (alphas, ml_contexts)
         assert_bitwise(trigram, ref_trigram, contexts_of(2, sentences, extra), V)
+
+
+def scalar_scores(level, rows):
+    """(p, backed) per row from the level's scalar call on the row's last
+    context_size + 1 ids."""
+    width = level.context_size + 1
+    scorer = getattr(level, "prob_and_backoff", None)
+    out = []
+    for row in rows.tolist():
+        ctx, w = tuple(row[len(row) - width : -1]), row[-1]
+        out.append(scorer(ctx, w) if scorer is not None else (level.prob(ctx, w), False))
+    return out
+
+
+def loaded_counts(counts):
+    """counts saved to a file and read back."""
+    with tempfile.TemporaryDirectory() as d:
+        counts.save(os.path.join(d, "counts.txt"))
+        return NgramCounts.load(os.path.join(d, "counts.txt"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(corpora(min_sentences=2), st.data(), st.booleans())
+def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
+    V, sentences = corpus
+    counts = mm.count_ngrams(sentences, make_vocab(*("w%d" % i for i in range(V - 3))), 3)
+    if from_file:
+        counts = loaded_counts(counts)
+    base, _ = mm.train_aggregate(counts, data.draw(st.integers(1, V)), iterations=2)
+    unit, wid = st.floats(0.0, 1.0), st.integers(0, V - 1)
+    stack = [base, sm.InterpolatedBigram(
+        sm.MLBigram.from_counts(counts), base,
+        sm.InterpolationParams(data.draw(st.dictionaries(wid, unit)), data.draw(unit)),
+    )]
+    for m in (2, 3):
+        model = mm.train_mixed(sentences, m, V, iterations=1)[0]
+        values = data.draw(st.dictionaries(st.tuples(st.integers(1, m), wid), unit))
+        params = sm.MixedSmoothingParams(values, {k: data.draw(unit) for k in range(1, m + 1)})
+        stack.append(sm.SmoothedMixedLevel(model, params, stack[-1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sparse Good-Turing statistics
+        katz_bigram = sm.KatzBigram(counts, k_gt=2)
+        trigrams = [
+            (sm.build_katz_trigram(counts, backoff, 2, truncation), backoff)
+            for backoff in (katz_bigram, stack[2]) for truncation in (1, 2)
+        ]
+    # Distinct rows four ids wide, so that every level but the order-3 one
+    # scores truncations of them.
+    extra = data.draw(st.lists(st.tuples(*[wid] * 4), max_size=20))
+    rows = np.concatenate([_event_windows(sentences, 3), np.array(extra, np.int64).reshape(-1, 4)])
+    rows, _ = _distinct_rows(rows)
+    for level in [*stack, katz_bigram, *(t for t, _ in trigrams)]:
+        p, backed = sm._score_rows(level, rows)
+        ref = scalar_scores(level, rows)
+        assert p.tobytes() == np.array([r[0] for r in ref], dtype=np.float64).tobytes()
+        assert backed.tolist() == [bool(r[1]) for r in ref]
+        p, backed = sm._score_rows(level, rows[:0])
+        assert (len(p), len(backed)) == (0, 0)
+
+    alphas, ml_contexts, _ = ref_katz(
+        katz_bigram.level, katz_bigram.level.discounts, 2,
+        lambda v, w: katz_bigram.unigram.prob((), w), lambda ctx: ctx[-1],
+    )
+    assert (katz_bigram.level.alphas, katz_bigram.level.ml_contexts) == (alphas, ml_contexts)
+    for trigram, backoff in trigrams:
+        size = backoff.context_size
+        alphas, ml_contexts, _ = ref_katz(
+            trigram.level, trigram.level.discounts, 2,
+            lambda ctx, w: backoff.prob(ctx[2 - size :], w), tuple,
+        )
+        assert (trigram.level.alphas, trigram.level.ml_contexts) == (alphas, ml_contexts)
+
+
+def record_calls(obj, method):
+    """Log obj.method's (context, word) calls in the returned list."""
+    calls, original = [], getattr(obj, method)
+
+    def call(ctx, w, *passed):
+        calls.append((*ctx, w))
+        return original(ctx, w, *passed)
+
+    setattr(obj, method, call)
+    return calls
+
+
+def assert_once_per_distinct_row(chain, rows):
+    """chain: (level, calls) pairs from the top down, where `rows` reach the
+    first level and each level's calls reach the next.  Each level must be
+    called exactly once per distinct row of its own width."""
+    for level, calls in chain:
+        width = level.context_size + 1
+        rows = {row[len(row) - width :] for row in rows}
+        assert sorted(calls) == sorted(rows), type(level).__name__
+        rows = calls
+
+
+@settings(max_examples=20, deadline=None)
+@given(corpora(min_sentences=2), st.data())
+def test_each_level_scores_each_distinct_row_of_its_width_once(corpus, data):
+    V, train = corpus
+    word = st.integers(0, V - 1)
+    test = data.draw(st.lists(st.lists(word, max_size=7), min_size=1, max_size=6))
+    counts = mm.count_ngrams(train, make_vocab(*("w%d" % i for i in range(V - 3))), 3)
+    base = mm.AggregateModel.random_init(V, 2, seed=0)
+    interp = sm.InterpolatedBigram(
+        sm.MLBigram.from_counts(counts), base, sm.InterpolationParams({}, 0.5)
+    )
+    mixed = sm.SmoothedMixedLevel(
+        mm.train_mixed(train, 2, V, iterations=1)[0],
+        sm.MixedSmoothingParams({}, {1: 0.5, 2: 0.5}), interp,
+    )
+    unigram_calls, unigram_prob = [], sm.MLUnigram.prob
+
+    def logged_unigram(self, ctx, w):
+        unigram_calls.append(w)
+        return unigram_prob(self, ctx, w)
+
+    with warnings.catch_warnings(), mock.patch.object(sm.MLUnigram, "prob", logged_unigram):
+        warnings.simplefilter("ignore")  # sparse Good-Turing statistics
+        katz_bigram = sm.KatzBigram(counts, k_gt=2)
+    assert unigram_calls == sorted(set(counts.bigrams.ids[:, 1].tolist()))
+
+    truncation = data.draw(st.integers(1, 2))
+    for backoff, levels in ((katz_bigram, [katz_bigram]), (mixed, [mixed, interp, base])):
+        chain = [(level, record_calls(level, "prob")) for level in levels]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trigram = sm.build_katz_trigram(counts, backoff, 2, truncation)
+        assert_once_per_distinct_row(chain, {tuple(row) for row in trigram.level.ids.tolist()})
+
+        for _, calls in chain:
+            calls.clear()
+        top_calls = record_calls(trigram, "prob_and_backoff")
+        try:
+            ev.evaluate(trigram, test)
+        except NumericError:  # every event scored zero; the calls are made
+            pass
+        events = {tuple(row) for row in _event_windows(test, 2).tolist()}
+        assert_once_per_distinct_row([(trigram, top_calls)], events)
+        unseen = [row for row in top_calls if row[2] not in trigram.level.rows.get(row[:2], {})]
+        assert_once_per_distinct_row(chain, unseen)
 
 
 @SETTINGS

@@ -163,14 +163,14 @@ class TestInterpProb:
     def test_sigma_zero_is_ml(self):
         ml, base = self._setup()
         params = sm.InterpolationParams({3: 0.0}, 0.5)
-        assert sm.interp_prob(ml, base, params, 3, 4) == ml.pair_prob(3, 4)
+        assert sm.InterpolatedBigram(ml, base, params).prob((3,), 4) == ml.pair_prob(3, 4)
 
     def test_sigma_one_is_base(self):
         ml, base = self._setup()
-        params = sm.InterpolationParams({3: 1.0}, 0.5)
-        assert sm.interp_prob(ml, base, params, 3, 4) == base.prob((3,), 4)
+        level = sm.InterpolatedBigram(ml, base, sm.InterpolationParams({3: 1.0}, 0.5))
+        assert level.prob((3,), 4) == base.prob((3,), 4)
         # Unseen bigram still positive through the base.
-        assert sm.interp_prob(ml, base, params, 3, 0) > 0
+        assert level.prob((3,), 0) > 0
 
     def test_half_mix_arithmetic(self):
         ml, base = self._setup()
@@ -183,7 +183,7 @@ class TestInterpProb:
 
         params = sm.InterpolationParams({4: 0.5}, 0.5)
         # P_ML(3 after 4) = 0, base 0.01: 0.5 * 0 + 0.5 * 0.01.
-        assert sm.interp_prob(ml, PointBase(), params, 4, 3) == pytest.approx(0.005)
+        assert sm.InterpolatedBigram(ml, PointBase(), params).prob((4,), 3) == pytest.approx(0.005)
 
     def test_rows_sum_to_one(self):
         rng = random.Random(63)
