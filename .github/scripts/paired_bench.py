@@ -15,7 +15,9 @@ Then each side runs once traced (`--trace 1 --seconds 3`) per workload on
 input sets 0 and 5; each output must pass check_bench_result.py, and the
 per-layer counts are recorded.  Last, one operation per workload and input
 set is run in-process on each side, and every checked output is compared
-bit for bit, and the cli-files artifacts byte for byte.
+bit for bit, and the cli-files artifacts byte for byte.  The record also
+holds each side's line count of `src/markovmix`, so that a change in the
+size of the package is measured.
 
 The record goes to BENCH_<pr>.json at the root of the checkout; every
 --note adds one more top-level key.
@@ -73,6 +75,12 @@ def export(rev: str, dest: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest)
     return dest
+
+
+def src_lines(side: Path) -> int:
+    """Lines of the package's source files, as `wc -l src/markovmix/*.py`."""
+    files = (side / "src" / "markovmix").glob("*.py")
+    return sum(path.read_bytes().count(b"\n") for path in files)
 
 
 def bench_run(side: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -208,6 +216,7 @@ def main() -> None:
             "machine": "",
             "quartiles": "statistics.quantiles(values, n=4), method 'exclusive'",
             "claim": args.claim,
+            "src_markovmix_lines": {side: src_lines(path) for side, path in sides.items()},
             "workloads": {},
         }
         for workload in workloads:

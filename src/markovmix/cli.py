@@ -364,16 +364,13 @@ def cmd_sweep_truncate(cfg: RunConfig) -> None:
     sentences = _load_sentences(cfg.test, vocab)
     katz_bigram = smoothing.KatzBigram(counts, k_gt=cfg.gt_threshold)
     discounts = smoothing.good_turing_discounts(counts.trigrams, cfg.gt_threshold)
-    totals = counts.trigram_context_totals()
     rows = []
     for t in range(1, cfg.t_max + 1):
         baseline = smoothing.build_katz_trigram(
-            counts, katz_bigram, k_gt=cfg.gt_threshold, truncation=t, discounts=discounts,
-            context_totals=totals,
+            counts, katz_bigram, k_gt=cfg.gt_threshold, truncation=t, discounts=discounts
         )
         mixed = smoothing.build_katz_trigram(
-            counts, cascade.top, k_gt=cfg.gt_threshold, truncation=t, discounts=discounts,
-            context_totals=totals,
+            counts, cascade.top, k_gt=cfg.gt_threshold, truncation=t, discounts=discounts
         )
         n_trigrams = int((counts.trigrams.n >= t).sum())
         rep_base = evaluation.evaluate(baseline, sentences, unseen_from_backoff=True)

@@ -16,8 +16,11 @@ as Python ints block by block (_per_row).  The tests keep a per-sentence
 counting loop as the reference that count_ngrams must match.
 
 Every count table is a CountTable of sorted int64 id columns, a form
-only this module knows.  Sorted entries become dict rows through one row
-builder, _dict_rows, and pair counts are row-normalised by _row_normalised.
+only this module knows.  One key form, _row_keys, folds a row of ids into
+one int64 with the ids as base-V digits: counting sorts these keys, and the
+Katz levels key their probabilities and weights by them.  Pair counts are
+row-normalised by _row_normalised, and become the ML bigram and skip rows
+through one dict-row builder, _dict_rows.
 """
 
 from __future__ import annotations
@@ -240,12 +243,6 @@ class NgramCounts:
         """Number of start markers prepended before the first interior word."""
         return max(self.skip_ks + (self.max_order - 1,))
 
-    def trigram_context_totals(self) -> dict[tuple[int, int], int]:
-        """The total count of each (w1, w2) context of the trigram table."""
-        contexts, inverse = _distinct_rows(self.trigrams.ids[:, :2])
-        totals = np.bincount(inverse, weights=self.trigrams.n, minlength=len(contexts))
-        return dict(zip(map(tuple, contexts.tolist()), totals.astype(np.int64).tolist()))
-
     def save(self, path) -> None:
         """Write the sorted sparse text format (one entry per line)."""
 
@@ -413,18 +410,15 @@ def _per_row(call, rows: np.ndarray, *values: np.ndarray):
     )
 
 
-def _row_normalised(rows: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """n / total[row] per entry and the totals by row id; integer counts
-    give exact totals."""
-    totals = np.bincount(rows, weights=n)
-    return n / totals[rows], totals
+def _row_normalised(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """n / total[row] per entry; integer counts give exact totals."""
+    return n / np.bincount(rows, weights=n)[rows]
 
 
-def _pair_rows(pairs: CountTable) -> tuple[dict[int, dict[int, float]], np.ndarray]:
-    """A pair count table as dict rows of relative frequencies and row totals."""
+def _pair_rows(pairs: CountTable) -> dict[int, dict[int, float]]:
+    """A pair count table as dict rows of relative frequencies."""
     w1, w2 = pairs.ids.T
-    probs, totals = _row_normalised(w1, pairs.n)
-    return _dict_rows(w1, w2, probs), totals
+    return _dict_rows(w1, w2, _row_normalised(w1, pairs.n))
 
 
 def _row_starts(ctx: np.ndarray) -> np.ndarray:
@@ -435,12 +429,11 @@ def _row_starts(ctx: np.ndarray) -> np.ndarray:
 
 
 def _dict_rows(ctx: np.ndarray, words: np.ndarray, values: np.ndarray) -> dict:
-    """Entries grouped by context as rows {context: {word: value}} of Python
-    ints and floats, the form that scalar scoring reads; a context is an id
-    (`ctx` 1-D) or a tuple of ids (`ctx` (entries, j))."""
+    """Entries grouped by context id as rows {context: {word: value}} of
+    Python ints and floats, the form that scalar scoring reads."""
     starts = _row_starts(ctx).tolist()
     bounds, cols, vals = starts + [len(words)], words.tolist(), values.tolist()
-    keys = ctx[starts].tolist() if ctx.ndim == 1 else map(tuple, ctx[starts].tolist())
+    keys = ctx[starts].tolist()
     return {key: dict(zip(cols[a:b], vals[a:b])) for key, a, b in zip(keys, bounds, bounds[1:])}
 
 
@@ -451,14 +444,18 @@ def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
         raise ParameterError("word ids must lie in [0, %d)" % vocab_size)
 
 
+def _check_key_room(V: int, width: int) -> None:
+    """ParameterError unless every row of `width` ids in [0, V) has its own
+    int64 key (_row_keys with base V)."""
+    if V**width >= 2**63:
+        raise ParameterError("vocabulary of %d ids is too large for int64 keys" % V)
+
+
 def _counted(columns: np.ndarray, V: int) -> CountTable:
     """The distinct rows of an (events, k) id array, sorted, with how often
     each occurs and where each first occurs; each row is counted as one
-    int64 key, its ids the base-V digits."""
-    keys = np.zeros(len(columns), dtype=np.int64)
-    for column in columns.T:
-        keys = keys * V + column
-    keys, first, n = np.unique(keys, return_index=True, return_counts=True)
+    int64 key (_row_keys), its ids the base-V digits."""
+    keys, first, n = np.unique(_row_keys(columns, 0, V), return_index=True, return_counts=True)
     ids = np.empty((len(keys), columns.shape[1]), dtype=np.int64)
     for j in reversed(range(columns.shape[1])):
         keys, ids[:, j] = np.divmod(keys, V)
@@ -483,8 +480,7 @@ def count_ngrams(
     windows = _event_windows(sentences, pad)
     # Every interior id is predicted once, so the last column holds them all.
     _check_ids(windows[:, pad], V)
-    if V ** max(counts.max_order, 2) >= 2**63:
-        raise ParameterError("vocabulary of %d ids is too large for int64 keys" % V)
+    _check_key_room(V, max(counts.max_order, 2))
     counts.unigrams = _counted(windows[:, pad:], V)
     if counts.max_order >= 2:
         counts.bigrams = _counted(windows[:, pad - 1 :], V)

@@ -11,8 +11,9 @@ smoothing._score_rows, and its score is gathered back to every event; a
 seen predicate is likewise called once per distinct event.  Below the top,
 each cascade level scores each distinct row of its own context width once:
 a mixed level's lower level each distinct truncated event, a Katz trigram's
-backoff each distinct truncation of the events it has not stored.  Every
-level still makes one scalar call per row it scores.  Counts and
+backoff each distinct truncation of the events it has not stored.  A
+SmoothedCascade is scored as its top level, so this holds for it too.
+Every level still makes one scalar call per row it scores.  Counts and
 log-likelihoods (summed in event order) equal those of scoring every event
 in turn.
 

@@ -88,7 +88,7 @@ class MixedOrderModel:
         missing = [k for k in range(1, order + 1) if k not in counts.skips]
         if missing:
             raise ParameterError("counts lack skip tables for k=%r" % missing)
-        return cls(lambdas, [_pair_rows(counts.skips[k])[0] for k in range(1, order + 1)])
+        return cls(lambdas, [_pair_rows(counts.skips[k]) for k in range(1, order + 1)])
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         """Mixture probability of `word` after `context` (sentence order,
@@ -170,7 +170,7 @@ class _EventTable:
         for k in range(m):
             if matrices is None:
                 keys, n = np.unique(events[:, k], return_counts=True)
-                vals = _row_normalised(keys // V, n)[0]
+                vals = _row_normalised(keys // V, n)
             else:
                 flat = {w1 * V + w2: p for w1, row in matrices[k].items() for w2, p in row.items()}
                 keys = np.fromiter(flat, np.int64, len(flat))

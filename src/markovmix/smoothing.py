@@ -28,8 +28,8 @@ import numpy as np
 from .aggregate import AggregateModel
 from .artifact import ArtifactReader, positive, write_artifact
 from .corpus import (
-    CountTable, NgramCounts, TokenSentence, _dict_rows, _distinct_rows, _event_windows,
-    _pair_rows, _per_row, _row_starts, _rows_in,
+    CountTable, NgramCounts, TokenSentence, _check_key_room, _distinct_rows, _event_windows,
+    _pair_rows, _per_row, _row_keys, _row_starts, _rows_in,
 )
 from .errors import DataError, ParameterError, id_out_of_range
 from .mixedorder import MixedOrderModel, _components, _EventTable
@@ -63,8 +63,7 @@ class MLBigram:
     context_size = 1
 
     def __init__(self, bigrams: Mapping[tuple[int, int], int]):
-        self.rows, totals = _pair_rows(CountTable.of(bigrams, 2))
-        self.row_totals = {w: float(totals[w]) for w in self.rows}
+        self.rows = _pair_rows(CountTable.of(bigrams, 2))
 
     @classmethod
     def from_counts(cls, counts: NgramCounts) -> "MLBigram":
@@ -225,10 +224,12 @@ class InterpolatedBigram:
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         w1 = context[-1]
-        ml, params = self.ml, self.params
-        s = params.sigma.get(w1, params.sigma0) if ml.row_totals.get(w1, 0.0) != 0.0 else 1.0
-        row = ml.rows.get(w1)
-        p_ml = row.get(word, 0.0) if row else 0.0
+        row = self.ml.rows.get(w1)  # stored exactly when its total is positive
+        if row:
+            params = self.params
+            s, p_ml = params.sigma.get(w1, params.sigma0), row.get(word, 0.0)
+        else:
+            s, p_ml = 1.0, 0.0
         return (1.0 - s) * p_ml + s * self.base.prob((w1,), word)
 
 
@@ -420,13 +421,17 @@ def load_discounts(path) -> dict[int, float]:
 class _KatzLevel:
     """Shared discounted-count machinery for Katz backoff levels.
 
-    `totals` may be supplied separately from the stored rows: when low-count
-    entries have been dropped, normalizing the survivors by the full event
-    totals leaves the dropped mass to the backoff model.
+    One pass over the table's entries in summation order (CountTable.ranked)
+    gives each stored n-gram its probability, `seen`, and each context its
+    backoff weight, `alphas`.  Both dicts are keyed by the base-V int key of
+    their ids (corpus._row_keys), as counting keys them.  Entries counted
+    fewer than `truncation` times are dropped after the context totals are
+    taken from the whole table, so their mass goes to the backoff model
+    rather than to the survivors.
 
     Contexts whose backoff puts no mass at all outside the seen successors
     have nowhere to send the discounted leftover; they revert to the plain
-    ML distribution over their stored successors (`ml_contexts`) so the row
+    ML distribution over their stored successors, with alpha 0, so the row
     still sums to one.
 
     The backoff model scores each stored n-gram once, through the row
@@ -440,63 +445,49 @@ class _KatzLevel:
         discounts: dict[int, float],
         k_gt: int,
         backoff,
-        totals: dict | None = None,
+        vocab_size: int,
+        truncation: int = 1,
     ):
-        self.ids = table.ids
         ranked, n = table.ranked()
+        _check_key_room(vocab_size, ranked.shape[1])
+        starts, lengths = _runs(ranked)
+        total = np.repeat(np.add.reduceat(n, starts), lengths)
+        self.ids = table.ids
+        if truncation > 1:  # else no copy of the table
+            kept = n >= truncation
+            ranked, n, total = ranked[kept], n[kept], total[kept]
+            starts, lengths = _runs(ranked)
+            self.ids = table.ids[table.n >= truncation]
         backoff_p, _ = _score_rows(backoff, ranked)
-        ctx = ranked[:, 0] if ranked.shape[1] == 2 else ranked[:, :-1]
-        self.rows = _dict_rows(ctx, ranked[:, -1], n)
-        starts = _row_starts(ctx)
-        del ranked, ctx  # the rest reads counts and row starts only
-        stored = np.add.reduceat(n, starts).tolist() if len(n) else []
-        self.stored_totals = dict(zip(self.rows, stored))
-        self.totals = self.stored_totals if totals is None else totals
+        keys = _row_keys(ranked, 0, vocab_size)
+        del ranked  # the rest reads counts, keys and row starts only
         # Counts above k_gt, and counts with no ratio, are not discounted.
         self.discounts = {r: d for r, d in discounts.items() if r <= k_gt}
-        self.compute_alphas(n, starts, backoff_p)
-
-    def seen_prob(self, ctx, word) -> float | None:
-        row = self.rows.get(ctx)
-        if not row:
-            return None
-        r = row.get(word)
-        if r is None:
-            return None
-        if ctx in self.ml_contexts:
-            return r / self.stored_totals[ctx]
-        return self.discounts.get(r, 1.0) * r / self.totals[ctx]
-
-    def compute_alphas(self, n: np.ndarray, starts: np.ndarray, backoff_p: np.ndarray) -> None:
-        """Per-context normalizer: leftover discounted mass divided by the
-        backoff mass outside the seen successor set.
-
-        `n` and `backoff_p` hold the count and the backoff model's
-        probability of each stored n-gram, in the order in which `rows`
-        lists them (CountTable.ranked), and each row begins at its `starts`
-        entry.  A row's leftover and backoff mass are added in the order of
-        its stored successors, as a loop over the row adds them.
-        """
-        total = np.array([self.totals[ctx] for ctx in self.rows], dtype=np.float64)
-        lengths = np.diff(starts, append=len(n))
-        # Each entry takes discount * r / total from its row's leftover, and
-        # 1 - t1 - t2 - ... is 1 + (-t1) + (-t2) + ..., bit for bit.  In
-        # place, as the arrays are as long as the table.
-        taken = np.ones(len(n))
+        p = np.ones(len(n))
         for r, d in self.discounts.items():
-            taken[n == r] = d
-        taken *= n
-        taken /= np.repeat(total, lengths)
-        np.negative(taken, out=taken)
-        leftover = np.maximum(_run_sums(1.0, taken, starts, lengths), 0.0)
+            p[n == r] = d
+        p *= n
+        p /= total
+        # A row's leftover and backoff mass are added in the order of its
+        # stored successors, as a loop over the row adds them, and
+        # 1 - p1 - p2 - ... is 1 + (-p1) + (-p2) + ..., bit for bit.
+        leftover = np.maximum(_run_sums(1.0, -p, starts, lengths), 0.0)
         unseen = 1.0 - _run_sums(0.0, backoff_p, starts, lengths)
         spent, ml = leftover <= 0.0, unseen <= 0.0
         ml &= ~spent
         useful = ~(spent | ml)
         alphas = np.zeros(len(starts))
         alphas[useful] = leftover[useful] / unseen[useful]
-        self.alphas = dict(zip(self.rows, alphas.tolist()))
-        self.ml_contexts = set(itertools.compress(self.rows, ml.tolist()))
+        ml = np.repeat(ml, lengths)
+        p[ml] = n[ml] / np.repeat(np.add.reduceat(n, starts), lengths)[ml]
+        self.seen = dict(zip(keys.tolist(), p.tolist()))
+        self.alphas = dict(zip((keys[starts] // vocab_size).tolist(), alphas.tolist()))
+
+
+def _runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each context's run of ranked n-grams begins, and its length."""
+    starts = _row_starts(ranked[:, :-1])
+    return starts, np.diff(starts, append=len(ranked))
 
 
 def _run_sums(first: float, values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
@@ -534,18 +525,17 @@ class KatzBigram:
             discounts = good_turing_discounts(counts.bigrams, k_gt)
         self.unigram = MLUnigram.from_counts(counts)
         self.vocab_size = counts.vocab_size
-        self.level = _KatzLevel(counts.bigrams, discounts, k_gt, self.unigram)
+        self.level = _KatzLevel(counts.bigrams, discounts, k_gt, self.unigram, self.vocab_size)
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         v = context[-1]
         V = self.vocab_size
         if not 0 <= v < V > word >= 0:
             raise id_out_of_range((v, word), V)
-        p = self.level.seen_prob(v, word)
+        p = self.level.seen.get(v * V + word)
         if p is not None:
             return p
-        alpha = self.level.alphas.get(v, 1.0)
-        return alpha * self.unigram.prob((), word)
+        return self.level.alphas.get(v, 1.0) * self.unigram.prob((), word)
 
 
 class KatzTrigram:
@@ -553,7 +543,9 @@ class KatzTrigram:
     model, either the Katz bigram/unigram chain or a smoothed order-2
     cascade.
 
-    With no stored trigram every event backs off, with alpha 1.
+    Trigrams counted fewer than `truncation` times are not stored (see
+    _KatzLevel); with no stored trigram every event backs off, with alpha 1.
+    Ids are checked against `vocab_size`, the base of the level's keys.
     `prob_and_backoff` takes the backoff's prediction as `backoff_p` when
     the caller has it (the row scorer, _score_rows), and asks the backoff
     otherwise.
@@ -565,10 +557,10 @@ class KatzTrigram:
         self,
         trigrams: Mapping[tuple[int, int, int], int],
         backoff,
+        vocab_size: int,
         k_gt: int = DEFAULT_GT_THRESHOLD,
         discounts: dict[int, float] | None = None,
-        context_totals: dict[tuple[int, int], int] | None = None,
-        vocab_size: int | None = None,
+        truncation: int = 1,
     ):
         if getattr(backoff, "context_size", 99) > 2:
             raise ParameterError("backoff model may condition on at most 2 words")
@@ -577,7 +569,7 @@ class KatzTrigram:
         self.backoff = backoff
         self.vocab_size = vocab_size
         table = CountTable.of(trigrams, 3)
-        self.level = _KatzLevel(table, discounts, k_gt, backoff, totals=context_totals)
+        self.level = _KatzLevel(table, discounts, k_gt, backoff, vocab_size, truncation)
 
     def _backoff_prob(self, context: tuple[int, int], word: int) -> float:
         bctx = context[len(context) - self.backoff.context_size :]
@@ -588,14 +580,15 @@ class KatzTrigram:
     ) -> tuple[float, bool]:
         ctx = u, v = context[-2], context[-1]
         V = self.vocab_size
-        if V is not None and not 0 <= u < V > v >= 0 <= word < V:  # all three in [0, V)
+        if not 0 <= u < V > v >= 0 <= word < V:  # all three in [0, V)
             raise id_out_of_range((u, v, word), V)
-        p = self.level.seen_prob(ctx, word)
+        key = u * V + v
+        p = self.level.seen.get(key * V + word)
         if p is not None:
             return p, False
         if backoff_p is None:
             backoff_p = self._backoff_prob(ctx, word)
-        return self.level.alphas.get(ctx, 1.0) * backoff_p, True
+        return self.level.alphas.get(key, 1.0) * backoff_p, True
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         return self.prob_and_backoff(context, word)[0]
@@ -607,15 +600,19 @@ _SCORE = np.dtype([("p", np.float64), ("backed", np.bool_)])
 def _score_rows(model, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities and backoff flags of int64 rows (context..., word).
 
-    Rows wider than the model's context_size + 1 keep their last columns,
-    and their distinct truncations are scored once and gathered back; rows
-    of exactly that width should be distinct.  A mixed level first scores
-    its lower level on the rows and a Katz trigram its backoff on the rows
-    it has not stored, each recursively, and passes each row's value into
-    its scalar call.  Every other model makes one scalar prob_and_backoff
-    (or prob) call per row.  A value passed in is the float that the scalar
-    call would compute, so every result is that of the scalar call.
+    A SmoothedCascade is scored as its top level, which gives the values
+    and flags of its prob_and_backoff.  Rows wider than the model's
+    context_size + 1 keep their last columns, and their distinct
+    truncations are scored once and gathered back; rows of exactly that
+    width should be distinct.  A mixed level first scores its lower level
+    on the rows and a Katz trigram its backoff on the rows it has not
+    stored, each recursively, and passes each row's value into its scalar
+    call.  Every other model makes one scalar prob_and_backoff (or prob)
+    call per row.  A value passed in is the float that the scalar call
+    would compute, so every result is that of the scalar call.
     """
+    if isinstance(model, SmoothedCascade):
+        return _score_rows(model.top, rows)
     width = model.context_size + 1
     if rows.shape[1] > width:
         narrow, inverse = _distinct_rows(rows[:, rows.shape[1] - width :])
@@ -640,11 +637,9 @@ def _score_rows(model, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scores["p"], scores["backed"]
 
 
-def _check_row_ids(rows: np.ndarray, vocab_size: int | None) -> None:
+def _check_row_ids(rows: np.ndarray, vocab_size: int) -> None:
     """The error of the first row with an id outside [0, V), as its scalar
     call would raise it before any lower level is asked."""
-    if vocab_size is None or not rows.size:
-        return
     bad = ((rows < 0) | (rows >= vocab_size)).any(axis=1)
     if bad.any():
         raise id_out_of_range(rows[int(bad.argmax())].tolist(), vocab_size)
@@ -656,40 +651,20 @@ def build_katz_trigram(
     k_gt: int = DEFAULT_GT_THRESHOLD,
     truncation: int = 1,
     discounts: dict[int, float] | None = None,
-    context_totals: dict[tuple[int, int], int] | None = None,
 ) -> KatzTrigram:
     """Katz trigram level from (optionally truncated) counts.
 
-    Trigrams below the truncation threshold are dropped from the stored
-    table, but context totals and the discount statistics come from the full
-    table, so the dropped probability mass is redistributed to the backoff
-    model rather than inflating the survivors.  When no trigram reaches the
-    threshold, the level stores none and every event backs off.
-    `context_totals`, the full table's `trigram_context_totals()`, is used
-    only when truncating and computed when None; a sweep over thresholds
-    passes it once for all.
+    Trigrams below the truncation threshold are not stored, but context
+    totals and the discount statistics come from the full table, so the
+    dropped probability mass is redistributed to the backoff model rather
+    than inflating the survivors.  When no trigram reaches the threshold,
+    the level stores none and every event backs off.
     """
     if truncation < 1:
         raise ParameterError("truncation threshold must be >= 1")
     if not counts.trigrams:
         raise DataError("empty trigram table")
-    if discounts is None:
-        discounts = good_turing_discounts(counts.trigrams, k_gt)
-    table, totals = counts.trigrams, None
-    if truncation > 1:
-        kept = table.n >= truncation
-        table = CountTable(table.ids[kept], table.n[kept], table.first[kept])
-        totals = context_totals
-        if totals is None:
-            totals = counts.trigram_context_totals()
-    return KatzTrigram(
-        table,
-        backoff,
-        k_gt,
-        discounts=discounts,
-        context_totals=totals,
-        vocab_size=counts.vocab_size,
-    )
+    return KatzTrigram(counts.trigrams, backoff, counts.vocab_size, k_gt, discounts, truncation)
 
 
 class SmoothedCascade:

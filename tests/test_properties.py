@@ -276,7 +276,7 @@ def test_from_counts_and_ml_bigram_rows_match_dict_normaliser(corpus, order):
     model = mo.MixedOrderModel.from_counts(counts, order)
     assert model.matrices == [dict_normalized_rows(counts.skips[k])[0] for k in range(1, order + 1)]
     ml = sm.MLBigram(counts.bigrams)
-    assert (ml.rows, ml.row_totals) == dict_normalized_rows(counts.bigrams)
+    assert ml.rows == dict_normalized_rows(counts.bigrams)[0]
 
 
 def two_pass_em_step(model, counts, step):
@@ -488,7 +488,7 @@ def loop_fit_interpolation(ml, base, validation, tied):
     s, seen = sm._sigma_em(a, b, n, w1, n_groups)
     sigma = {int(w): float(s[w]) for w in np.nonzero(seen)[0]}
     for w in sigma:
-        if ml.row_totals.get(w, 0.0) == 0.0:
+        if w not in ml.rows:
             sigma[w] = 1.0
     return sigma, float(s0[0])
 
@@ -800,22 +800,44 @@ def contexts_of(size, sentences, extra):
     return sorted(found | {tuple(c[:size]) for c in extra})
 
 
-def katz_masses(model, ctx, V):
-    """For the stored context ctx (a tuple) of a Katz level: the leftover mass
-    1 - sum of P over the seen successors, alpha times the backoff mass of the
-    unseen words, and whether that backoff mass, summed directly, agrees with
-    the 1 - seen backoff mass that compute_alphas divides by."""
+def katz_key(ids, V):
+    """The int key of a tuple of ids, the ids its base-V digits, as a Katz
+    level keys its dicts."""
+    key = 0
+    for x in ids:
+        key = key * V + x
+    return key
+
+
+def katz_rows(table, truncation=1):
+    """The rows of a Katz level, rebuilt from its count table: {context
+    tuple: {word: count}} of the n-grams counted at least `truncation`
+    times, each row in first-occurrence order (the order in which the level
+    sums it), and the total count of each context in the whole table."""
+    rows, totals = {}, Counter()
+    entries = zip(map(tuple, table.ids.tolist()), table.n.tolist(), table.first.tolist())
+    for ngram, r, _ in sorted(entries, key=lambda e: (e[0][:-1], e[2])):
+        totals[ngram[:-1]] += r
+        if r >= truncation:
+            rows.setdefault(ngram[:-1], {})[ngram[-1]] = r
+    return rows, totals
+
+
+def katz_masses(model, ctx, row, V):
+    """For the stored context ctx (a tuple) of a Katz level and the words of
+    its row: the leftover mass 1 - sum of P over the seen successors, alpha
+    times the backoff mass of the unseen words, and whether that backoff
+    mass, summed directly, agrees with the 1 - seen backoff mass that the
+    level divides by."""
     if isinstance(model, sm.KatzBigram):
-        key, backoff = ctx[-1], lambda w: model.unigram.prob((), w)
+        backoff = lambda w: model.unigram.prob((), w)
     else:
-        key = ctx
         backoff = lambda w: model.backoff.prob(ctx[2 - model.backoff.context_size :], w)
-    row = model.level.rows[key]
     leftover = 1.0 - sum(model.prob(ctx, w) for w in row)
     unseen = sum(backoff(w) for w in range(V) if w not in row)
     by_difference = 1.0 - sum(backoff(w) for w in row)
     agree = math.isclose(unseen, by_difference, rel_tol=1e-6, abs_tol=0.0) or by_difference <= 0.0
-    return leftover, model.level.alphas[key] * unseen, agree
+    return leftover, model.level.alphas[katz_key(ctx, V)] * unseen, agree
 
 
 @settings(max_examples=20, deadline=None)
@@ -833,10 +855,11 @@ def test_every_cascade_row_sums_to_one(corpus, data, levels, tied):
             counts, base, mixed, sentences[::2], with_trigram=levels <= 2,
             gt_threshold=2, truncation=truncation, tied=tied,
         )
+    rows, _ = katz_rows(counts.trigrams, truncation)
     for level in cascade.level_stack + [cascade.trigram] * (levels <= 2):
         for ctx in contexts_of(level.context_size, sentences, extra):
-            if level is cascade.trigram and ctx in level.level.rows:
-                if not katz_masses(level, ctx, V)[2]:
+            if level is cascade.trigram and ctx in rows:
+                if not katz_masses(level, ctx, rows[ctx], V)[2]:
                     continue  # the known defect of test_katz_rounding_residue_loses_leftover
             assert math.isclose(sum(level.prob(ctx, w) for w in range(V)), 1.0, abs_tol=1e-9)
 
@@ -851,15 +874,14 @@ def test_katz_leftover_is_alpha_times_unseen_backoff(corpus, data):
         warnings.simplefilter("ignore")  # sparse Good-Turing statistics
         bigram = sm.KatzBigram(counts, k_gt=2)
         trigram = sm.build_katz_trigram(counts, bigram, k_gt=2, truncation=truncation)
-    for model in (bigram, trigram):
-        for key in model.level.rows:
-            ctx = key if model is trigram else (key,)
-            leftover, redistributed, agree = katz_masses(model, ctx, V)
+    for model, table, t in ((bigram, counts.bigrams, 1), (trigram, counts.trigrams, truncation)):
+        for ctx, row in katz_rows(table, t)[0].items():
+            leftover, redistributed, agree = katz_masses(model, ctx, row, V)
             if agree:  # else the known defect of test_katz_rounding_residue_loses_leftover
                 assert math.isclose(leftover, redistributed, abs_tol=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: compute_alphas divides by a rounding residue")
+@pytest.mark.xfail(strict=True, reason="known defect: Katz alphas divide by a rounding residue")
 def test_katz_rounding_residue_loses_leftover():
     # Every id follows 0, so the unseen backoff mass of row 0 is exactly 0, but
     # 1 - (sum of the five unigram probabilities) rounds to 2.2e-16.  Row 0
@@ -894,7 +916,7 @@ def ref_interpolated(level, ref_base):
     def prob(ctx, w):
         w1 = ctx[-1]
         s = params.sigma_for(w1)
-        if ml.row_totals.get(w1, 0.0) == 0.0:
+        if w1 not in ml.rows:
             s = 1.0
         return (1.0 - s) * ml.pair_prob(w1, w) + s * ref_base((w1,), w)
 
@@ -926,16 +948,19 @@ def ref_mixed(level, ref_lower):
     return prob
 
 
-def ref_katz(level, discounts, k_gt, backoff, key):
-    """(alphas, ml_contexts, prob) of a Katz level's rows and totals, with
-    backoff(level key, w) and key(context) -> level key."""
+def ref_katz(table, truncation, discounts, k_gt, backoff, V):
+    """(alphas, seen, prob) of a Katz level, rebuilt from its count table
+    (katz_rows): the alpha of each context and the probability of each
+    stored n-gram, keyed as the level keys them (katz_key), with
+    backoff(context tuple, w); prob takes a context tuple."""
 
     def discount(r):
         return discounts.get(r, 1.0) if r <= k_gt else 1.0
 
-    alphas, ml_contexts = {}, set()
-    for ctx, row in level.rows.items():
-        total = level.totals[ctx]
+    rows, totals = katz_rows(table, truncation)
+    alphas, seen = {}, {}
+    for ctx, row in rows.items():
+        total = totals[ctx]
         leftover = 1.0
         seen_backoff = 0.0
         for w, r in row.items():
@@ -943,24 +968,20 @@ def ref_katz(level, discounts, k_gt, backoff, key):
             seen_backoff += backoff(ctx, w)
         leftover = max(leftover, 0.0)
         unseen_backoff = 1.0 - seen_backoff
-        if leftover <= 0.0:
-            alphas[ctx] = 0.0
-        elif unseen_backoff <= 0.0:
-            ml_contexts.add(ctx)
-            alphas[ctx] = 0.0
-        else:
-            alphas[ctx] = leftover / unseen_backoff
+        ml = leftover > 0.0 and unseen_backoff <= 0.0
+        alpha = leftover / unseen_backoff if leftover > 0.0 and not ml else 0.0
+        alphas[katz_key(ctx, V)] = alpha
+        stored = sum(row.values())
+        for w, r in row.items():
+            seen[katz_key(ctx + (w,), V)] = r / stored if ml else discount(r) * r / total
 
     def prob(ctx, w):
-        k = key(ctx)
-        r = level.rows.get(k, {}).get(w)
-        if r is None:
-            return alphas.get(k, 1.0) * backoff(k, w)
-        if k in ml_contexts:
-            return r / level.stored_totals[k]
-        return discount(r) * r / level.totals[k]
+        p = seen.get(katz_key(ctx + (w,), V))
+        if p is None:
+            return alphas.get(katz_key(ctx, V), 1.0) * backoff(ctx, w)
+        return p
 
-    return alphas, ml_contexts, prob
+    return alphas, seen, prob
 
 
 def assert_bitwise(level, ref, contexts, V):
@@ -1000,11 +1021,10 @@ def test_scalar_prob_matches_reference_formulas_bitwise(corpus, data):
     mixed2 = stack[2]
 
     katz_bigram = sm.KatzBigram(counts, k_gt=k_gt, discounts=discounts)
-    alphas, ml_contexts, ref_bigram = ref_katz(
-        katz_bigram.level, discounts, k_gt,
-        lambda v, w: katz_bigram.unigram.prob((), w), lambda ctx: ctx[-1],
+    alphas, seen, ref_bigram = ref_katz(
+        counts.bigrams, 1, discounts, k_gt, lambda ctx, w: katz_bigram.unigram.prob((), w), V
     )
-    assert (katz_bigram.level.alphas, katz_bigram.level.ml_contexts) == (alphas, ml_contexts)
+    assert (katz_bigram.level.alphas, katz_bigram.level.seen) == (alphas, seen)
     assert_bitwise(katz_bigram, ref_bigram, contexts_of(1, sentences, extra), V)
 
     truncation = data.draw(st.integers(1, max(counts.trigrams.values())))
@@ -1013,11 +1033,11 @@ def test_scalar_prob_matches_reference_formulas_bitwise(corpus, data):
             warnings.simplefilter("ignore")  # sparse Good-Turing statistics
             trigram = sm.build_katz_trigram(counts, backoff, k_gt, truncation, discounts)
         size = backoff.context_size
-        alphas, ml_contexts, ref_trigram = ref_katz(
-            trigram.level, discounts, k_gt,
-            lambda ctx, w: ref_backoff(ctx[2 - size :], w), tuple,
+        alphas, seen, ref_trigram = ref_katz(
+            counts.trigrams, truncation, discounts, k_gt,
+            lambda ctx, w: ref_backoff(ctx[2 - size :], w), V,
         )
-        assert (trigram.level.alphas, trigram.level.ml_contexts) == (alphas, ml_contexts)
+        assert (trigram.level.alphas, trigram.level.seen) == (alphas, seen)
         assert_bitwise(trigram, ref_trigram, contexts_of(2, sentences, extra), V)
 
 
@@ -1062,7 +1082,7 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
         warnings.simplefilter("ignore")  # sparse Good-Turing statistics
         katz_bigram = sm.KatzBigram(counts, k_gt=2)
         trigrams = [
-            (sm.build_katz_trigram(counts, backoff, 2, truncation), backoff)
+            (sm.build_katz_trigram(counts, backoff, 2, truncation), backoff, truncation)
             for backoff in (katz_bigram, stack[2]) for truncation in (1, 2)
         ]
     # Distinct rows four ids wide, so that every level but the order-3 one
@@ -1070,7 +1090,7 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
     extra = data.draw(st.lists(st.tuples(*[wid] * 4), max_size=20))
     rows = np.concatenate([_event_windows(sentences, 3), np.array(extra, np.int64).reshape(-1, 4)])
     rows, _ = _distinct_rows(rows)
-    for level in [*stack, katz_bigram, *(t for t, _ in trigrams)]:
+    for level in [*stack, katz_bigram, *(t for t, _, _ in trigrams)]:
         p, backed = sm._score_rows(level, rows)
         ref = scalar_scores(level, rows)
         assert p.tobytes() == np.array([r[0] for r in ref], dtype=np.float64).tobytes()
@@ -1078,18 +1098,18 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
         p, backed = sm._score_rows(level, rows[:0])
         assert (len(p), len(backed)) == (0, 0)
 
-    alphas, ml_contexts, _ = ref_katz(
-        katz_bigram.level, katz_bigram.level.discounts, 2,
-        lambda v, w: katz_bigram.unigram.prob((), w), lambda ctx: ctx[-1],
+    alphas, seen, _ = ref_katz(
+        counts.bigrams, 1, katz_bigram.level.discounts, 2,
+        lambda ctx, w: katz_bigram.unigram.prob((), w), V,
     )
-    assert (katz_bigram.level.alphas, katz_bigram.level.ml_contexts) == (alphas, ml_contexts)
-    for trigram, backoff in trigrams:
+    assert (katz_bigram.level.alphas, katz_bigram.level.seen) == (alphas, seen)
+    for trigram, backoff, truncation in trigrams:
         size = backoff.context_size
-        alphas, ml_contexts, _ = ref_katz(
-            trigram.level, trigram.level.discounts, 2,
-            lambda ctx, w: backoff.prob(ctx[2 - size :], w), tuple,
+        alphas, seen, _ = ref_katz(
+            counts.trigrams, truncation, trigram.level.discounts, 2,
+            lambda ctx, w: backoff.prob(ctx[2 - size :], w), V,
         )
-        assert (trigram.level.alphas, trigram.level.ml_contexts) == (alphas, ml_contexts)
+        assert (trigram.level.alphas, trigram.level.seen) == (alphas, seen)
 
 
 def record_calls(obj, method):
@@ -1113,6 +1133,24 @@ def assert_once_per_distinct_row(chain, rows):
         rows = {row[len(row) - width :] for row in rows}
         assert sorted(calls) == sorted(rows), type(level).__name__
         rows = calls
+
+
+def assert_evaluation_scores_once(model, trigram, chain, test):
+    """evaluate(model, test) for a model whose top level is the Katz trigram
+    `trigram`: the trigram must be asked once per distinct event, and each
+    level of `chain` (as in assert_once_per_distinct_row) once per distinct
+    row of its width among the events the trigram has not stored."""
+    for _, calls in chain:
+        calls.clear()
+    top_calls = record_calls(trigram, "prob_and_backoff")
+    try:
+        ev.evaluate(model, test)
+    except NumericError:  # every event scored zero; the calls are made
+        pass
+    events = {tuple(row) for row in _event_windows(test, 2).tolist()}
+    assert_once_per_distinct_row([(trigram, top_calls)], events)
+    stored = {tuple(row) for row in trigram.level.ids.tolist()}
+    assert_once_per_distinct_row(chain, [row for row in top_calls if row not in stored])
 
 
 @settings(max_examples=20, deadline=None)
@@ -1148,18 +1186,17 @@ def test_each_level_scores_each_distinct_row_of_its_width_once(corpus, data):
             warnings.simplefilter("ignore")
             trigram = sm.build_katz_trigram(counts, backoff, 2, truncation)
         assert_once_per_distinct_row(chain, {tuple(row) for row in trigram.level.ids.tolist()})
+        assert_evaluation_scores_once(trigram, trigram, chain, test)
 
-        for _, calls in chain:
-            calls.clear()
-        top_calls = record_calls(trigram, "prob_and_backoff")
-        try:
-            ev.evaluate(trigram, test)
-        except NumericError:  # every event scored zero; the calls are made
-            pass
-        events = {tuple(row) for row in _event_windows(test, 2).tolist()}
-        assert_once_per_distinct_row([(trigram, top_calls)], events)
-        unseen = [row for row in top_calls if row[2] not in trigram.level.rows.get(row[:2], {})]
-        assert_once_per_distinct_row(chain, unseen)
+    # A cascade is scored as its top level.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cascade = sm.SmoothedCascade(
+            counts, base, interp.params, [(mixed.model, mixed.params)], with_trigram=True,
+            gt_threshold=2, truncation=truncation,
+        )
+    chain = [(level, record_calls(level, "prob")) for level in [*cascade.level_stack[::-1], base]]
+    assert_evaluation_scores_once(cascade, cascade.trigram, chain, test)
 
 
 @SETTINGS

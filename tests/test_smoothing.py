@@ -448,6 +448,14 @@ def katz_fixture(rng, n_words=5, n_sentences=40):
     return vocab, counts, bigram, trigram
 
 
+def stored_rows(trigram):
+    """{(u, v): [w, ...]} of a Katz trigram's stored trigrams, sorted."""
+    rows = {}
+    for u, v, w in trigram.level.ids.tolist():
+        rows.setdefault((u, v), []).append(w)
+    return rows
+
+
 class TestKatzBackoff:
     def test_high_count_trigram_is_exact_ml(self):
         counts = NgramCounts(6, 3, (1,))
@@ -468,7 +476,7 @@ class TestKatzBackoff:
             (u, v)
             for u in range(V)
             for v in range(V)
-            if (u, v) not in trigram.level.rows
+            if (u, v) not in stored_rows(trigram)
         )
         for w in range(V):
             p, backed = trigram.prob_and_backoff(ctx, w)
@@ -478,9 +486,11 @@ class TestKatzBackoff:
     def test_discounting_never_raises_seen_probability(self):
         rng = random.Random(81)
         _, counts, _, trigram = katz_fixture(rng)
+        totals = Counter()
+        for (u, v, _), n in counts.trigrams.items():
+            totals[(u, v)] += n
         for (u, v, w), n in counts.trigrams.items():
-            total = trigram.level.totals[(u, v)]
-            assert trigram.prob((u, v), w) <= n / total + 1e-12
+            assert trigram.prob((u, v), w) <= n / totals[(u, v)] + 1e-12
 
     def test_rows_sum_to_one(self):
         rng = random.Random(82)
@@ -489,7 +499,7 @@ class TestKatzBackoff:
         for v in range(V):
             total = sum(bigram.prob((v,), w) for w in range(V))
             assert total == pytest.approx(1.0, abs=1e-8)
-        contexts = list(trigram.level.rows)[:30] + [(5, 7), (0, 3)]
+        contexts = list(stored_rows(trigram))[:30] + [(5, 7), (0, 3)]
         for ctx in contexts:
             total = sum(trigram.prob(ctx, w) for w in range(V))
             assert total == pytest.approx(1.0, abs=1e-8)
@@ -503,16 +513,13 @@ class TestKatzBackoff:
         mixed2, _ = mm.train_mixed(train, 2, 8, iterations=2)
         cascade = mm.SmoothedCascade.fit(counts, base, [mixed2], valid)
         trigram = sm.build_katz_trigram(counts, cascade.top, k_gt=3)
-        for ctx in list(trigram.level.rows)[:20] + [(6, 7)]:
+        rows = stored_rows(trigram)
+        for ctx in list(rows)[:20] + [(6, 7)]:
             total = sum(trigram.prob(ctx, w) for w in range(8))
             assert total == pytest.approx(1.0, abs=1e-8)
             # Unseen successors of a context with leftover mass stay positive.
-            unseen = [
-                w for w in range(3, 8) if w not in trigram.level.rows.get(ctx, {})
-            ]
-            leftover = 1.0 - sum(
-                trigram.prob(ctx, w) for w in trigram.level.rows.get(ctx, {})
-            )
+            unseen = [w for w in range(3, 8) if w not in rows.get(ctx, [])]
+            leftover = 1.0 - sum(trigram.prob(ctx, w) for w in rows.get(ctx, []))
             if leftover > 1e-12:
                 for w in unseen:
                     assert trigram.prob(ctx, w) > 0.0
@@ -533,7 +540,7 @@ class TestKatzBackoff:
         for source in (counts, NgramCounts.load(tmp_path / "counts.txt")):
             bigram = sm.KatzBigram(source)
             trigram = sm.build_katz_trigram(source, bigram)
-            models.append([(m.level.alphas, m.level.ml_contexts) for m in (bigram, trigram)])
+            models.append([(m.level.alphas, m.level.seen) for m in (bigram, trigram)])
         assert models[0] == models[1]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # sparse Good-Turing statistics
@@ -544,13 +551,13 @@ class TestKatzBackoff:
         counter = lambda table: Counter(dict(reversed(table.items())))
         as_loaded = lambda table: CountTable(table.ids, table.n)
         katz = [
-            sm.KatzTrigram(trigrams, bigram, k_gt=3)
+            sm.KatzTrigram(trigrams, bigram, counts.vocab_size, k_gt=3)
             for trigrams in (counter(counts.trigrams), as_loaded(counts.trigrams))
         ]
-        assert katz[0].level.rows == katz[1].level.rows
+        assert katz[0].level.seen == katz[1].level.seen
         assert katz[0].level.alphas == katz[1].level.alphas
         ml = [sm.MLBigram(counter(counts.bigrams)), sm.MLBigram(counts.bigrams)]
-        assert (ml[0].rows, ml[0].row_totals) == (ml[1].rows, ml[1].row_totals)
+        assert ml[0].rows == ml[1].rows
         unigram = sm.MLUnigram(counter(counts.unigrams), counts.total)
         assert unigram.probs == sm.MLUnigram.from_counts(counts).probs
         tables = (counter(counts.trigrams), counts.trigrams)
@@ -567,7 +574,7 @@ class TestKatzBackoff:
                 return 0.1
 
         with pytest.raises(ParameterError):
-            sm.KatzTrigram(counts.trigrams, Wide())
+            sm.KatzTrigram(counts.trigrams, Wide(), counts.vocab_size)
 
     def test_word_id_range_checked(self):
         rng = random.Random(90)
@@ -576,6 +583,12 @@ class TestKatzBackoff:
             trigram.prob((0, 3), counts.vocab_size)
         with pytest.raises(ParameterError):
             trigram.prob((0, counts.vocab_size + 5), 3)
+
+    def test_vocabulary_too_large_for_int64_keys_rejected(self):
+        # The level keys trigrams by (u * V + v) * V + w, which would wrap.
+        bigram = sm.KatzBigram(count_ngrams([[3, 4, 3]], range(5), 3, (1,)), discounts={})
+        with pytest.raises(ParameterError, match="too large for int64 keys"):
+            sm.KatzTrigram(count_table({(3, 4, 3): 1}), bigram, 2**21, discounts={})
 
 
 class TestTruncation:
@@ -591,19 +604,19 @@ class TestTruncation:
         rng = random.Random(87)
         _, counts, bigram, trigram_full = katz_fixture(rng, n_sentences=60)
         trigram_cut = sm.build_katz_trigram(counts, bigram, k_gt=3, truncation=2)
-        reverted = trigram_cut.level.ml_contexts | trigram_full.level.ml_contexts
+        # Contexts with alpha 0 may have reverted to ML over their survivors.
+        V = counts.vocab_size
         survivors = [
             ((u, v, w), n)
             for (u, v, w), n in counts.trigrams.items()
-            if n >= 2 and (u, v) not in reverted
+            if n >= 2 and all(t.level.alphas[u * V + v] for t in (trigram_cut, trigram_full))
         ]
         assert survivors
         for (u, v, w), n in survivors[:40]:
             assert trigram_cut.prob((u, v), w) == pytest.approx(
                 trigram_full.prob((u, v), w), abs=1e-12
             )
-        V = counts.vocab_size
-        for ctx in list(trigram_cut.level.rows)[:15]:
+        for ctx in list(stored_rows(trigram_cut))[:15]:
             total = sum(trigram_cut.prob(ctx, w) for w in range(V))
             assert total == pytest.approx(1.0, abs=1e-8)
 
