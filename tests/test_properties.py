@@ -968,8 +968,13 @@ def ref_katz(table, truncation, discounts, k_gt, backoff, V):
             seen_backoff += backoff(ctx, w)
         leftover = max(leftover, 0.0)
         unseen_backoff = 1.0 - seen_backoff
-        ml = leftover > 0.0 and unseen_backoff <= 0.0
-        alpha = leftover / unseen_backoff if leftover > 0.0 and not ml else 0.0
+        ml = False
+        if leftover <= 0.0:
+            alpha = 0.0
+        elif unseen_backoff <= 0.0:
+            alpha, ml = 0.0, True
+        else:
+            alpha = leftover / unseen_backoff
         alphas[katz_key(ctx, V)] = alpha
         stored = sum(row.values())
         for w, r in row.items():

@@ -620,6 +620,20 @@ class TestTruncation:
             total = sum(trigram_cut.prob(ctx, w) for w in range(V))
             assert total == pytest.approx(1.0, abs=1e-8)
 
+    def test_survivors_with_no_backoff_mass_left_revert_to_ml(self):
+        # The backoff puts all its mass on 3 and 4, the survivors of context
+        # (3, 4) at t=2, so that row reverts to ML over the survivors alone.
+        class TwoWords:
+            context_size = 1
+
+            def prob(self, context, word):
+                return 0.5 if word in (3, 4) else 0.0
+
+        counts = NgramCounts(6, 3, (1,))
+        counts.trigrams = count_table({(3, 4, 3): 2, (3, 4, 4): 3, (3, 4, 5): 1})
+        trigram = sm.build_katz_trigram(counts, TwoWords(), truncation=2, discounts={})
+        assert [trigram.prob((3, 4), w) for w in (3, 4, 5)] == [2 / 5, 3 / 5, 0.0]
+
 
 class TestCascadeAssembly:
     def test_fit_orders_validated(self):
