@@ -9,7 +9,9 @@ For every workload of BENCHMARK.json and seeds 1-10 the two sides run
 and the change first on even ones, so that a slow phase of the machine
 falls on both.  Per end-to-end metric the record holds each side's runs,
 median and quartiles, how many pairs the change won, the relative change
-of the median and whether it lies within the bound of BENCHMARK.json.
+of the median and whether it lies within the bound of BENCHMARK.json.  Per
+phase of the operation the record holds each side's median time and how
+many pairs the change won.
 
 Then each side runs once traced (`--trace 1 --seconds 3`) per workload on
 input sets 0 and 5; each output must pass check_bench_result.py, and the
@@ -140,10 +142,12 @@ def paired(sides: dict[str, Path], workload: str, seconds: float, metrics: list[
         }
     phases = [k for k in runs["parent"][0][1].get("named", {}) if k.endswith("_s_median")]
     for key in phases:
-        out["phase_medians_s"][key[: -len("_median")]] = {
-            side: round(statistics.median(r["named"][key] for _, r, _ in runs[side]), 4)
-            for side in runs
-        }
+        values = {side: [r["named"][key] for _, r, _ in runs[side]] for side in runs}
+        phase = {side: round(statistics.median(values[side]), 4) for side in runs}
+        # A gain confined to one phase shows more clearly in its own pairs
+        # than in op_s, which adds the noise of every other phase.
+        phase["change_wins"] = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        out["phase_medians_s"][key[: -len("_median")]] = phase
     return out, runs["change"][0][1].get("environment", {})
 
 

@@ -233,6 +233,11 @@ def _class_sums(block: np.ndarray) -> np.ndarray:
     accumulators up to 128, and above that the two halves (split at a
     multiple of 8) summed apart.  The result has the bits of `.sum(axis=1)`
     on the row-major (entries, C) copy of the block, without that copy.
+
+    Three E-steps use it on blocks of this shape: the aggregate one over
+    classes, and over the m skip components the mixed-order training
+    (mixedorder._event_probs) and the mixed-smoothing fit
+    (smoothing.fit_mixed_smoothing).
     """
     n = len(block)
     if n < 8:

@@ -353,7 +353,7 @@ def cmd_sweep_truncate(cfg: RunConfig) -> None:
     counts = NgramCounts.load(cfg.counts)
     if not counts.trigrams:
         raise DataError("counts file has no trigram table; re-run prepare with order 3")
-    cascade = smoothing.load_cascade(cfg.cascade)
+    cascade = smoothing.load_cascade(cfg.cascade, loaded_counts=(cfg.counts, counts))
     if cascade.trigram is not None:
         raise ParameterError(
             "sweep-truncate builds its own trigram levels; pass a cascade without one"

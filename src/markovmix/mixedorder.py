@@ -12,9 +12,10 @@ at zero stay zero, so unseen word combinations keep zero probability (these
 models are smoothed by the cascade layer, not here).
 
 Training works on sorted int64 pair keys w1*V + w2 with one float64 value
-array per skip distance (_EventTable).  The dict rows that scalar scoring
-reads are built once per model: after training or em_step, in from_counts
-and in load.
+array per skip distance (_EventTable), and on component-major (m, events)
+event arrays, so that each component's work reads one contiguous row.  The
+dict rows that scalar scoring reads are built once per model: after
+training or em_step, in from_counts and in load.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 
 import numpy as np
 
-from .aggregate import TrainingTrace
+from .aggregate import TrainingTrace, _class_sums
 from .artifact import ArtifactReader, positive, write_artifact
 from .corpus import (
     NgramCounts,
@@ -152,8 +153,10 @@ class _EventTable:
     holds the sorted int64 keys w1*V + w2 of the stored skip-k pairs and
     vals[k-1] their values: those of `matrices`, or by default the events'
     own pairs with row-normalized counts (the initial model of training).
-    For event t and component k, ctx[t, k-1] is w_{t-k} and pair_idx[t, k-1]
-    the position of (w_{t-k}, w_t) in keys[k-1], or -1 when not stored.
+    The event arrays are component-major, (m, events), so that each
+    component is one contiguous row: ctx[k-1, t] is w_{t-k} and
+    pair_idx[k-1, t] the position of (w_{t-k}, w_t) in keys[k-1], or -1
+    when not stored.
     """
 
     def __init__(self, windows: np.ndarray, V: int, matrices: list[SkipMatrix] | None = None):
@@ -162,24 +165,24 @@ class _EventTable:
             raise ParameterError("vocabulary of %d ids is too large for int64 keys" % V)
         m = windows.shape[1] - 1
         # Column m holds w_t and column m-k holds w_{t-k}.
-        self.ctx = np.ascontiguousarray(windows[:, m - 1 :: -1])
-        events = self.ctx * V + windows[:, m:]
+        self.ctx = np.ascontiguousarray(windows[:, m - 1 :: -1].T)
+        events = self.ctx * V + windows[:, m]
         self.pair_idx = np.empty_like(self.ctx)
         self.keys: list[np.ndarray] = []
         self.vals: list[np.ndarray] = []
         for k in range(m):
             if matrices is None:
-                keys, n = np.unique(events[:, k], return_counts=True)
+                keys, n = np.unique(events[k], return_counts=True)
                 vals = _row_normalised(keys // V, n)
             else:
                 flat = {w1 * V + w2: p for w1, row in matrices[k].items() for w2, p in row.items()}
                 keys = np.fromiter(flat, np.int64, len(flat))
                 order = np.argsort(keys)
                 keys, vals = keys[order], np.fromiter(flat.values(), np.float64, len(flat))[order]
-            pos = np.searchsorted(keys, events[:, k])
+            pos = np.searchsorted(keys, events[k])
             found = pos < len(keys)
-            found[found] = keys[pos[found]] == events[found, k]
-            self.pair_idx[:, k] = np.where(found, pos, -1)
+            found[found] = keys[pos[found]] == events[k, found]
+            self.pair_idx[k] = np.where(found, pos, -1)
             self.keys.append(keys)
             self.vals.append(vals)
         self.n_events = len(windows)
@@ -195,23 +198,26 @@ class _EventTable:
 def _components(lambdas: np.ndarray, vals: list[np.ndarray], table: _EventTable):
     """Per-event component weights lambda_k(w_{t-k}) * prod_{j<k} (1 -
     lambda_j(w_{t-j})) and the transition value each component reads from
-    the stored values `vals` (zero for a pair not stored)."""
+    the stored values `vals` (zero for a pair not stored), both (m, events)
+    like the table."""
     m = lambdas.shape[1]
-    lam = lambdas[table.ctx, np.arange(m)[None, :]]
-    declined = np.cumprod(1.0 - lam, axis=1)
-    prefix = np.hstack([np.ones((table.n_events, 1)), declined[:, :-1]])
+    lam = lambdas.T[np.arange(m)[:, None], table.ctx]
+    declined = np.cumprod(1.0 - lam, axis=0)
+    prefix = np.vstack([np.ones((1, table.n_events)), declined[:-1]])
     mv = np.zeros_like(lam)
     for k in range(m):
-        hit = table.pair_idx[:, k] >= 0
-        mv[hit, k] = vals[k][table.pair_idx[hit, k]]
+        hit = table.pair_idx[k] >= 0
+        mv[k, hit] = vals[k][table.pair_idx[k, hit]]
     return lam * prefix, mv
 
 
 def _event_probs(lambdas: np.ndarray, vals: list[np.ndarray], table: _EventTable):
-    """Per-event mixture probability and component contributions."""
+    """Per-event mixture probability and the (m, events) component
+    contributions; the sum over components keeps the bits of a row-major
+    `.sum(axis=1)` (aggregate._class_sums)."""
     weight, mv = _components(lambdas, vals, table)
     contrib = weight * mv
-    return contrib.sum(axis=1), contrib
+    return _class_sums(contrib), contrib
 
 
 def _em_step_table(lambdas: np.ndarray, vals: list[np.ndarray], table: _EventTable):
@@ -224,24 +230,22 @@ def _em_step_table(lambdas: np.ndarray, vals: list[np.ndarray], table: _EventTab
         raise NumericError("model assigns zero mass everywhere")
     ll = float(np.log(total[scored]).sum())
 
-    phi = contrib[scored] / total[scored, None]
-    ctx = table.ctx[scored]
-    pair_idx = table.pair_idx[scored]
-    # tail[:, k-1] = sum of phi over components k..m, for the mixing update.
-    tail = np.cumsum(phi[:, ::-1], axis=1)[:, ::-1]
+    phi = contrib[:, scored] / total[scored]
+    ctx = table.ctx[:, scored]
+    pair_idx = table.pair_idx[:, scored]
+    # tail[k-1] = sum of phi over components k..m, for the mixing update.
+    tail = np.cumsum(phi[::-1], axis=0)[::-1]
 
     new_lambdas = lambdas.copy()
     new_vals = []
     for k in range(m):
-        num = np.bincount(ctx[:, k], weights=phi[:, k], minlength=V)
-        den = np.bincount(ctx[:, k], weights=tail[:, k], minlength=V)
+        num = np.bincount(ctx[k], weights=phi[k], minlength=V)
+        den = np.bincount(ctx[k], weights=tail[k], minlength=V)
         seen = den > 0.0
         new_lambdas[seen, k] = num[seen] / den[seen]
 
-        hit = pair_idx[:, k] >= 0
-        pair_num = np.bincount(
-            pair_idx[hit, k], weights=phi[hit, k], minlength=len(table.keys[k])
-        )
+        hit = pair_idx[k] >= 0
+        pair_num = np.bincount(pair_idx[k, hit], weights=phi[k, hit], minlength=len(table.keys[k]))
         row_mass = num[table.keys[k] // V]
         touched = row_mass > 0.0
         new_vals.append(

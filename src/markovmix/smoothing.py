@@ -25,7 +25,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .aggregate import AggregateModel
+from .aggregate import AggregateModel, _class_sums
 from .artifact import ArtifactReader, positive, write_artifact
 from .corpus import (
     CountTable, NgramCounts, TokenSentence, _check_key_room, _distinct_rows, _event_windows,
@@ -151,8 +151,7 @@ def _sigma_em(a: np.ndarray, b: np.ndarray, n: np.ndarray, groups, n_groups: int
         se = s[groups]
         mix = (1.0 - se) * a + se * b
         r = np.zeros_like(mix)
-        ok = mix > 0.0
-        r[ok] = se[ok] * b[ok] / mix[ok]
+        np.divide(se * b, mix, out=r, where=mix > 0.0)
         num = np.bincount(groups, weights=n * r, minlength=n_groups)
         new_s = np.where(seen, num / np.where(seen, den, 1.0), s)
         delta = float(np.max(np.abs(new_s - s))) if n_groups else 0.0
@@ -306,6 +305,11 @@ def fit_mixed_smoothing(
     jointly, with pooled per-k weights fit alongside as fallbacks for rows
     never exercised by the validation data.  With `tied` only the pooled
     per-k weights are kept.
+
+    The weights are held as an (m, V) array and every per-event array is
+    component-major, (m, events), like the event table; the per-event total
+    over components keeps the bits of a row-major `.sum(axis=1)`
+    (aggregate._class_sums).
     """
     m = model.order
     V = model.vocab_size
@@ -317,41 +321,38 @@ def fit_mixed_smoothing(
     # The lower level scores each distinct truncated event once.
     plow, _ = _score_rows(lower, windows)
     ctx = table.ctx
+    rows = np.arange(m)[:, None]
 
-    sig = np.full((V, m), 0.5)
+    sig = np.full((m, V), 0.5)
     sig0 = np.full(m, 0.5)
-    seen = [
-        np.bincount(ctx[:, k], minlength=V) > 0 for k in range(m)
-    ]
+    seen = [np.bincount(ctx[k], minlength=V) > 0 for k in range(m)]
 
     def e_step(se: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior shares (direct, delegated) of each event's components
-        under discount weights `se`, which broadcast against (N, m)."""
+        under discount weights `se`, which broadcast against (m, events)."""
         direct = (1.0 - se) * weight * mk
-        deleg = se * weight * plow[:, None]
-        tot = direct.sum(axis=1) + deleg.sum(axis=1)
+        deleg = se * weight * plow
+        tot = _class_sums(direct) + _class_sums(deleg)
         ok = tot > 0.0
-        rd = np.zeros_like(direct)
-        rl = np.zeros_like(deleg)
-        rd[ok] = direct[ok] / tot[ok, None]
-        rl[ok] = deleg[ok] / tot[ok, None]
+        rd = np.divide(direct, tot, out=np.zeros_like(direct), where=ok)
+        rl = np.divide(deleg, tot, out=np.zeros_like(deleg), where=ok)
         return rd, rl
 
     for _ in range(_FIT_MAX_ITERS):
-        rd, rl = e_step(sig[ctx, np.arange(m)[None, :]])
-        rd0, rl0 = e_step(sig0)
+        rd, rl = e_step(sig[rows, ctx])
+        rd0, rl0 = e_step(sig0[:, None])
         delta = 0.0
         for k in range(m):
-            num = np.bincount(ctx[:, k], weights=rl[:, k], minlength=V)
-            denk = np.bincount(ctx[:, k], weights=(rl + rd)[:, k], minlength=V)
+            num = np.bincount(ctx[k], weights=rl[k], minlength=V)
+            denk = np.bincount(ctx[k], weights=rl[k] + rd[k], minlength=V)
             posk = denk > 0.0
-            new_col = np.where(posk, num / np.where(posk, denk, 1.0), sig[:, k])
-            delta = max(delta, float(np.max(np.abs(new_col - sig[:, k]))))
-            sig[:, k] = new_col
+            new_row = np.where(posk, num / np.where(posk, denk, 1.0), sig[k])
+            delta = max(delta, float(np.max(np.abs(new_row - sig[k]))))
+            sig[k] = new_row
 
-            denk0 = float((rl0[:, k] + rd0[:, k]).sum())
+            denk0 = float((rl0[k] + rd0[k]).sum())
             if denk0 > 0.0:
-                new0 = float(rl0[:, k].sum()) / denk0
+                new0 = float(rl0[k].sum()) / denk0
                 delta = max(delta, abs(new0 - sig0[k]))
                 sig0[k] = new0
         if delta < _FIT_TOL:
@@ -360,13 +361,13 @@ def fit_mixed_smoothing(
     values: dict[tuple[int, int], float] = {}
     if not tied:
         for k in range(m):
-            for w in np.nonzero(seen[k])[0]:
-                values[(k + 1, int(w))] = float(sig[w, k])
+            words = np.nonzero(seen[k])[0]
+            values.update(zip(((k + 1, w) for w in words.tolist()), sig[k, words].tolist()))
     for k in range(m):
         # Rows the model never stored delegate their whole component.
         for w in np.setdiff1d(np.arange(V), table.keys[k] // V).tolist():
             values[(k + 1, w)] = 1.0
-    fallbacks = {k + 1: float(sig0[k]) for k in range(m)}
+    fallbacks = dict(zip(range(1, m + 1), sig0.tolist()))
     return MixedSmoothingParams(values, fallbacks)
 
 
@@ -784,13 +785,22 @@ def write_cascade_manifest(
     write_artifact(path, "CASCADE", rows)
 
 
-def load_cascade(path) -> SmoothedCascade:
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
+def load_cascade(path, loaded_counts: tuple[str, NgramCounts] | None = None) -> SmoothedCascade:
     """Assemble a fitted cascade from its manifest and the files it names.
 
     Lines come in the order written: counts, base, levels 1, 2, ... and the
     optional trigram.  Level k >= 2 holds an order-k mixed model whose sigma
     file has a fallback for each skip distance, and every model agrees with
-    the counts on the vocabulary size.
+    the counts on the vocabulary size.  `loaded_counts` is a counts file
+    the caller has read, as (path, table); when the manifest names that
+    same file, its table is used instead of a second read.
     """
     reader = ArtifactReader(path, "CASCADE")
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -801,7 +811,10 @@ def load_cascade(path) -> SmoothedCascade:
         files = [os.path.join(base_dir, f) for f in fields]
         shape = (fields[0], len(fields))
         if shape == ("counts", 2) and counts is None:
-            counts = NgramCounts.load(files[1])
+            if loaded_counts is not None and _same_file(loaded_counts[0], files[1]):
+                counts = loaded_counts[1]
+            else:
+                counts = NgramCounts.load(files[1])
         elif shape == ("base", 3) and fields[1] == "aggregate" and counts and not base:
             base = AggregateModel.load(files[2])
             if base.vocab_size != counts.vocab_size:

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -658,6 +659,26 @@ class TestSweep:
         mixed = mm.evaluate(cascade.top, test).perplexity
         rows = (workdir / "sweep.csv").read_text(encoding="utf-8").splitlines()
         assert rows[2] == "2,%r,%r,0,1.0" % (baseline, mixed)
+
+    @pytest.mark.parametrize("counts_file, loads", [("counts.txt", 1), ("copy/counts.txt", 2)])
+    def test_reads_the_manifest_counts_file_once(self, workdir, counts_file, loads):
+        # The manifest names counts.txt; a copy elsewhere is another file
+        # with the same bytes, so the sweep reads both and writes the same rows.
+        build_pipeline(workdir)
+        (workdir / "copy").mkdir()
+        shutil.copy(workdir / "counts.txt", workdir / "copy" / "counts.txt")
+        args = ["--vocab", "vocab.txt", "--cascade", "cascade.txt", "--test", "test.txt",
+                "--t-max", "2", "--gt-threshold", "2"]
+        assert run(workdir, "sweep-truncate", "--counts", "counts.txt", *args,
+                   "--csv-out", "reference.csv") == 0
+        with mock.patch.object(
+            mm.NgramCounts, "load", wraps=mm.NgramCounts.load
+        ) as load:
+            code = run(workdir, "sweep-truncate", "--counts", counts_file, *args,
+                       "--csv-out", "sweep.csv")
+        assert code == 0
+        assert load.call_count == loads
+        assert (workdir / "sweep.csv").read_bytes() == (workdir / "reference.csv").read_bytes()
 
     def test_rejects_trigram_cascade(self, workdir):
         build_pipeline(workdir, with_trigram=True)

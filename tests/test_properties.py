@@ -42,6 +42,7 @@ from markovmix.artifact import ArtifactReader
 from markovmix.errors import DataError, NumericError, ParameterError
 
 from conftest import count_table
+from corpusgen import generate_lines
 from test_corpus import make_vocab
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -142,8 +143,9 @@ def test_event_table_matches_per_event_loop(data, order):
     model = mo.MixedOrderModel.from_counts(counts, order)
     table = mo._EventTable(_event_windows(events, order), V, model.matrices)
     ctx, pair_idx = naive_event_table(model, events)
-    assert np.array_equal(table.ctx, ctx)
-    assert np.array_equal(table.pair_idx, pair_idx)
+    # The table is component-major: one row per skip distance.
+    assert np.array_equal(table.ctx, ctx.T)
+    assert np.array_equal(table.pair_idx, pair_idx.T)
 
 
 def dict_normalized_rows(pairs):
@@ -242,6 +244,24 @@ def test_train_mixed_matches_dict_rebuilding_em(corpus, order, iterations):
     V, sentences = corpus
     model, trace = mm.train_mixed(sentences, order, V, iterations=iterations)
     ref, ref_trace = dict_train_mixed(sentences, order, V, iterations)
+    assert model.lambdas.tolist() == ref.lambdas.tolist()
+    assert model.matrices == ref.matrices
+    assert trace == ref_trace
+
+
+def corpusgen_sentences(seed, n_sentences):
+    """(V, id sentences) of corpusgen text, over a 300-word vocabulary of
+    another draw, so that some words are out of vocabulary."""
+    vocab = mm.build_vocabulary(generate_lines(101, 400), 300)
+    return len(vocab), mm.tokenize_corpus(generate_lines(seed, n_sentences), vocab)
+
+
+def test_train_mixed_matches_dict_rebuilding_em_at_most_components():
+    # Eight components per event take the eight-accumulator branch of the
+    # class sum (aggregate._class_sums).
+    V, sentences = corpusgen_sentences(101, 300)
+    model, trace = mm.train_mixed(sentences, mo.MAX_COMPONENTS, V, iterations=3)
+    ref, ref_trace = dict_train_mixed(sentences, mo.MAX_COMPONENTS, V, 3)
     assert model.lambdas.tolist() == ref.lambdas.tolist()
     assert model.matrices == ref.matrices
     assert trace == ref_trace
@@ -556,6 +576,27 @@ def loop_fit_mixed_smoothing(model, lower, validation, tied):
             if w not in model.matrices[k]:
                 values[(k + 1, w)] = 1.0
     return values, {k + 1: float(sig0[k]) for k in range(m)}
+
+
+@pytest.mark.parametrize(
+    "order, n_valid, min_events",
+    # Eight components per event; and more validation events than numpy's
+    # 8192-element reduction buffer, for the pooled weights' sums.
+    [(mo.MAX_COMPONENTS, 300, 0), (2, 1000, 8193)],
+)
+def test_fit_mixed_smoothing_matches_loop_on_corpusgen_text(order, n_valid, min_events):
+    V, train = corpusgen_sentences(101, 300)
+    _, valid = corpusgen_sentences(202, n_valid)
+    assert sum(len(s) + 1 for s in valid) >= min_events
+    counts = mm.count_ngrams(train, range(V), 2, (1,))
+    base, _ = mm.train_aggregate(counts, 8, iterations=2)
+    ml = sm.MLBigram.from_counts(counts)
+    # The bigram level conditions on the last word of any longer context.
+    lower = sm.InterpolatedBigram(ml, base, sm.fit_interpolation(ml, base, valid))
+    model = mm.train_mixed(train, order, V, iterations=2)[0]
+    fitted = sm.fit_mixed_smoothing(model, lower, valid)
+    values, fallbacks = loop_fit_mixed_smoothing(model, lower, valid, tied=False)
+    assert (fitted.values, fitted.fallbacks) == (values, fallbacks)
 
 
 def loop_scores(model, sentences):
