@@ -250,8 +250,8 @@ def test_train_mixed_matches_dict_rebuilding_em(corpus, order, iterations):
 
 
 def corpusgen_sentences(seed, n_sentences):
-    """(V, id sentences) of corpusgen text, over a 300-word vocabulary of
-    another draw, so that some words are out of vocabulary."""
+    """(V, id sentences) of corpusgen text over the 300 most frequent words
+    of a fixed 400-sentence draw, so that some words are out of vocabulary."""
     vocab = mm.build_vocabulary(generate_lines(101, 400), 300)
     return len(vocab), mm.tokenize_corpus(generate_lines(seed, n_sentences), vocab)
 
