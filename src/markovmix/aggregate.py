@@ -164,17 +164,20 @@ class AggregateModel:
 
 
 class _BigramTable:
-    """Sorted bigram entries, cut into chunks for the E-step.
+    """Sorted bigram entries, cut into chunks for the E-step of a model with
+    `n_classes` classes.
 
     Entries are in (w1, w2) order.  A chunk is one slice of them, capped so
     its class-major (C x entries) posterior block holds at most
     _CHUNK_CELLS cells even when C approaches V.  Each chunk carries,
     computed once, the row segments of its slice and the stable column order
     that groups its entries by w2, so one posterior block per chunk feeds
-    both the row and the column reductions.
+    both the row and the column reductions.  `buffers` are two flat arrays,
+    each large enough for the block of any chunk, made once so that EM
+    iterations do not fault in fresh pages for every block.
     """
 
-    def __init__(self, counts: NgramCounts, vocab_size: int):
+    def __init__(self, counts: NgramCounts, vocab_size: int, n_classes: int):
         if not counts.bigrams:
             raise DataError("no bigram events")
         if vocab_size != counts.vocab_size:
@@ -184,26 +187,13 @@ class _BigramTable:
         _check_ids(self.rows, vocab_size)
         _check_ids(self.cols, vocab_size)
         self.total = float(self.vals.sum())
-        self._chunks: dict[int, list[_Chunk]] = {}
-        self._buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def chunks(self, n_classes: int) -> list["_Chunk"]:
-        if n_classes not in self._chunks:
-            step = max(1, _CHUNK_CELLS // n_classes)
-            self._chunks[n_classes] = [
-                _Chunk(self, slice(i, min(i + step, len(self.rows))))
-                for i in range(0, len(self.rows), step)
-            ]
-        return self._chunks[n_classes]
-
-    def buffers(self, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two flat buffers, each large enough for the block of any chunk;
-        made once per class count, so that EM iterations do not fault in
-        fresh pages for every block."""
-        if n_classes not in self._buffers:
-            size = n_classes * max(len(chunk.rows) for chunk in self.chunks(n_classes))
-            self._buffers[n_classes] = np.empty(size), np.empty(size)
-        return self._buffers[n_classes]
+        step = max(1, _CHUNK_CELLS // n_classes)
+        self.chunks = [
+            _Chunk(self, slice(i, min(i + step, len(self.rows))))
+            for i in range(0, len(self.rows), step)
+        ]
+        size = n_classes * max(len(chunk.rows) for chunk in self.chunks)
+        self.buffers = np.empty(size), np.empty(size)
 
 
 class _Chunk:
@@ -269,8 +259,8 @@ def _joint_blocks(cgw: np.ndarray, wgc: np.ndarray, table: _BigramTable):
     """
     C = cgw.shape[1]
     cgw_t = np.ascontiguousarray(cgw.T)
-    joint, spare = table.buffers(C)
-    for chunk in table.chunks(C):
+    joint, spare = table.buffers
+    for chunk in table.chunks:
         shape = (C, len(chunk.rows))
         block = joint[: shape[0] * shape[1]].reshape(shape)
         other = spare[: shape[0] * shape[1]].reshape(shape)
@@ -282,7 +272,7 @@ def _joint_blocks(cgw: np.ndarray, wgc: np.ndarray, table: _BigramTable):
 
 def log_likelihood(model: AggregateModel, counts: NgramCounts) -> float:
     """Count-weighted log-likelihood of the bigram table under the model."""
-    table = _BigramTable(counts, model.vocab_size)
+    table = _BigramTable(counts, model.vocab_size, model.n_classes)
     return _log_likelihood_table(model.class_given_word, model.word_given_class, table)
 
 
@@ -304,7 +294,7 @@ def em_step(
     Conditioning words with no outgoing counts and classes that accumulate no
     mass keep their previous rows.
     """
-    table = _BigramTable(counts, model.vocab_size)
+    table = _BigramTable(counts, model.vocab_size, model.n_classes)
     cgw, wgc, ll = _em_step_table(model.class_given_word, model.word_given_class, table)
     return AggregateModel(cgw, wgc), ll
 
@@ -366,13 +356,13 @@ def train_aggregate(
     """
     if iterations < 1:
         raise ParameterError("iterations must be >= 1")
-    table = _BigramTable(counts, counts.vocab_size)
     if initial is not None:
         model = initial
         if model.vocab_size != counts.vocab_size:
             raise ParameterError("initial model does not match the vocabulary size")
     else:
         model = AggregateModel.random_init(counts.vocab_size, n_classes, seed)
+    table = _BigramTable(counts, counts.vocab_size, model.n_classes)
     cgw, wgc = model.class_given_word, model.word_given_class
     events = int(table.total)
     trace = TrainingTrace()

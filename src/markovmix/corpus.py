@@ -17,10 +17,14 @@ counting loop as the reference that count_ngrams must match.
 
 Every count table is a CountTable of sorted int64 id columns, a form
 only this module knows.  One key form, _row_keys, folds a row of ids into
-one int64 with the ids as base-V digits: counting sorts these keys, and the
-Katz levels key their probabilities and weights by them.  Pair counts are
-row-normalised by _row_normalised, and become the ML bigram and skip rows
-through one dict-row builder, _dict_rows.
+one int64 with the ids as base-V digits: counting sorts these keys, a
+mixed-order model stores its skip pairs as sorted keys, and the Katz levels
+key their probabilities and weights by them.  One search, _find, finds keys
+in a sorted key array, for the mixed-order event table and for the Katz
+trigram's row scorer.  Pair counts are row-normalised by _row_normalised.
+The dict rows {context: {word: value}} that scalar scoring reads, the ML
+bigram rows and a mixed-order model's cached skip rows, come from one
+builder, _dict_rows.
 """
 
 from __future__ import annotations
@@ -69,10 +73,6 @@ class Vocabulary:
 
     def __contains__(self, word: str) -> bool:
         return word in self.ids
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
 
     def id_of(self, word: str) -> int:
         return self.ids.get(word, UNK_ID)
@@ -321,16 +321,15 @@ def _event_windows(sentences: Iterable[TokenSentence], width: int) -> np.ndarray
     return stream[event_pos[:, None] + np.arange(-width, 1, dtype=np.int64)]
 
 
-def _key_base(*arrays: np.ndarray) -> tuple[int, int] | None:
-    """(lo, base) such that the ids of 2-D int64 arrays of one width, less
-    lo, are digits of base, and the digits of a row fit one int64 key; None
-    when the arrays hold no id, or the ids span too wide a range."""
-    filled = [a for a in arrays if a.size]
-    if not filled:
+def _key_base(rows: np.ndarray) -> tuple[int, int] | None:
+    """(lo, base) such that the ids of a 2-D int64 array, less lo, are
+    digits of base, and the digits of a row fit one int64 key; None when the
+    array holds no id, or its ids span too wide a range."""
+    if not rows.size:
         return None
-    lo, hi = min(int(a.min()) for a in filled), max(int(a.max()) for a in filled)
-    base = hi - lo + 1
-    return (lo, base) if base ** filled[0].shape[1] < 2**63 else None
+    lo = int(rows.min())
+    base = int(rows.max()) - lo + 1
+    return (lo, base) if base ** rows.shape[1] < 2**63 else None
 
 
 def _row_keys(rows: np.ndarray, lo: int, base: int) -> np.ndarray:
@@ -376,21 +375,13 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[order[starts]], inverse
 
 
-def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Which rows of `rows` are also rows of `table`, two 2-D int64 arrays of
-    equal width, as a boolean mask: a search of the table's sorted keys
-    (_row_keys), or the distinct rows of both when the ids are too wide."""
-    key_base = _key_base(table, rows)
-    if key_base is None:
-        _, inverse = _distinct_rows(np.concatenate([table, rows]))
-        stored = np.zeros(len(inverse), dtype=bool)
-        stored[inverse[: len(table)]] = True
-        return stored[inverse[len(table) :]]
-    if not len(table):
-        return np.zeros(len(rows), dtype=bool)
-    stored = np.sort(_row_keys(table, *key_base))
-    query = _row_keys(rows, *key_base)
-    return stored[np.minimum(np.searchsorted(stored, query), len(stored) - 1)] == query
+def _find(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The position of each query key in the sorted int64 key array `keys`,
+    or -1 where it is not stored."""
+    pos = np.searchsorted(keys, query)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == query[found]
+    return np.where(found, pos, -1)
 
 
 def _per_row(call, rows: np.ndarray, *values: np.ndarray):
@@ -413,12 +404,6 @@ def _per_row(call, rows: np.ndarray, *values: np.ndarray):
 def _row_normalised(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
     """n / total[row] per entry; integer counts give exact totals."""
     return n / np.bincount(rows, weights=n)[rows]
-
-
-def _pair_rows(pairs: CountTable) -> dict[int, dict[int, float]]:
-    """A pair count table as dict rows of relative frequencies."""
-    w1, w2 = pairs.ids.T
-    return _dict_rows(w1, w2, _row_normalised(w1, pairs.n))
 
 
 def _row_starts(ctx: np.ndarray) -> np.ndarray:

@@ -11,15 +11,17 @@ Transition entries start from normalized skip-k counts; entries that start
 at zero stay zero, so unseen word combinations keep zero probability (these
 models are smoothed by the cascade layer, not here).
 
-Training works on sorted int64 pair keys w1*V + w2 with one float64 value
-array per skip distance (_EventTable), and on component-major (m, events)
-event arrays, so that each component's work reads one contiguous row.  The
-dict rows that scalar scoring reads are built once per model: after
-training or em_step, in from_counts and in load.
+A model stores, per skip distance, the sorted int64 pair keys w1*V + w2 of
+its stored pairs and one float64 value array: the form that training works
+on (_EventTable) and that save writes.  Training also holds component-major
+(m, events) event arrays, so that each component's work reads one
+contiguous row.  The dict rows that scalar scoring reads are built from the
+arrays on first use, once per model (MixedOrderModel.matrices).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -30,18 +32,18 @@ from .corpus import (
     NgramCounts,
     TokenSentence,
     _check_ids,
+    _check_key_room,
     _dict_rows,
     _distinct_rows,
     _event_windows,
-    _pair_rows,
+    _find,
+    _row_keys,
     _row_normalised,
     most_frequent,
 )
 from .errors import DataError, NumericError, ParameterError, id_out_of_range
 
 MAX_COMPONENTS = 8  # model size grows as m * V^2
-
-SkipMatrix = dict[int, dict[int, float]]
 
 
 def _initial_lambdas(vocab_size: int, order: int) -> np.ndarray:
@@ -56,18 +58,32 @@ def _initial_lambdas(vocab_size: int, order: int) -> np.ndarray:
 class MixedOrderModel:
     """Mixture of skip-k transition matrices with per-word mixing weights.
 
+    The attributes are read-only: `matrices` is built from `keys` and `vals`
+    once and kept.
+
     Attributes:
         lambdas: (V, m) matrix; column k-1 holds lambda_k(w), last column 1.
-        matrices: per-k sparse row-stochastic transitions, rows absent when
-            the word was never seen k positions before a prediction.
+        keys: per k, the sorted int64 keys w1*V + w2 of the stored skip-k
+            pairs; row w1 is absent when the word was never seen k
+            positions before a prediction.
+        vals: per k, the transition probabilities of those pairs, each
+            stored row summing to 1.
     """
 
-    def __init__(self, lambdas: np.ndarray, matrices: list[SkipMatrix]):
+    def __init__(self, lambdas: np.ndarray, keys: list[np.ndarray], vals: list[np.ndarray]):
         lambdas = np.asarray(lambdas, dtype=np.float64)
-        if lambdas.ndim != 2 or lambdas.shape[1] != len(matrices):
+        if lambdas.ndim != 2 or not lambdas.shape[1] == len(keys) == len(vals):
             raise ParameterError("mixing matrix shape does not match component count")
         self.lambdas = lambdas
-        self.matrices = matrices
+        self.keys = keys
+        self.vals = vals
+
+    @functools.cached_property
+    def matrices(self) -> list[dict[int, dict[int, float]]]:
+        """Per k, the stored pairs as dict rows {w1: {w2: p}}, the form that
+        scalar scoring reads."""
+        V = self.vocab_size
+        return [_dict_rows(keys // V, keys % V, vals) for keys, vals in zip(self.keys, self.vals)]
 
     @property
     def vocab_size(self) -> int:
@@ -89,7 +105,9 @@ class MixedOrderModel:
         missing = [k for k in range(1, order + 1) if k not in counts.skips]
         if missing:
             raise ParameterError("counts lack skip tables for k=%r" % missing)
-        return cls(lambdas, [_pair_rows(counts.skips[k]) for k in range(1, order + 1)])
+        skips = [counts.skips[k] for k in range(1, order + 1)]
+        keys = [_row_keys(pairs.ids, 0, counts.vocab_size) for pairs in skips]
+        return cls(lambdas, keys, [_row_normalised(pairs.ids[:, 0], pairs.n) for pairs in skips])
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         """Mixture probability of `word` after `context` (sentence order,
@@ -114,11 +132,11 @@ class MixedOrderModel:
         return total
 
     def save(self, path) -> None:
+        V = self.vocab_size
         pairs = (
             (k, w1, w2, p)
-            for k, rows in enumerate(self.matrices, start=1)
-            for w1, row in sorted(rows.items())
-            for w2, p in sorted(row.items())
+            for k, (keys, vals) in enumerate(zip(self.keys, self.vals), start=1)
+            for w1, w2, p in zip((keys // V).tolist(), (keys % V).tolist(), vals.tolist())
         )
         rows = itertools.chain(self.lambdas.tolist(), pairs)
         write_artifact(path, "MIX-MODEL", rows, V=self.vocab_size, m=self.order)
@@ -142,8 +160,9 @@ class MixedOrderModel:
         sums = np.bincount(row, weights=p)[row]
         reader.check_sums(sums, "transition row (k, w1) does not sum to 1")
         k, w1, w2, p = (col[order] for col in (k, w1, w2, p))
+        keys = w1 * V + w2
         at = [k == j for j in range(1, m + 1)]
-        return cls(lambdas, [_dict_rows(w1[i], w2[i], p[i]) for i in at])
+        return cls(lambdas, [keys[i] for i in at], [p[i] for i in at])
 
 
 class _EventTable:
@@ -151,48 +170,35 @@ class _EventTable:
 
     Built from an (events, m + 1) array of corpus._event_windows.  keys[k-1]
     holds the sorted int64 keys w1*V + w2 of the stored skip-k pairs and
-    vals[k-1] their values: those of `matrices`, or by default the events'
-    own pairs with row-normalized counts (the initial model of training).
-    The event arrays are component-major, (m, events), so that each
-    component is one contiguous row: ctx[k-1, t] is w_{t-k} and
-    pair_idx[k-1, t] the position of (w_{t-k}, w_t) in keys[k-1], or -1
+    vals[k-1] their values: those of `model`, taken as they are, or by
+    default the events' own pairs with row-normalized counts (the initial
+    model of training).  The event arrays are component-major, (m, events),
+    so that each component is one contiguous row: ctx[k-1, t] is w_{t-k}
+    and pair_idx[k-1, t] the position of (w_{t-k}, w_t) in keys[k-1], or -1
     when not stored.
     """
 
-    def __init__(self, windows: np.ndarray, V: int, matrices: list[SkipMatrix] | None = None):
+    def __init__(self, windows: np.ndarray, V: int, model: MixedOrderModel | None = None):
         _check_ids(windows, V)
-        if V * V >= 2**63:
-            raise ParameterError("vocabulary of %d ids is too large for int64 keys" % V)
+        _check_key_room(V, 2)
         m = windows.shape[1] - 1
         # Column m holds w_t and column m-k holds w_{t-k}.
         self.ctx = np.ascontiguousarray(windows[:, m - 1 :: -1].T)
         events = self.ctx * V + windows[:, m]
         self.pair_idx = np.empty_like(self.ctx)
-        self.keys: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-        for k in range(m):
-            if matrices is None:
-                keys, n = np.unique(events[k], return_counts=True)
-                vals = _row_normalised(keys // V, n)
-            else:
-                flat = {w1 * V + w2: p for w1, row in matrices[k].items() for w2, p in row.items()}
-                keys = np.fromiter(flat, np.int64, len(flat))
-                order = np.argsort(keys)
-                keys, vals = keys[order], np.fromiter(flat.values(), np.float64, len(flat))[order]
-            pos = np.searchsorted(keys, events[k])
-            found = pos < len(keys)
-            found[found] = keys[pos[found]] == events[k, found]
-            self.pair_idx[k] = np.where(found, pos, -1)
-            self.keys.append(keys)
-            self.vals.append(vals)
+        if model is not None:
+            self.keys, self.vals = model.keys, model.vals
+            for k in range(m):
+                self.pair_idx[k] = _find(self.keys[k], events[k])
+        else:
+            self.keys, self.vals = [], []
+            for k in range(m):
+                keys, self.pair_idx[k], n = np.unique(
+                    events[k], return_inverse=True, return_counts=True
+                )
+                self.keys.append(keys)
+                self.vals.append(_row_normalised(keys // V, n))
         self.n_events = len(windows)
-
-    def model(self, lambdas: np.ndarray, vals: list[np.ndarray]) -> MixedOrderModel:
-        """The model with these mixing weights and stored values; its dict
-        rows are built here."""
-        V = len(lambdas)
-        matrices = [_dict_rows(keys // V, keys % V, v) for keys, v in zip(self.keys, vals)]
-        return MixedOrderModel(lambdas, matrices)
 
 
 def _components(lambdas: np.ndarray, vals: list[np.ndarray], table: _EventTable):
@@ -230,9 +236,10 @@ def _em_step_table(lambdas: np.ndarray, vals: list[np.ndarray], table: _EventTab
         raise NumericError("model assigns zero mass everywhere")
     ll = float(np.log(total[scored]).sum())
 
-    phi = contrib[:, scored] / total[scored]
-    ctx = table.ctx[:, scored]
-    pair_idx = table.pair_idx[:, scored]
+    # An unscored event has all-zero components, so its zero phi adds
+    # exactly 0.0 to every sum below.
+    phi = np.divide(contrib, total, out=np.zeros_like(contrib), where=scored)
+    ctx, pair_idx = table.ctx, table.pair_idx
     # tail[k-1] = sum of phi over components k..m, for the mixing update.
     tail = np.cumsum(phi[::-1], axis=0)[::-1]
 
@@ -267,9 +274,9 @@ def em_step(
     sentences = list(sentences)
     if not sentences:
         raise DataError("empty corpus")
-    table = _EventTable(_event_windows(sentences, model.order), model.vocab_size, model.matrices)
+    table = _EventTable(_event_windows(sentences, model.order), model.vocab_size, model)
     lambdas, vals, ll, n_skipped = _em_step_table(model.lambdas, table.vals, table)
-    return table.model(lambdas, vals), ll, n_skipped
+    return MixedOrderModel(lambdas, table.keys, vals), ll, n_skipped
 
 
 def train_mixed(
@@ -298,7 +305,7 @@ def train_mixed(
             trace.append(ll_before, table.n_events - n_skipped)
     total, _ = _event_probs(lambdas, vals, table)
     trace.append(float(np.log(total[total > 0.0]).sum()), int((total > 0.0).sum()))
-    return table.model(lambdas, vals), trace
+    return MixedOrderModel(lambdas, table.keys, vals), trace
 
 
 def missing_fraction(
@@ -307,7 +314,7 @@ def missing_fraction(
     """Fraction of prediction events assigned exactly zero probability."""
     if not sentences:
         return 0.0
-    table = _EventTable(_event_windows(sentences, model.order), model.vocab_size, model.matrices)
+    table = _EventTable(_event_windows(sentences, model.order), model.vocab_size, model)
     total, _ = _event_probs(model.lambdas, table.vals, table)
     return float((total == 0.0).sum() / table.n_events)
 

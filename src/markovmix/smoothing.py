@@ -28,8 +28,8 @@ import numpy as np
 from .aggregate import AggregateModel, _class_sums
 from .artifact import ArtifactReader, positive, write_artifact
 from .corpus import (
-    CountTable, NgramCounts, TokenSentence, _check_key_room, _distinct_rows, _event_windows,
-    _pair_rows, _per_row, _row_keys, _row_starts, _rows_in,
+    CountTable, NgramCounts, TokenSentence, _check_ids, _check_key_room, _dict_rows,
+    _distinct_rows, _event_windows, _find, _per_row, _row_keys, _row_normalised, _row_starts,
 )
 from .errors import DataError, ParameterError, id_out_of_range
 from .mixedorder import MixedOrderModel, _components, _EventTable
@@ -63,7 +63,9 @@ class MLBigram:
     context_size = 1
 
     def __init__(self, bigrams: Mapping[tuple[int, int], int]):
-        self.rows = _pair_rows(CountTable.of(bigrams, 2))
+        table = CountTable.of(bigrams, 2)
+        w1, w2 = table.ids.T
+        self.rows = _dict_rows(w1, w2, _row_normalised(w1, table.n))
 
     @classmethod
     def from_counts(cls, counts: NgramCounts) -> "MLBigram":
@@ -316,7 +318,7 @@ def fit_mixed_smoothing(
     windows = _event_windows(validation, m)
     if not len(windows):
         raise DataError("empty validation corpus")
-    table = _EventTable(windows, V, model.matrices)
+    table = _EventTable(windows, V, model)
     weight, mk = _components(model.lambdas, table.vals, table)
     # The lower level scores each distinct truncated event once.
     plow, _ = _score_rows(lower, windows)
@@ -436,8 +438,10 @@ class _KatzLevel:
     still sums to one.
 
     The backoff model scores each stored n-gram once, through the row
-    scorer, when the level is built.  `ids` are the table's sorted stored
-    n-grams, kept for the row scorer's lookup.  A table may be empty.
+    scorer, when the level is built.  `keys` are the sorted keys of the
+    stored n-grams, kept for the row scorer's search (corpus._find).  A
+    table may be empty; an id outside [0, V) is a ParameterError, as it
+    would alias another n-gram's key.
     """
 
     def __init__(
@@ -449,16 +453,18 @@ class _KatzLevel:
         vocab_size: int,
         truncation: int = 1,
     ):
+        _check_ids(table.ids, vocab_size)
+        _check_key_room(vocab_size, table.ids.shape[1])
         ranked, n = table.ranked()
-        _check_key_room(vocab_size, ranked.shape[1])
         starts, lengths = _runs(ranked)
         total = np.repeat(np.add.reduceat(n, starts), lengths)
-        self.ids = table.ids
-        if truncation > 1:  # else no copy of the table
+        # Sorted, as the table's ids are.
+        self.keys = _row_keys(table.ids, 0, vocab_size)
+        if truncation > 1:
             kept = n >= truncation
             ranked, n, total = ranked[kept], n[kept], total[kept]
             starts, lengths = _runs(ranked)
-            self.ids = table.ids[table.n >= truncation]
+            self.keys = self.keys[table.n >= truncation]
         backoff_p, _ = _score_rows(backoff, ranked)
         keys = _row_keys(ranked, 0, vocab_size)
         del ranked  # the rest reads counts, keys and row starts only
@@ -607,10 +613,11 @@ def _score_rows(model, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     truncations are scored once and gathered back; rows of exactly that
     width should be distinct.  A mixed level first scores its lower level
     on the rows and a Katz trigram its backoff on the rows it has not
-    stored, each recursively, and passes each row's value into its scalar
-    call.  Every other model makes one scalar prob_and_backoff (or prob)
-    call per row.  A value passed in is the float that the scalar call
-    would compute, so every result is that of the scalar call.
+    stored (a search of the level's sorted keys), each recursively, and
+    passes each row's value into its scalar call.  Every other model makes
+    one scalar prob_and_backoff (or prob) call per row.  A value passed in
+    is the float that the scalar call would compute, so every result is
+    that of the scalar call.
     """
     if isinstance(model, SmoothedCascade):
         return _score_rows(model.top, rows)
@@ -626,7 +633,7 @@ def _score_rows(model, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.fromiter(_per_row(model.prob, rows, lower_p), np.float64, n), np.zeros(n, bool)
     if isinstance(model, KatzTrigram):
         _check_row_ids(rows, model.vocab_size)
-        unseen = ~_rows_in(rows, model.level.ids)
+        unseen = _find(model.level.keys, _row_keys(rows, 0, model.vocab_size)) < 0
         backoff_p = np.full(n, np.nan)  # only unseen rows read theirs
         backoff_p[unseen], _ = _score_rows(model.backoff, rows[unseen])
         scores = np.fromiter(_per_row(model.prob_and_backoff, rows, backoff_p), _SCORE, n)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 import markovmix as mm
@@ -27,6 +28,18 @@ def count_table(entries: dict) -> CountTable:
     unigram table)."""
     key = next(iter(entries))
     return CountTable.of(entries, len(key) if isinstance(key, tuple) else 1)
+
+
+def mixed_model(lambdas, rows: list[dict]) -> mm.MixedOrderModel:
+    """A mixed-order model from its mixing weights and, per skip distance,
+    dict rows {w1: {w2: p}} of its stored pairs."""
+    V = len(lambdas)
+    keys, vals = [], []
+    for matrix in rows:
+        pairs = sorted((w1 * V + w2, p) for w1, row in matrix.items() for w2, p in row.items())
+        keys.append(np.array([key for key, _ in pairs], dtype=np.int64))
+        vals.append(np.array([p for _, p in pairs], dtype=np.float64))
+    return mm.MixedOrderModel(lambdas, keys, vals)
 
 
 @dataclass

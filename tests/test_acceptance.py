@@ -22,6 +22,7 @@ from markovmix import mixedorder as mo
 from markovmix import smoothing as sm
 from markovmix.corpus import count_ngrams
 
+from conftest import mixed_model
 from test_aggregate import brute_em_step as brute_agg_step
 from test_aggregate import brute_posteriors, random_counts
 from test_cli import run as cli_run
@@ -157,7 +158,7 @@ class TestCriterion05NormalizationSuite:
                 vals /= vals.sum()
                 rows[w1] = {w2: float(v) for w2, v in enumerate(vals)}
             matrices.append(rows)
-        return mm.MixedOrderModel(lambdas, matrices)
+        return mixed_model(lambdas, matrices)
 
     def test_all_exposed_distributions_normalize(self):
         rng = random.Random(5000)

@@ -17,7 +17,7 @@ from markovmix import mixedorder as mo
 from markovmix.corpus import END_ID, START_ID, NgramCounts
 from markovmix.errors import DataError, NumericError, ParameterError
 
-from conftest import count_table
+from conftest import count_table, mixed_model
 from test_corpus import make_vocab
 
 
@@ -142,7 +142,7 @@ class TestMixtureProb:
     def test_certain_first_coin_ignores_older_context(self):
         lambdas = np.array([[1.0, 1.0]] * 5)
         mats = [{3: {4: 0.4, 0: 0.6}}, {2: {4: 0.9, 0: 0.1}}]
-        model = mm.MixedOrderModel(lambdas, mats)
+        model = mixed_model(lambdas, mats)
         assert model.prob((2, 3), 4) == pytest.approx(0.4, abs=0)
         assert model.prob((0, 3), 4) == pytest.approx(0.4, abs=0)
 
@@ -152,7 +152,7 @@ class TestMixtureProb:
         lambdas = np.full((6, 2), 1.0)
         lambdas[3, 0] = 0.25
         mats = [{3: {4: 0.4}}, {5: {4: 0.8}}]
-        model = mm.MixedOrderModel(lambdas, mats)
+        model = mixed_model(lambdas, mats)
         assert model.prob((5, 3), 4) == pytest.approx(0.7, abs=1e-15)
 
     def test_normalizes_when_rows_exist(self):
@@ -371,7 +371,7 @@ class TestLambdaReport:
         lambdas = np.ones((len(values), 2))
         lambdas[:, 0] = values
         mats = [{w: {w: 1.0} for w in range(len(values))} for _ in range(2)]
-        return mm.MixedOrderModel(lambdas, mats)
+        return mixed_model(lambdas, mats)
 
     def test_low_and_high_membership(self):
         lam1 = [0.5] * 8

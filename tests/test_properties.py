@@ -36,12 +36,12 @@ from markovmix.corpus import (
     NgramCounts,
     _distinct_rows,
     _event_windows,
-    _rows_in,
+    _find,
 )
 from markovmix.artifact import ArtifactReader
 from markovmix.errors import DataError, NumericError, ParameterError
 
-from conftest import count_table
+from conftest import count_table, mixed_model
 from corpusgen import generate_lines
 from test_corpus import make_vocab
 
@@ -141,7 +141,7 @@ def test_event_table_matches_per_event_loop(data, order):
     events = data.draw(st.lists(st.lists(st.integers(0, V - 1), max_size=7), max_size=6))
     counts = mm.count_ngrams(train, range(V), 1, range(1, order + 1))
     model = mo.MixedOrderModel.from_counts(counts, order)
-    table = mo._EventTable(_event_windows(events, order), V, model.matrices)
+    table = mo._EventTable(_event_windows(events, order), V, model)
     ctx, pair_idx = naive_event_table(model, events)
     # The table is component-major: one row per skip distance.
     assert np.array_equal(table.ctx, ctx.T)
@@ -216,7 +216,7 @@ def dict_em_step(model, sentences):
             rows.setdefault(w1, {})[w2] = float(new_vals[i])
         new_matrices.append(rows)
     new_lambdas[:, m - 1] = 1.0
-    return mo.MixedOrderModel(new_lambdas, new_matrices), ll, n_skipped
+    return mixed_model(new_lambdas, new_matrices), ll, n_skipped
 
 
 def dict_train_mixed(sentences, order, V, iterations):
@@ -226,7 +226,7 @@ def dict_train_mixed(sentences, order, V, iterations):
     for k in range(1, order + 1):
         lambdas[:, k - 1] = 1.0 / (order - k + 1)
     matrices = [dict_normalized_rows(counts.skips[k])[0] for k in range(1, order + 1)]
-    model = mo.MixedOrderModel(lambdas, matrices)
+    model = mixed_model(lambdas, matrices)
     trace = ag.TrainingTrace()
     for i in range(iterations):
         model, ll_before, n_skipped = dict_em_step(model, sentences)
@@ -381,7 +381,7 @@ def row_major_em_step(cgw, wgc, table):
     num_cgw = np.zeros((V, C))
     num_wgc_t = np.zeros((V, C))
     ll = 0.0
-    for chunk in table.chunks(C):
+    for chunk in table.chunks:
         block = cgw[chunk.rows] * wgc_t[chunk.cols]
         denom = block.sum(axis=1)
         pos = denom > 0.0
@@ -408,7 +408,7 @@ def row_major_em_step(cgw, wgc, table):
 def row_major_log_likelihood(cgw, wgc, table):
     wgc_t = np.ascontiguousarray(wgc.T)
     ll = 0.0
-    for chunk in table.chunks(cgw.shape[1]):
+    for chunk in table.chunks:
         denom = (cgw[chunk.rows] * wgc_t[chunk.cols]).sum(axis=1)
         pos = denom > 0.0
         ll += float(chunk.vals[pos] @ np.log(denom[pos]))
@@ -420,7 +420,7 @@ def assert_em_matches_row_major(counts, C, seed, iterations, entries_per_chunk):
     bit, with the table cut into chunks of `entries_per_chunk` entries."""
     V = counts.vocab_size
     with mock.patch.object(ag, "_CHUNK_CELLS", entries_per_chunk * C):
-        table = ag._BigramTable(counts, V)
+        table = ag._BigramTable(counts, V, C)
         model = mm.AggregateModel.random_init(V, C, seed)
         stepped, ll = ag.em_step(model, counts)
         cgw, wgc, ref_ll = row_major_em_step(
@@ -770,19 +770,18 @@ def test_distinct_rows_of_no_rows():
     assert distinct.shape == (0, 3) and inverse.shape == (0,)
 
 
+int64_keys = st.integers(0, 3) | st.integers(-(2**63), 2**63 - 1)
+
+
 @SETTINGS
 @given(
-    st.integers(1, 4).flatmap(
-        lambda width: st.tuples(*[
-            arrays(np.int64, st.tuples(st.integers(0, 30), st.just(width)),
-                   elements=st.integers(0, 3) | st.integers(-(2**63), 2**63 - 1))
-        ] * 2)
-    )
+    arrays(np.int64, st.integers(0, 30), elements=int64_keys, unique=True),
+    arrays(np.int64, st.integers(0, 30), elements=int64_keys),
 )
-def test_rows_in_matches_set_membership(tables):
-    rows, table = tables
-    stored = {tuple(row) for row in table.tolist()}
-    assert _rows_in(rows, table).tolist() == [tuple(row) in stored for row in rows.tolist()]
+def test_find_matches_dict_lookup(stored, query):
+    keys = np.sort(stored)
+    position = {key: i for i, key in enumerate(keys.tolist())}
+    assert _find(keys, query).tolist() == [position.get(key, -1) for key in query.tolist()]
 
 
 @SETTINGS
@@ -1181,6 +1180,12 @@ def assert_once_per_distinct_row(chain, rows):
         rows = calls
 
 
+def stored_trigrams(trigram):
+    """The (u, v, w) rows a Katz trigram stores, read out of its keys."""
+    ids = np.unravel_index(trigram.level.keys, (trigram.vocab_size,) * 3)
+    return set(zip(*(column.tolist() for column in ids)))
+
+
 def assert_evaluation_scores_once(model, trigram, chain, test):
     """evaluate(model, test) for a model whose top level is the Katz trigram
     `trigram`: the trigram must be asked once per distinct event, and each
@@ -1195,7 +1200,7 @@ def assert_evaluation_scores_once(model, trigram, chain, test):
         pass
     events = {tuple(row) for row in _event_windows(test, 2).tolist()}
     assert_once_per_distinct_row([(trigram, top_calls)], events)
-    stored = {tuple(row) for row in trigram.level.ids.tolist()}
+    stored = stored_trigrams(trigram)
     assert_once_per_distinct_row(chain, [row for row in top_calls if row not in stored])
 
 
@@ -1231,7 +1236,7 @@ def test_each_level_scores_each_distinct_row_of_its_width_once(corpus, data):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             trigram = sm.build_katz_trigram(counts, backoff, 2, truncation)
-        assert_once_per_distinct_row(chain, {tuple(row) for row in trigram.level.ids.tolist()})
+        assert_once_per_distinct_row(chain, stored_trigrams(trigram))
         assert_evaluation_scores_once(trigram, trigram, chain, test)
 
     # A cascade is scored as its top level.
@@ -1360,7 +1365,7 @@ def test_mixed_model_resaves_identically(data, V, m):
         for w1, row in rows.items():
             rows[w1] = dict(zip(row, normalised(np.array([list(row.values())]))[0].tolist()))
         matrices.append(rows)
-    assert resaved_equal(mo.MixedOrderModel(lambdas, matrices), mo.MixedOrderModel.load)
+    assert resaved_equal(mixed_model(lambdas, matrices), mo.MixedOrderModel.load)
 
 
 @SETTINGS

@@ -13,7 +13,7 @@ from markovmix import smoothing as sm
 from markovmix.corpus import END_ID, START_ID, CountTable, NgramCounts, count_ngrams
 from markovmix.errors import DataError, ParameterError
 
-from conftest import count_table
+from conftest import count_table, mixed_model
 from corpusgen import generate_lines
 from test_corpus import make_vocab
 
@@ -216,7 +216,7 @@ class TestSmoothedMixedLevel:
                 vals /= vals.sum()
                 rows[w1] = {int(w): float(v) for w, v in zip(support, vals)}
             matrices.append(rows)
-        model = mm.MixedOrderModel(lambdas, matrices)
+        model = mixed_model(lambdas, matrices)
         values = {
             (k + 1, w): float(rng_np.uniform(0, 1)) for k in range(m) for w in range(V)
         }
@@ -451,8 +451,9 @@ def katz_fixture(rng, n_words=5, n_sentences=40):
 def stored_rows(trigram):
     """{(u, v): [w, ...]} of a Katz trigram's stored trigrams, sorted."""
     rows = {}
-    for u, v, w in trigram.level.ids.tolist():
-        rows.setdefault((u, v), []).append(w)
+    for key in trigram.level.keys.tolist():
+        uv, w = divmod(key, trigram.vocab_size)
+        rows.setdefault(divmod(uv, trigram.vocab_size), []).append(w)
     return rows
 
 
@@ -583,6 +584,19 @@ class TestKatzBackoff:
             trigram.prob((0, 3), counts.vocab_size)
         with pytest.raises(ParameterError):
             trigram.prob((0, counts.vocab_size + 5), 3)
+
+    def test_ids_outside_the_vocabulary_rejected(self):
+        # (0, 1, 12) would fold to the key of (0, 2, 2) with V = 10, and a
+        # backoff that does not check ids would not catch it.
+        class Uniform:
+            context_size = 1
+
+            def prob(self, context, word):
+                return 0.1
+
+        trigrams = Counter({(0, 1, 12): 3, (0, 1, 3): 1, (0, 2, 2): 1, (4, 5, 6): 2})
+        with pytest.raises(ParameterError, match=r"word ids must lie in \[0, 10\)"):
+            sm.KatzTrigram(trigrams, Uniform(), vocab_size=10, discounts={})
 
     def test_vocabulary_too_large_for_int64_keys_rejected(self):
         # The level keys trigrams by (u * V + v) * V + w, which would wrap.
