@@ -2,8 +2,8 @@
 counting, the mixed-order event table, the aggregate E-step (two-pass and
 row-major references), both smoothing-weight fits and evaluation against
 plain loop references, the distinct-row helper and the artifact key check
-against numpy's unique, the row-membership helper against a set and the
-Katz run sums against a left-to-right loop; every level's scalar prob and
+against numpy's unique, the sorted-key search against a dict lookup and
+the Katz run sums against a left-to-right loop; every level's scalar prob and
 the Katz alphas against reference formulas, bit for bit, the row scorer
 against the scalar calls, bit for bit, and how often it calls each level;
 the messages for out-of-range ids; row normalisation of every cascade level
