@@ -10,6 +10,8 @@ into a DataError naming the file and the line.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import DataError
@@ -69,13 +71,15 @@ class ArtifactReader:
 
     The magic and the header fields, given as name=type where the type
     converts the text or raises ValueError, are checked on opening; their
-    values land in `header`.  Rows then follow block by block.
+    values land in `header`.  Rows then follow block by block, each cut
+    from the file's text at the offset where the last one ended.
     """
 
     def __init__(self, path, magic: str, **fields):
         self.path = path
-        self.lines = read_text(path).split("\n")[:-1]
-        head = self.lines[0].split(" ")
+        self.text = read_text(path)
+        self.offset = self.text.index("\n") + 1  # where the next unread line starts
+        head = self.text[: self.offset - 1].split(" ")
         if head[:2] != [magic, "v1"]:
             raise self.error(1, "not a %s v1 file" % magic)
         self.header = self.key_values(head[2:], 1, **fields)
@@ -128,6 +132,15 @@ class ArtifactReader:
         """DataError at the first row of the last block whose key, one value
         per column, repeats an earlier row's; rows need not be sorted.
         Returns the order of the rows sorted by key."""
+        # Keys that strictly increase, as saving a count table or a model
+        # writes them, are in order already.
+        after = np.zeros(max(len(columns[0]) - 1, 0), dtype=bool)
+        tied = ~after
+        for column in columns:
+            after |= tied & (column[1:] > column[:-1])
+            tied &= column[1:] == column[:-1]
+        if after.all():
+            return np.arange(len(columns[0]))
         # A stable sort by key, first column first: equal keys end up
         # adjacent, each run led by the row that holds the key first.
         order = np.lexsort(columns[::-1])
@@ -147,28 +160,41 @@ class ArtifactReader:
 
     def records(self):
         """(file line, fields) for each remaining line."""
-        for lineno, line in enumerate(self.lines[self.pos :], self.pos + 1):
+        lines = self._rest()
+        for lineno, line in enumerate(lines, self.pos + 1):
             fields = line.split(" ")
             if "" in fields:
                 raise self.error(lineno, "empty field; fields are separated by single spaces")
             yield lineno, fields
-        self.pos = len(self.lines)
+        self.pos, self.offset = self.pos + len(lines), len(self.text)
 
     def end(self) -> None:
-        if self.pos < len(self.lines):
-            raise self.error(self.pos + 1, "unexpected line %r" % self.lines[self.pos])
+        if self.offset < len(self.text):
+            line = self.text[self.offset : self.text.index("\n", self.offset)]
+            raise self.error(self.pos + 1, "unexpected line %r" % line)
+
+    def _rest(self) -> list[str]:
+        """Every remaining line."""
+        return self.text[self.offset : -1].split("\n") if self.offset < len(self.text) else []
 
     def _block(self, kinds: str, count: int | None, tag: str) -> np.ndarray:
-        start = stop = self.pos
-        while tag and stop < len(self.lines) and self.lines[stop].startswith(tag + " "):
-            stop += 1
-        if not tag:
-            stop = len(self.lines) if count is None else start + count
-        if stop > len(self.lines):
-            raise self.error(len(self.lines), "file ends %d rows short" % (stop - len(self.lines)))
-        self.pos, self.first = stop, start + 1
-        lines = self.lines[start:stop]
-        lines = [line[len(tag) + 1 :] for line in lines] if tag else lines
+        start, text = self.pos, self.text
+        if tag:
+            # The run ends at the first newline, searched from the one before
+            # it, that the tag and a space do not follow; one replace drops
+            # the tags.
+            stop = re.compile("\n(?!%s )" % re.escape(tag)).search(text, self.offset - 1).end()
+            run = text[self.offset - 1 : stop - 1].replace("\n%s " % tag, "\n")
+            lines = run[1:].split("\n") if run else []
+        elif count is None:
+            lines, stop = self._rest(), len(text)
+        else:
+            lines = text[self.offset :].split("\n", count)
+            if len(lines) <= count:
+                have = start + len(lines) - 1
+                raise self.error(have, "file ends %d rows short" % (count + 1 - len(lines)))
+            stop = len(text) - len(lines.pop())
+        self.pos, self.first, self.offset = start + len(lines), start + 1, stop
         dtype = np.dtype([("", _KINDS[kind][0]) for kind in kinds])
         table = _table(lines, dtype)
         if table is None:
@@ -178,7 +204,7 @@ class ArtifactReader:
                 mid = (lo + hi) // 2
                 lo, hi = (lo, mid) if _table(lines[lo:mid], dtype) is None else (mid, hi)
             wanted = " ".join([tag] * bool(tag) + [_KINDS[kind][1] for kind in kinds])
-            row = self.lines[start + lo]
+            row = " ".join([tag] * bool(tag) + [lines[lo]])
             raise self.error(start + lo + 1, "bad row %r; expected: %s" % (row, wanted))
         return table
 

@@ -10,6 +10,7 @@ values.  Exit codes: 0 success, 2 usage or parameter error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -433,9 +434,11 @@ _COMMANDS = {
     "report-lambda": cmd_report_lambda,
 }
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes --config and one option per RunConfig field but
-    the command, typed like the field's default."""
+    the command, typed like the field's default.  Built once per process:
+    parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="markovmix",
         description="Train and evaluate aggregate and mixed-order Markov language models.",

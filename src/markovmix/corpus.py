@@ -4,6 +4,12 @@ Corpus files are UTF-8 text, one sentence per line, tokens separated by
 whitespace.  Three reserved tokens occupy the first vocabulary ids:
 start-of-sentence (0), end-of-sentence (1), and unknown (2).
 
+Ingest runs no Python code per token: build_vocabulary counts the forms of
+all split lines with one Counter, and tokenize_corpus maps each line's
+forms through dict.get on one lookup table, in which the boundary marker
+strings map to unknown.  The tests keep the per-token loops as the
+reference both must match.
+
 Counting conventions: every sentence w_1..w_n yields n+1 prediction events,
 one per interior word plus one for the end marker.  The start marker is
 repeated on the left as far back as the largest configured skip distance
@@ -30,6 +36,7 @@ builder, _dict_rows.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -103,17 +110,14 @@ def build_vocabulary(lines: Iterable[str], max_size: int) -> Vocabulary:
     """
     if max_size < 4:
         raise ParameterError("max_size must be at least 4, got %d" % max_size)
-    freqs: dict[str, int] = {}
-    for line in lines:
-        for tok in line.split():
-            if tok in _RESERVED:
-                continue
-            freqs[tok] = freqs.get(tok, 0) + 1
+    freqs = Counter(itertools.chain.from_iterable(map(str.split, lines)))
+    for tok in _RESERVED:
+        del freqs[tok]
     if not freqs:
         raise DataError("empty corpus")
-    ranked = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [w for w, _ in ranked[: max_size - 3]]
-    return Vocabulary(list(_RESERVED) + kept)
+    # By form, then (a stable sort) by falling count: the (-count, form) order.
+    ranked = sorted(sorted(freqs), key=freqs.__getitem__, reverse=True)
+    return Vocabulary(list(_RESERVED) + ranked[: max_size - 3])
 
 
 def tokenize(line: str, vocab: Vocabulary) -> TokenSentence:
@@ -122,15 +126,15 @@ def tokenize(line: str, vocab: Vocabulary) -> TokenSentence:
     Literal occurrences of the start/end marker strings also map to unknown,
     so no interior token ever carries a boundary id.
     """
-    out = []
-    for tok in line.split():
-        wid = vocab.id_of(tok)
-        out.append(UNK_ID if wid in (START_ID, END_ID) else wid)
-    return out
+    return tokenize_corpus([line], vocab)[0]
 
 
 def tokenize_corpus(lines: Iterable[str], vocab: Vocabulary) -> list[TokenSentence]:
-    return [tokenize(line, vocab) for line in lines]
+    """tokenize for each line, with one lookup table for all of them."""
+    lookup = dict(vocab.ids)
+    lookup[START_TOKEN] = lookup[END_TOKEN] = UNK_ID
+    unknown = itertools.repeat(UNK_ID)
+    return [list(map(lookup.get, line.split(), unknown)) for line in lines]
 
 
 def read_lines(path) -> list[str]:

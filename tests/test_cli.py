@@ -1,9 +1,12 @@
 """Command-line pipeline: argument handling, artifacts, and determinism."""
 
+import json
 import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -814,3 +817,57 @@ class TestDeterminism:
                 (d / name2).read_bytes() for name2 in outputs
             ])
         assert digests[0] == digests[1]
+
+    def test_artifacts_do_not_depend_on_the_string_hash_seed(self, tmp_path):
+        # Every README command, each run in a child process per hash seed:
+        # counting forms and looking them up go through str hashes.
+        steps = [
+            ["prepare", "--input", "train.txt", "--vocab-size", "16", "--max-order", "3",
+             "--skips", "1,2", "--vocab-out", "vocab.txt", "--counts-out", "counts.txt"],
+            ["train-aggregate", "--counts", "counts.txt", "--classes", "4", "--iters", "8",
+             "--seed", "0", "--model-out", "agg.txt", "--trace-out", "agg_trace.csv"],
+            ["train-mixed", "--input", "train.txt", "--vocab", "vocab.txt", "--order", "2",
+             "--model-out", "mix2.txt", "--trace-out", "mix2_trace.csv"],
+            ["smooth", "--counts", "counts.txt", "--vocab", "vocab.txt", "--agg-model", "agg.txt",
+             "--mixed-models", "mix2.txt", "--valid", "valid.txt", "--with-trigram",
+             "--gt-threshold", "2", "--out-dir", "smooth", "--manifest-out", "cascade.txt"],
+            ["smooth", "--counts", "counts.txt", "--vocab", "vocab.txt", "--agg-model", "agg.txt",
+             "--mixed-models", "mix2.txt", "--valid", "valid.txt", "--out-dir", "smooth_nt",
+             "--manifest-out", "cascade_no_trigram.txt"],
+            ["eval", "--test", "test.txt", "--vocab", "vocab.txt", "--cascade", "cascade.txt",
+             "--unseen", "backoff", "--report-out", "report.json", "--csv-out", "row.csv"],
+            ["sweep-truncate", "--counts", "counts.txt", "--vocab", "vocab.txt",
+             "--cascade", "cascade_no_trigram.txt", "--test", "test.txt", "--t-max", "2",
+             "--csv-out", "sweep.csv"],
+            ["report-classes", "--agg-model", "agg.txt", "--vocab", "vocab.txt",
+             "--counts", "counts.txt", "--top-n", "10", "--csv-out", "classes.csv"],
+            ["report-lambda", "--model", "mix2.txt", "--vocab", "vocab.txt", "--counts", "counts.txt",
+             "--top-n", "10", "--list-size", "5", "--out", "lambda.txt"],
+        ]
+        child = (
+            "import json, sys\n"
+            "from markovmix.cli import main\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    if main(args):\n"
+            "        sys.exit('%s failed' % args[0])\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(mm.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        artifacts = []
+        for seed in ("0", "1"):
+            d = tmp_path / ("hash" + seed)
+            d.mkdir()
+            (d / "train.txt").write_text("\n".join(CORPUS) + "\n", encoding="utf-8")
+            (d / "valid.txt").write_text("\n".join(CORPUS[1::3]) + "\n", encoding="utf-8")
+            (d / "test.txt").write_text(
+                "the dog sat on the mat .\na bird saw a cat .\n", encoding="utf-8"
+            )
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-c", child, json.dumps(steps)], cwd=d, env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            artifacts.append({
+                str(f.relative_to(d)): f.read_bytes() for f in sorted(d.rglob("*")) if f.is_file()
+            })
+        assert len(artifacts[0]) == 21
+        assert artifacts[0] == artifacts[1]

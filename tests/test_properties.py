@@ -33,12 +33,13 @@ from markovmix.corpus import (
     _RESERVED,
     END_ID,
     START_ID,
+    UNK_ID,
     NgramCounts,
     _distinct_rows,
     _event_windows,
     _find,
 )
-from markovmix.artifact import ArtifactReader
+from markovmix.artifact import ArtifactReader, _table, read_text
 from markovmix.errors import DataError, NumericError, ParameterError
 
 from conftest import count_table, mixed_model
@@ -818,6 +819,12 @@ def np_unique_check(columns):
 @given(st.integers(1, 3), st.data())
 def test_check_unique_matches_np_unique(width, data):
     keys = data.draw(st.lists(st.tuples(*[st.integers(-2, 3)] * width), max_size=25))
+    # Keys in any order; sorted, with or without repeats; and sorted by
+    # the last column first, so that a later column often rises.
+    arrange = data.draw(st.sampled_from([
+        list, sorted, lambda keys: sorted(set(keys)), lambda keys: sorted(keys, key=lambda k: k[::-1])
+    ]))
+    keys = arrange(keys)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "keys.txt")
         with open(path, "w", encoding="utf-8") as fh:
@@ -832,6 +839,126 @@ def test_check_unique_matches_np_unique(width, data):
                 reader.check_unique(*columns)
         else:
             assert reader.check_unique(*columns).tolist() == expected[1]
+
+
+def loop_blocks(path, steps):
+    """What reading `steps`, each (kinds, count, tag) as ArtifactReader.rows
+    takes them, then ending gives, line by line: each tagged run found by
+    testing each line's start, each row parsed on its own.  Returns the
+    blocks read, as structured arrays, and the first DataError's message,
+    or None."""
+    lines = read_text(path).split("\n")[:-1]
+    pos, blocks = 1, []
+    for kinds, count, tag in steps:
+        stop = pos
+        if tag:
+            while stop < len(lines) and lines[stop].startswith(tag + " "):
+                stop += 1
+        else:
+            stop = len(lines) if count is None else pos + count
+        if stop > len(lines):
+            return blocks, "%s:%d: file ends %d rows short" % (path, len(lines), stop - len(lines))
+        dtype = np.dtype([("", {"i": np.int64, "f": np.float64}[kind]) for kind in kinds])
+        rows = []
+        for lineno in range(pos + 1, stop + 1):
+            line = lines[lineno - 1]
+            row = _table([line[len(tag) + 1 :] if tag else line], dtype)
+            if row is None:
+                wanted = " ".join([tag] * bool(tag) + [{"i": "int", "f": "float"}[k] for k in kinds])
+                return blocks, "%s:%d: bad row %r; expected: %s" % (path, lineno, line, wanted)
+            rows.append(row)
+        blocks.append(np.concatenate(rows) if rows else np.empty(0, dtype))
+        pos = stop
+    if pos < len(lines):
+        return blocks, "%s:%d: unexpected line %r" % (path, pos + 1, lines[pos])
+    return blocks, None
+
+
+tagged_lines = st.lists(
+    st.tuples(
+        st.sampled_from(["B ", "B ", "T ", "BB ", "B", "b ", ""]),
+        st.lists(st.sampled_from(["0", "7", "-3", "2.5", "1e3", "inf", "x", ""]), max_size=3),
+    ).map(lambda line: line[0] + " ".join(line[1])),
+    max_size=12,
+)
+block_steps = st.tuples(
+    st.sampled_from(["i", "if", "ii"]),
+    st.none() | st.integers(0, 4),
+    st.sampled_from(["B", "T", "BB", ""]),
+).map(lambda step: step if step[2] else step[:2] + ("",))
+
+
+@SETTINGS
+@given(tagged_lines, st.lists(block_steps, max_size=4))
+def test_tagged_blocks_match_per_line_reading(lines, steps):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "rows.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("ROWS v1\n" + "".join(line + "\n" for line in lines))
+        expected, message = loop_blocks(path, steps)
+        reader = ArtifactReader(path, "ROWS")
+        try:
+            for block, (kinds, count, tag) in zip(expected, steps):
+                columns = reader.rows(kinds, count, tag)
+                assert [c.dtype for c in columns] == [block[n].dtype for n in block.dtype.names]
+                assert [c.tobytes() for c in columns] == [block[n].tobytes() for n in block.dtype.names]
+            if len(expected) < len(steps):
+                reader.rows(*steps[len(expected)])
+            else:
+                reader.end()
+        except DataError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None
+
+
+def loop_vocabulary(lines, max_size):
+    """build_vocabulary's words, counted token by token."""
+    freqs = {}
+    for line in lines:
+        for tok in line.split():
+            if tok not in _RESERVED:
+                freqs[tok] = freqs.get(tok, 0) + 1
+    if not freqs:
+        raise DataError("empty corpus")
+    ranked = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))
+    return list(_RESERVED) + [w for w, _ in ranked[: max_size - 3]]
+
+
+def loop_tokenize(line, vocab):
+    """tokenize, token by token."""
+    out = []
+    for tok in line.split():
+        wid = vocab.id_of(tok)
+        out.append(UNK_ID if wid in (START_ID, END_ID) else wid)
+    return out
+
+
+# Lines of few forms, so that counts tie, joined by any whitespace str.split
+# splits on, and with the reserved forms among them.
+text_lines = st.lists(
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "  ", "\u3000", "\x85", "\r"]),
+        st.sampled_from(["a", "b", "ab", "é", "<s>", "</s>", "<unk>", "<S>"]),
+    ),
+    max_size=8,
+).map(lambda parts: "".join(sep + form for sep, form in parts))
+
+
+@SETTINGS
+@given(st.lists(text_lines, max_size=6), st.lists(text_lines, max_size=4), st.integers(4, 8))
+def test_ingest_matches_per_token_loops(train, test, max_size):
+    try:
+        expected = loop_vocabulary(train, max_size)
+    except DataError:
+        with pytest.raises(DataError, match="^empty corpus$"):
+            mm.build_vocabulary(iter(train), max_size)
+        return
+    vocab = mm.build_vocabulary(iter(train), max_size)
+    assert vocab.words == expected
+    lines = train + test
+    assert mm.tokenize_corpus(iter(lines), vocab) == [loop_tokenize(line, vocab) for line in lines]
+    assert [mm.tokenize(line, vocab) for line in lines] == [loop_tokenize(line, vocab) for line in lines]
 
 
 def contexts_of(size, sentences, extra):
