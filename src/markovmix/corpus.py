@@ -124,7 +124,8 @@ def tokenize(line: str, vocab: Vocabulary) -> TokenSentence:
     """Map a line to interior word ids; OOV forms map to the unknown id.
 
     Literal occurrences of the start/end marker strings also map to unknown,
-    so no interior token ever carries a boundary id.
+    so no interior token ever carries a boundary id.  Each call builds the
+    lookup table anew; tokenize_corpus builds one for many lines.
     """
     return tokenize_corpus([line], vocab)[0]
 

@@ -1,4 +1,6 @@
-"""Property tests on random tiny corpora: the array implementations of
+"""Property tests on random tiny corpora: ingest (vocabulary and
+tokenization) against per-token loops; the artifact reader's tagged and
+counted blocks against a per-line reading; the array implementations of
 counting, the mixed-order event table, the aggregate E-step (two-pass and
 row-major references), both smoothing-weight fits and evaluation against
 plain loop references, the distinct-row helper and the artifact key check
@@ -874,23 +876,35 @@ def loop_blocks(path, steps):
     return blocks, None
 
 
-tagged_lines = st.lists(
-    st.tuples(
-        st.sampled_from(["B ", "B ", "T ", "BB ", "B", "b ", ""]),
-        st.lists(st.sampled_from(["0", "7", "-3", "2.5", "1e3", "inf", "x", ""]), max_size=3),
-    ).map(lambda line: line[0] + " ".join(line[1])),
-    max_size=12,
-)
-block_steps = st.tuples(
-    st.sampled_from(["i", "if", "ii"]),
-    st.none() | st.integers(0, 4),
-    st.sampled_from(["B", "T", "BB", ""]),
-).map(lambda step: step if step[2] else step[:2] + ("",))
+any_fields = st.lists(st.sampled_from(["0", "-3", "2.5", "1e3", "inf", "x", "B", ""]), max_size=3)
+
+
+@st.composite
+def tagged_files(draw):
+    """(lines, steps): runs of lines under one tag, a near-tag or none, and
+    per run one step to read, as ArtifactReader.rows takes it, mostly by
+    the run's own tag, and maybe a last step that counts more rows than
+    are left.  Four rows in five are a good row of the step's kinds; the
+    rest are fields that may be bad."""
+    lines, steps = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        tag = draw(st.sampled_from(["B", "T", "BB", "b", ""]))
+        kinds = draw(st.sampled_from(["i", "if", "ii"]))
+        good = st.lists(st.integers(-9, 99).map(str), min_size=len(kinds), max_size=len(kinds))
+        rows = draw(st.lists(st.one_of(good, good, good, good, any_fields), min_size=1, max_size=4))
+        lines += [" ".join([tag] * bool(tag) + row) for row in rows]
+        step_tag = draw(st.sampled_from([tag, tag, "B", "T", "BB", ""]))
+        count = draw(st.none() | st.integers(0, 5) | st.just(len(rows)))
+        steps.append((kinds, count, step_tag))
+    if draw(st.booleans()):  # a count that the file may fall short of
+        steps.append(("i", len(lines) + draw(st.integers(0, 2)), ""))
+    return lines, steps
 
 
 @SETTINGS
-@given(tagged_lines, st.lists(block_steps, max_size=4))
-def test_tagged_blocks_match_per_line_reading(lines, steps):
+@given(tagged_files())
+def test_tagged_blocks_match_per_line_reading(file):
+    lines, steps = file
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "rows.txt")
         with open(path, "w", encoding="utf-8") as fh:
