@@ -24,7 +24,6 @@ from .corpus import (
 from .evaluation import EvalReport, evaluate, perplexity, sentence_log_prob, unseen_perplexity
 from .mixedorder import MixedOrderModel, lambda_report, missing_fraction, train_mixed
 from .smoothing import (
-    InterpolationParams,
     KatzBigram,
     KatzTrigram,
     MixedSmoothingParams,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateModel",
     "EvalReport",
-    "InterpolationParams",
     "KatzBigram",
     "KatzTrigram",
     "MLBigram",

@@ -1,9 +1,8 @@
 """Aggregate Markov models: bigrams factored through soft word classes.
 
 The model represents P(w2|w1) as sum_c P(w2|c) P(c|w1) with C classes, and
-is trained by EM on the sparse bigram count table.  Both factor matrices are
-row stochastic; the E-step visits only observed bigrams, never all V^2
-pairs.
+is trained by EM on the sparse bigram count table.  Both factors are row
+stochastic; the E-step visits only observed bigrams, never all V^2 pairs.
 
 The E-step holds its posterior block class-major, as a (C, entries) array,
 so that every reduction runs over contiguous memory: the per-entry
@@ -61,7 +60,7 @@ class AggregateModel:
         word_given_class: (C, V) row-stochastic emission matrix.
 
     Both attributes are read-only: scoring reads per-word row and column
-    views of the two matrices, taken when the model is built.
+    views of the two factors, taken when the model is built.
     """
 
     context_size = 1
@@ -70,9 +69,9 @@ class AggregateModel:
         class_given_word = np.asarray(class_given_word, dtype=np.float64)
         word_given_class = np.asarray(word_given_class, dtype=np.float64)
         if class_given_word.shape[1] != word_given_class.shape[0]:
-            raise ParameterError("factor matrices disagree on the class count")
+            raise ParameterError("membership and emission disagree on the class count")
         if class_given_word.shape[0] != word_given_class.shape[1]:
-            raise ParameterError("factor matrices disagree on the vocabulary size")
+            raise ParameterError("membership and emission disagree on the vocabulary size")
         self._cgw = class_given_word
         self._wgc = word_given_class
         self._rows = list(class_given_word)
@@ -302,7 +301,7 @@ def em_step(
 def _em_step_table(
     cgw: np.ndarray, wgc: np.ndarray, table: _BigramTable
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """em_step on the factor matrices: the updated pair and the
+    """em_step on the two factors: the updated pair and the
     log-likelihood of the input pair."""
     V, C = cgw.shape
     num_cgw = np.zeros((V, C))
@@ -325,7 +324,7 @@ def _em_step_table(
         by_col = np.take(block, chunk.col_order, axis=1, out=spare, mode="wrap")
         num_wgc_t[chunk.col_ids] += np.add.reduceat(by_col, chunk.col_starts, axis=1).T
 
-    # The numerators are normalised in place and become the new matrices;
+    # The numerators are normalised in place and become the new factors;
     # rows and classes that gained no mass keep their previous values.
     row_mass = num_cgw.sum(axis=1)
     touched = row_mass > 0.0

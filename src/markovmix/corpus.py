@@ -28,9 +28,9 @@ mixed-order model stores its skip pairs as sorted keys, and the Katz levels
 key their probabilities and weights by them.  One search, _find, finds keys
 in a sorted key array, for the mixed-order event table and for the Katz
 trigram's row scorer.  Pair counts are row-normalised by _row_normalised.
-The dict rows {context: {word: value}} that scalar scoring reads, the ML
-bigram rows and a mixed-order model's cached skip rows, come from one
-builder, _dict_rows.
+Scalar scoring reads the same keys: the ML bigram's pairs, a mixed-order
+model's cached skip pairs and the Katz probabilities and weights are each
+one flat dict {key: value}, built by one helper, _key_dict.
 """
 
 from __future__ import annotations
@@ -411,20 +411,10 @@ def _row_normalised(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
     return n / np.bincount(rows, weights=n)[rows]
 
 
-def _row_starts(ctx: np.ndarray) -> np.ndarray:
-    """Where each run of equal contexts begins, for contexts grouped into
-    runs: ids (`ctx` 1-D) or rows of ids (`ctx` (entries, j))."""
-    wide = ctx[:, None] if ctx.ndim == 1 else ctx
-    return np.flatnonzero(np.diff(wide, axis=0, prepend=wide[:1] - 1).any(axis=1))
-
-
-def _dict_rows(ctx: np.ndarray, words: np.ndarray, values: np.ndarray) -> dict:
-    """Entries grouped by context id as rows {context: {word: value}} of
-    Python ints and floats, the form that scalar scoring reads."""
-    starts = _row_starts(ctx).tolist()
-    bounds, cols, vals = starts + [len(words)], words.tolist(), values.tolist()
-    keys = ctx[starts].tolist()
-    return {key: dict(zip(cols[a:b], vals[a:b])) for key, a, b in zip(keys, bounds, bounds[1:])}
+def _key_dict(keys: np.ndarray, values: np.ndarray) -> dict[int, float]:
+    """{key: value} of Python ints and floats, for int64 keys of _row_keys:
+    the flat form that scalar scoring reads."""
+    return dict(zip(keys.tolist(), values.tolist()))
 
 
 def _check_ids(ids: np.ndarray, vocab_size: int) -> None:

@@ -1,6 +1,6 @@
 """Mixed-order Markov models: convex mixtures of skip-k bigram predictions.
 
-The prediction for word w_t combines skip-k transition matrices M_k, one per
+The prediction for word w_t combines skip-k transition tables M_k, one per
 distance k = 1..m, with context-dependent mixing weights: component k fires
 with probability lambda_k(w_{t-k}) times the probability that every closer
 component declined, prod_{j<k} (1 - lambda_j(w_{t-j})).  The last mixing
@@ -15,8 +15,9 @@ A model stores, per skip distance, the sorted int64 pair keys w1*V + w2 of
 its stored pairs and one float64 value array: the form that training works
 on (_EventTable) and that save writes.  Training also holds component-major
 (m, events) event arrays, so that each component's work reads one
-contiguous row.  The dict rows that scalar scoring reads are built from the
-arrays on first use, once per model (MixedOrderModel.matrices).
+contiguous row.  The flat dicts {w1*V + w2: p} that scalar scoring reads
+are built from the arrays on first use, once per model
+(MixedOrderModel.pairs).
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .corpus import (
     TokenSentence,
     _check_ids,
     _check_key_room,
-    _dict_rows,
     _distinct_rows,
     _event_windows,
     _find,
+    _key_dict,
     _row_keys,
     _row_normalised,
     most_frequent,
@@ -56,9 +57,9 @@ def _initial_lambdas(vocab_size: int, order: int) -> np.ndarray:
 
 
 class MixedOrderModel:
-    """Mixture of skip-k transition matrices with per-word mixing weights.
+    """Mixture of skip-k transition tables with per-word mixing weights.
 
-    The attributes are read-only: `matrices` is built from `keys` and `vals`
+    The attributes are read-only: `pairs` is built from `keys` and `vals`
     once and kept.
 
     Attributes:
@@ -79,11 +80,10 @@ class MixedOrderModel:
         self.vals = vals
 
     @functools.cached_property
-    def matrices(self) -> list[dict[int, dict[int, float]]]:
-        """Per k, the stored pairs as dict rows {w1: {w2: p}}, the form that
-        scalar scoring reads."""
-        V = self.vocab_size
-        return [_dict_rows(keys // V, keys % V, vals) for keys, vals in zip(self.keys, self.vals)]
+    def pairs(self) -> list[dict[int, float]]:
+        """Per k, the stored pairs as one flat dict {w1*V + w2: p}, the form
+        that scalar scoring reads."""
+        return [_key_dict(keys, vals) for keys, vals in zip(self.keys, self.vals)]
 
     @property
     def vocab_size(self) -> int:
@@ -122,12 +122,10 @@ class MixedOrderModel:
             raise id_out_of_range((*context, word), V)
         total = 0.0
         declined = 1.0
-        for k in range(1, m + 1):
+        for k, pairs in enumerate(self.pairs, start=1):
             w_ctx = context[m - k]
             lam = self.lambdas[w_ctx, k - 1]
-            row = self.matrices[k - 1].get(w_ctx)
-            if row:
-                total += declined * lam * row.get(word, 0.0)
+            total += declined * lam * pairs.get(w_ctx * V + word, 0.0)
             declined *= 1.0 - lam
         return total
 

@@ -11,6 +11,11 @@ Three layers are provided, composable bottom-up:
     off, Katz style, either to the classic bigram/unigram chain or to a
     smoothed order-2 cascade.
 
+The weights of every level are a MixedSmoothingParams, the bigram level's
+under k = 1.  A level reads them when it is built, into one list per k
+holding 1.0 for each row it does not store, and reads its tables as flat
+dicts keyed by corpus._row_keys (corpus._key_dict).
+
 Parameter files use the "SIGMA v1" format (one "k w sigma" triple per line,
 w = -1 holding the per-k fallback) and "GT v1" for discount coefficients.
 """
@@ -28,8 +33,8 @@ import numpy as np
 from .aggregate import AggregateModel, _class_sums
 from .artifact import ArtifactReader, positive, write_artifact
 from .corpus import (
-    CountTable, NgramCounts, TokenSentence, _check_ids, _check_key_room, _dict_rows,
-    _distinct_rows, _event_windows, _find, _per_row, _row_keys, _row_normalised, _row_starts,
+    CountTable, NgramCounts, TokenSentence, _check_ids, _check_key_room, _distinct_rows,
+    _event_windows, _find, _key_dict, _per_row, _row_keys, _row_normalised,
 )
 from .errors import DataError, ParameterError, id_out_of_range
 from .mixedorder import MixedOrderModel, _components, _EventTable
@@ -58,60 +63,42 @@ class MLUnigram:
 
 
 class MLBigram:
-    """Maximum-likelihood bigram rows; unseen pairs and rows yield zero."""
+    """Maximum-likelihood bigrams as one flat dict `pairs` {w1*V + w2: p};
+    unseen pairs and rows, and ids outside [0, V), yield zero."""
 
     context_size = 1
 
-    def __init__(self, bigrams: Mapping[tuple[int, int], int]):
+    def __init__(self, bigrams: Mapping[tuple[int, int], int], vocab_size: int):
         table = CountTable.of(bigrams, 2)
-        w1, w2 = table.ids.T
-        self.rows = _dict_rows(w1, w2, _row_normalised(w1, table.n))
+        _check_ids(table.ids, vocab_size)
+        _check_key_room(vocab_size, 2)
+        self.vocab_size = vocab_size
+        keys = _row_keys(table.ids, 0, vocab_size)
+        self.pairs = _key_dict(keys, _row_normalised(table.ids[:, 0], table.n))
 
     @classmethod
     def from_counts(cls, counts: NgramCounts) -> "MLBigram":
         if not counts.bigrams:
             raise DataError("no bigram events")
-        return cls(counts.bigrams)
+        return cls(counts.bigrams, counts.vocab_size)
 
     def pair_prob(self, w1: int, w2: int) -> float:
-        row = self.rows.get(w1)
-        return row.get(w2, 0.0) if row else 0.0
+        V = self.vocab_size
+        if not 0 <= w1 < V > w2 >= 0:
+            return 0.0
+        return self.pairs.get(w1 * V + w2, 0.0)
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         return self.pair_prob(context[-1], word)
 
 
-class InterpolationParams:
-    """Per-row interpolation weights sigma(w) with a pooled fallback."""
-
-    def __init__(self, sigma: dict[int, float], sigma0: float):
-        self.sigma = sigma
-        self.sigma0 = sigma0
-
-    def sigma_for(self, w: int) -> float:
-        return self.sigma.get(w, self.sigma0)
-
-    def save(self, path) -> None:
-        values = {(1, w): s for w, s in self.sigma.items()}
-        MixedSmoothingParams(values, {1: self.sigma0}).save(path)
-
-    @classmethod
-    def load(cls, path) -> "InterpolationParams":
-        params = MixedSmoothingParams.load(path)
-        if set(params.fallbacks) != {1}:
-            raise DataError("%s: interpolation weights must all have k=1" % path)
-        return cls({w: s for (_, w), s in params.values.items()}, params.fallbacks[1])
-
-
 class MixedSmoothingParams:
-    """Per-(k, w) discount weights with per-k fallbacks for unseen rows."""
+    """Per-(k, w) discount weights with per-k fallbacks for unseen rows; the
+    interpolated bigram reads k = 1 only, its per-row weights sigma(w)."""
 
     def __init__(self, values: dict[tuple[int, int], float], fallbacks: dict[int, float]):
         self.values = values
         self.fallbacks = fallbacks
-
-    def sigma_for(self, k: int, w: int) -> float:
-        return self.values.get((k, w), self.fallbacks[k])
 
     def save(self, path) -> None:
         rows = itertools.chain(
@@ -134,6 +121,21 @@ class MixedSmoothingParams:
         reader.check(np.isin(k, list(fallbacks)), "no fallback row (w = -1) for this k")
         keys = zip(k[~pooled].tolist(), w[~pooled].tolist())
         return cls(dict(zip(keys, s[~pooled].tolist())), fallbacks)
+
+
+def _row_weights(params: MixedSmoothingParams, k: int, pairs: dict[int, float], V: int):
+    """sigma_k(w) for w = 0..V-1, as a list of Python floats: the weight of
+    `params`, or its k fallback, where the level stores row w (a key w*V +
+    w2 of `pairs`), and 1.0 where it does not.  Weights of ids outside
+    [0, V) are ignored."""
+    weights = np.full(V, params.fallbacks[k])
+    for (j, w), sigma in params.values.items():
+        if j == k and 0 <= w < V:
+            weights[w] = sigma
+    stored = np.zeros(V, dtype=bool)
+    stored[np.fromiter(pairs, np.int64, len(pairs)) // V] = True
+    weights[~stored] = 1.0
+    return weights.tolist()
 
 
 def _sigma_em(a: np.ndarray, b: np.ndarray, n: np.ndarray, groups, n_groups: int):
@@ -184,7 +186,7 @@ def fit_interpolation(
     base,
     validation: list[TokenSentence],
     tied: bool = False,
-) -> InterpolationParams:
+) -> MixedSmoothingParams:
     """Fit per-row weights for mixing ML bigram rows with the base model.
 
     Each row's weight maximizes the held-out likelihood of events
@@ -205,33 +207,34 @@ def fit_interpolation(
     w1, n, a, b = w1[keep], n[keep], a[keep], b[keep]
 
     s0, _ = _sigma_em(a, b, n, np.zeros(len(w1), dtype=np.int64), 1)
+    fallbacks = {1: float(s0[0])}
     if tied:
-        return InterpolationParams({}, float(s0[0]))
+        return MixedSmoothingParams({}, fallbacks)
     n_groups = int(w1.max()) + 1 if len(w1) else 1
     s, seen = _sigma_em(a, b, n, w1, n_groups)
-    sigma = {int(w): float(s[w]) for w in np.nonzero(seen)[0]}
-    return InterpolationParams(sigma, float(s0[0]))
+    return MixedSmoothingParams({(1, int(w)): float(s[w]) for w in np.nonzero(seen)[0]}, fallbacks)
 
 
 class InterpolatedBigram:
-    """Bigram rows mixed with a base model; the cascade's bottom level."""
+    """Bigram rows mixed with a base model; the cascade's bottom level.  It
+    reads the k = 1 weights of `params` when it is built (_row_weights), and
+    checks ids against the ML bigram's V."""
 
     context_size = 1
 
-    def __init__(self, ml: MLBigram, base, params: InterpolationParams):
+    def __init__(self, ml: MLBigram, base, params: MixedSmoothingParams):
         self.ml = ml
         self.base = base
         self.params = params
+        self._sigma = _row_weights(params, 1, ml.pairs, ml.vocab_size)
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         w1 = context[-1]
-        row = self.ml.rows.get(w1)  # stored exactly when its total is positive
-        if row:
-            params = self.params
-            s, p_ml = params.sigma.get(w1, params.sigma0), row.get(word, 0.0)
-        else:
-            s, p_ml = 1.0, 0.0
-        return (1.0 - s) * p_ml + s * self.base.prob((w1,), word)
+        V = self.ml.vocab_size
+        if not 0 <= w1 < V > word >= 0:
+            raise id_out_of_range((w1, word), V)
+        s = self._sigma[w1]
+        return (1.0 - s) * self.ml.pairs.get(w1 * V + word, 0.0) + s * self.base.prob((w1,), word)
 
 
 class SmoothedMixedLevel:
@@ -242,10 +245,11 @@ class SmoothedMixedLevel:
     for the context truncated by one word.  Words with no stored skip-k row
     delegate that component entirely.
 
-    The level reads its model's mixing weights, and the vocabulary size
-    that bounds its ids, as they were when the level was built.  `prob`
-    takes the lower level's prediction as `lower_p` when the caller has it
-    (the row scorer, _score_rows), and asks the lower level otherwise.
+    The level reads its model's mixing weights, the weights of `params`
+    (_row_weights) and the vocabulary size that bounds its ids when it is
+    built; later changes to them do not reach it.  `prob` takes the lower
+    level's prediction as `lower_p` when the caller has it (the row scorer,
+    _score_rows), and asks the lower level otherwise.
     """
 
     def __init__(self, model: MixedOrderModel, params: MixedSmoothingParams, lower):
@@ -257,12 +261,12 @@ class SmoothedMixedLevel:
         self.params = params
         self.lower = lower
         self.context_size = model.order
-        # Per k: lambda_k(w) as Python floats and the skip-k rows.
+        self._vocab_size = V = model.vocab_size
+        # Per k: lambda_k(w) and sigma_k(w) as Python floats, and the skip-k pairs.
         self._skips = [
-            (k, model.lambdas[:, k - 1].tolist(), model.matrices[k - 1])
-            for k in range(1, model.order + 1)
+            (model.lambdas[:, k - 1].tolist(), _row_weights(params, k, pairs, V), pairs)
+            for k, pairs in enumerate(model.pairs, start=1)
         ]
-        self._vocab_size = len(self._skips[0][1])
 
     def prob(self, context: tuple[int, ...], word: int, lower_p: float | None = None) -> float:
         m = self.context_size
@@ -273,21 +277,16 @@ class SmoothedMixedLevel:
         V = self._vocab_size
         if not 0 <= min(context) <= max(context) < V > word >= 0:
             raise id_out_of_range((*context, word), V)
-        sigmas, fallbacks = self.params.values, self.params.fallbacks
         direct = 0.0
         leftover = 0.0
         declined = 1.0
-        for k, lambdas, rows in self._skips:
-            w_ctx = context[m - k]
+        # Component k reads w_{t-k}, the k-th id from the end of the context.
+        for w_ctx, (lambdas, sigmas, pairs) in zip(reversed(context), self._skips):
             lam = lambdas[w_ctx]
             weight = declined * lam
-            row = rows.get(w_ctx)
-            if row:
-                sigma = sigmas.get((k, w_ctx), fallbacks[k])
-                direct += (1.0 - sigma) * weight * row.get(word, 0.0)
-                leftover += sigma * weight
-            else:
-                leftover += weight
+            sigma = sigmas[w_ctx]
+            direct += (1.0 - sigma) * weight * pairs.get(w_ctx * V + word, 0.0)
+            leftover += sigma * weight
             declined *= 1.0 - lam
         if lower_p is None:
             lower_p = self.lower.prob(context[1:], word)
@@ -426,11 +425,11 @@ class _KatzLevel:
 
     One pass over the table's entries in summation order (CountTable.ranked)
     gives each stored n-gram its probability, `seen`, and each context its
-    backoff weight, `alphas`.  Both dicts are keyed by the base-V int key of
-    their ids (corpus._row_keys), as counting keys them.  Entries counted
-    fewer than `truncation` times are dropped after the context totals are
-    taken from the whole table, so their mass goes to the backoff model
-    rather than to the survivors.
+    backoff weight, `alphas`: flat dicts (corpus._key_dict) keyed by the
+    base-V int key of their ids (corpus._row_keys), as counting keys them.
+    Entries counted fewer than `truncation` times are dropped after the
+    context totals are taken from the whole table, so their mass goes to
+    the backoff model rather than to the survivors.
 
     Contexts whose backoff puts no mass at all outside the seen successors
     have nowhere to send the discounted leftover; they revert to the plain
@@ -487,13 +486,14 @@ class _KatzLevel:
         alphas[useful] = leftover[useful] / unseen[useful]
         ml = np.repeat(ml, lengths)
         p[ml] = n[ml] / np.repeat(np.add.reduceat(n, starts), lengths)[ml]
-        self.seen = dict(zip(keys.tolist(), p.tolist()))
-        self.alphas = dict(zip((keys[starts] // vocab_size).tolist(), alphas.tolist()))
+        self.seen = _key_dict(keys, p)
+        self.alphas = _key_dict(keys[starts] // vocab_size, alphas)
 
 
 def _runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each context's run of ranked n-grams begins, and its length."""
-    starts = _row_starts(ranked[:, :-1])
+    ctx = ranked[:, :-1]
+    starts = np.flatnonzero(np.diff(ctx, axis=0, prepend=ctx[:1] - 1).any(axis=1))
     return starts, np.diff(starts, append=len(ranked))
 
 
@@ -688,7 +688,7 @@ class SmoothedCascade:
         self,
         counts: NgramCounts,
         base: AggregateModel,
-        interp: InterpolationParams,
+        interp: MixedSmoothingParams,
         mixed_levels: list[tuple[MixedOrderModel, MixedSmoothingParams]],
         with_trigram: bool = False,
         gt_threshold: int = DEFAULT_GT_THRESHOLD,
@@ -799,15 +799,29 @@ def _same_file(a, b) -> bool:
         return False
 
 
+def _load_weights(path, m: int, V: int) -> MixedSmoothingParams:
+    """The SIGMA file of a level that reads k = 1..m; a DataError names it
+    unless it holds a fallback for exactly those k and word ids below V
+    (the file has no V of its own)."""
+    params = MixedSmoothingParams.load(path)
+    if sorted(params.fallbacks) != list(range(1, m + 1)):
+        raise DataError("%s: expected sigma fallbacks for k = 1..%d" % (path, m))
+    bad = [w for _, w in params.values if w >= V]
+    if bad:
+        raise DataError("%s: word id %d out of range [0, %d)" % (path, bad[0], V))
+    return params
+
+
 def load_cascade(path, loaded_counts: tuple[str, NgramCounts] | None = None) -> SmoothedCascade:
     """Assemble a fitted cascade from its manifest and the files it names.
 
     Lines come in the order written: counts, base, levels 1, 2, ... and the
-    optional trigram.  Level k >= 2 holds an order-k mixed model whose sigma
-    file has a fallback for each skip distance, and every model agrees with
-    the counts on the vocabulary size.  `loaded_counts` is a counts file
-    the caller has read, as (path, table); when the manifest names that
-    same file, its table is used instead of a second read.
+    optional trigram.  Level k holds a sigma file with a fallback for each
+    skip distance 1..k and, from k = 2, an order-k mixed model; every model
+    agrees with the counts on the vocabulary size, and every weight names
+    an id below it.  `loaded_counts` is a counts file the caller has read,
+    as (path, table); when the manifest names that same file, its table is
+    used instead of a second read.
     """
     reader = ArtifactReader(path, "CASCADE")
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -828,15 +842,13 @@ def load_cascade(path, loaded_counts: tuple[str, NgramCounts] | None = None) -> 
                 sizes = (base.vocab_size, counts.vocab_size)
                 raise reader.error(lineno, "V=%d here but %d in the counts" % sizes)
         elif shape == ("level", 4) and fields[1:3] == ["1", "bigram"] and base and not interp:
-            interp = InterpolationParams.load(files[3])
+            interp = _load_weights(files[3], 1, counts.vocab_size)
         elif shape == ("level", 5) and fields[2] == "mixed" and interp:
-            k = 2 + len(mixed_levels)
-            model, params = MixedOrderModel.load(files[3]), MixedSmoothingParams.load(files[4])
-            if (fields[1], model.order, model.vocab_size, sorted(params.fallbacks)) != (
-                str(k), k, counts.vocab_size, list(range(1, k + 1))
-            ):
-                raise reader.error(lineno, "expected level %d: an order-%d model over V=%d and "
-                                   "sigma fallbacks for k = 1..%d" % (k, k, counts.vocab_size, k))
+            k, V = 2 + len(mixed_levels), counts.vocab_size
+            model, params = MixedOrderModel.load(files[3]), _load_weights(files[4], k, V)
+            if (fields[1], model.order, model.vocab_size) != (str(k), k, V):
+                expected = "expected level %d: an order-%d model over V=%d" % (k, k, V)
+                raise reader.error(lineno, expected)
             mixed_levels.append((model, params))
         elif shape == ("trigram", 4) and interp and not trigram:
             opts = reader.key_values(fields[2:], lineno, kgt=positive, truncate=positive)

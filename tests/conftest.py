@@ -42,6 +42,25 @@ def mixed_model(lambdas, rows: list[dict]) -> mm.MixedOrderModel:
     return mm.MixedOrderModel(lambdas, keys, vals)
 
 
+def model_rows(model: mm.MixedOrderModel) -> list[dict]:
+    """Per skip distance, the stored pairs of a mixed-order model as dict
+    rows {w1: {w2: p}}, read out of its key and value arrays."""
+    V = model.vocab_size
+    out = []
+    for keys, vals in zip(model.keys, model.vals):
+        rows = {}
+        for key, p in zip(keys.tolist(), vals.tolist()):
+            rows.setdefault(key // V, {})[key % V] = p
+        out.append(rows)
+    return out
+
+
+def sigma_for(params, k: int, w: int) -> float:
+    """The weight that `params` gives row w at skip distance k: its own, or
+    the fallback of k."""
+    return params.values.get((k, w), params.fallbacks[k])
+
+
 @dataclass
 class DeskCorpus:
     root: object

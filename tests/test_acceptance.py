@@ -22,7 +22,7 @@ from markovmix import mixedorder as mo
 from markovmix import smoothing as sm
 from markovmix.corpus import count_ngrams
 
-from conftest import mixed_model
+from conftest import mixed_model, model_rows
 from test_aggregate import brute_em_step as brute_agg_step
 from test_aggregate import brute_posteriors, random_counts
 from test_cli import run as cli_run
@@ -137,10 +137,11 @@ class TestCriterion04OracleEquivalence:
             blam, bmats, bll, _ = brute_mixed_step(model, sents)
             assert abs(ll - bll) < 1e-10
             assert np.abs(stepped.lambdas - blam).max() < 1e-10
+            stepped_rows = model_rows(stepped)
             for k in range(m):
                 for w1, row in bmats[k].items():
                     for w2, val in row.items():
-                        assert abs(stepped.matrices[k][w1][w2] - val) < 1e-10
+                        assert abs(stepped_rows[k][w1][w2] - val) < 1e-10
         ok(4, "mixed-order posteriors and updates match coin-toss enumeration")
 
 
@@ -176,7 +177,9 @@ class TestCriterion05NormalizationSuite:
         vocab, train = random_corpus(rng, V - 3, 50)
         counts = count_ngrams(train, vocab, max_order=3, skips=(1, 2))
         ml = sm.MLBigram.from_counts(counts)
-        params = sm.InterpolationParams({w: rng.random() for w in range(V)}, rng.random())
+        params = sm.MixedSmoothingParams(
+            {(1, w): rng.random() for w in range(V)}, {1: rng.random()}
+        )
         interp = sm.InterpolatedBigram(ml, agg, params)
         for w1 in range(V):
             assert abs(sum(interp.prob((w1,), w2) for w2 in range(V)) - 1) < 1e-8

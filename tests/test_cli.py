@@ -215,6 +215,9 @@ NUDGES = {
 }
 
 
+# The vocabulary size of the pipeline's cascade (pipeline_dir).
+CASCADE_V = 15
+
 # (file, garble) per case; each garbled file makes `eval` of the cascade exit 3.
 GARBLES = {
     "counts-non_numeric": ("counts.txt", edit_line("B ", non_numeric)),
@@ -257,6 +260,9 @@ GARBLES = {
     "sigma_bigram-no_fallback": (
         "smooth/sigma_bigram.txt", edit_line("1 -1 ", lambda f: ["1", "0", f[2]])
     ),
+    "sigma_bigram-id_out_of_range": (
+        "smooth/sigma_bigram.txt", lambda text: text + "1 %d 0.25\n" % (CASCADE_V + 7)
+    ),
     "sigma_mixed-non_numeric": ("smooth/sigma_mixed2.txt", edit_line(r"2 \d+ ", non_numeric)),
     "sigma_mixed-bad_header": ("smooth/sigma_mixed2.txt", drop(" v1")),
     "sigma_mixed-field_count": ("smooth/sigma_mixed2.txt", edit_line(r"2 \d+ ", too_few)),
@@ -268,6 +274,9 @@ GARBLES = {
         "smooth/sigma_mixed2.txt", edit_line(r"2 \d+ ", lambda f: f[:-1] + ["1.7"])
     ),
     "sigma_mixed-repeated_key": ("smooth/sigma_mixed2.txt", repeat_line(r"2 \d+ ")),
+    "sigma_mixed-id_out_of_range": (
+        "smooth/sigma_mixed2.txt", lambda text: text + "2 %d 0.25\n" % (CASCADE_V + 1_000_000)
+    ),
     "gt-non_numeric": ("smooth/gt_trigram.txt", edit_line("1 ", non_numeric)),
     "gt-out_of_range": ("smooth/gt_trigram.txt", edit_line("1 ", lambda f: [f[0], "1.5"])),
     "gt-repeated_count": ("smooth/gt_trigram.txt", repeat_line("1 ")),
@@ -387,6 +396,9 @@ class TestMalformedCounts:
         err = capsys.readouterr().err
         assert code == 3, err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if case.endswith("id_out_of_range") and case.startswith("sigma"):
+            # A SIGMA file holds no V; the cascade's is the bound.
+            assert name in err and "out of range [0, %d)" % CASCADE_V in err, err
 
     @pytest.mark.parametrize("case", sorted(NUDGES))
     def test_rows_within_the_sum_tolerance_load(self, pipeline_dir, tmp_path, capsys, case):

@@ -22,6 +22,11 @@ def make_vocab(*words):
     return mm.Vocabulary(["<s>", "</s>", "<unk>"] + list(words))
 
 
+def test_every_name_in_all_is_a_package_attribute():
+    # `from markovmix import *` fails on a name that no longer exists.
+    assert [name for name in mm.__all__ if not hasattr(mm, name)] == []
+
+
 class TestBuildVocabulary:
     def test_all_words_fit(self):
         vocab = mm.build_vocabulary(["a b a"], 5)

@@ -17,7 +17,7 @@ from markovmix import mixedorder as mo
 from markovmix.corpus import END_ID, START_ID, NgramCounts
 from markovmix.errors import DataError, NumericError, ParameterError
 
-from conftest import count_table, mixed_model
+from conftest import count_table, mixed_model, model_rows
 from test_corpus import make_vocab
 
 
@@ -35,13 +35,14 @@ def skip_counts(sentences, vocab_size, order):
 def brute_mixture_prob(model, context, word):
     """Telescoping mixture sum written out longhand."""
     m = model.order
+    matrices = model_rows(model)
     total = 0.0
     for k in range(1, m + 1):
         w_ctx = context[m - k]
         weight = model.lambdas[w_ctx, k - 1]
         for j in range(1, k):
             weight *= 1.0 - model.lambdas[context[m - j], j - 1]
-        total += weight * model.matrices[k - 1].get(w_ctx, {}).get(word, 0.0)
+        total += weight * matrices[k - 1].get(w_ctx, {}).get(word, 0.0)
     return total
 
 
@@ -49,6 +50,7 @@ def brute_em_step(model, sentences):
     """One EM pass by explicit event enumeration and delta-function sums."""
     m = model.order
     V = model.vocab_size
+    matrices = model_rows(model)
     lam_num = [[0.0] * m for _ in range(V)]
     lam_den = [[0.0] * m for _ in range(V)]
     mat_num = [{} for _ in range(m)]
@@ -71,7 +73,7 @@ def brute_em_step(model, sentences):
                 weight = model.lambdas[w_ctx, k - 1]
                 for j in range(1, k):
                     weight *= 1.0 - model.lambdas[context[m - j], j - 1]
-                phis.append(weight * model.matrices[k - 1].get(w_ctx, {}).get(w, 0.0) / total)
+                phis.append(weight * matrices[k - 1].get(w_ctx, {}).get(w, 0.0) / total)
             for k in range(1, m + 1):
                 w_ctx = context[m - k]
                 lam_num[w_ctx][k - 1] += phis[k - 1]
@@ -87,7 +89,7 @@ def brute_em_step(model, sentences):
     new_matrices = []
     for k in range(m):
         rows = {}
-        for w1, row in model.matrices[k].items():
+        for w1, row in matrices[k].items():
             new_row = {}
             for w2, old in row.items():
                 if mat_den[k].get(w1, 0.0) > 0:
@@ -109,14 +111,14 @@ class TestInit:
         for (w1, _), n in counts.skips[1].items():
             row_tot[w1] += n
         for (w1, w2), n in counts.skips[1].items():
-            assert model.matrices[0][w1][w2] == pytest.approx(n / row_tot[w1], abs=0)
+            assert model_rows(model)[0][w1][w2] == pytest.approx(n / row_tot[w1], abs=0)
         assert np.all(model.lambdas == 1.0)
 
     def test_rows_ml_normalized(self):
         counts = NgramCounts(6, 1, (1, 2))
         counts.skips = {1: count_table({(3, 4): 1, (3, 5): 1}), 2: count_table({(3, 4): 2})}
         model = mm.MixedOrderModel.from_counts(counts, 2)
-        assert model.matrices[0][3] == {4: 0.5, 5: 0.5}
+        assert model_rows(model)[0][3] == {4: 0.5, 5: 0.5}
 
     def test_lambda_ladder(self):
         counts = skip_counts([[3, 4, 5]], 6, 3)
@@ -222,11 +224,12 @@ class TestEmStep:
             assert ll == pytest.approx(bll, abs=1e-10)
             assert skipped == bskipped
             assert np.allclose(stepped.lambdas, blam, atol=1e-10)
+            stepped_rows = model_rows(stepped)
             for k in range(m):
-                assert stepped.matrices[k].keys() == bmats[k].keys()
+                assert stepped_rows[k].keys() == bmats[k].keys()
                 for w1, row in bmats[k].items():
                     for w2, val in row.items():
-                        assert stepped.matrices[k][w1][w2] == pytest.approx(
+                        assert stepped_rows[k][w1][w2] == pytest.approx(
                             val, abs=1e-10
                         )
 
@@ -234,6 +237,7 @@ class TestEmStep:
         rng = random.Random(35)
         sents = random_sentences(rng, n_words=4, n_sentences=5)
         model = mm.MixedOrderModel.from_counts(skip_counts(sents, 7, 4), 4)
+        matrices = model_rows(model)
         for s in sents:
             padded = [START_ID] * 4 + list(s) + [END_ID]
             for i in range(4, len(padded)):
@@ -247,7 +251,7 @@ class TestEmStep:
                     weight = model.lambdas[w_ctx, k - 1]
                     for j in range(1, k):
                         weight *= 1.0 - model.lambdas[ctx[4 - j], j - 1]
-                    phi_sum += weight * model.matrices[k - 1].get(w_ctx, {}).get(w, 0.0) / total
+                    phi_sum += weight * matrices[k - 1].get(w_ctx, {}).get(w, 0.0) / total
                 assert phi_sum == pytest.approx(1.0, abs=1e-12)
 
     def test_order_one_fixed_point(self):
@@ -258,9 +262,9 @@ class TestEmStep:
         stepped, _, skipped = mo.em_step(model, sents)
         assert skipped == 0
         assert np.all(stepped.lambdas == 1.0)
-        for w1, row in model.matrices[0].items():
+        for w1, row in model_rows(model)[0].items():
             for w2, val in row.items():
-                assert stepped.matrices[0][w1][w2] == pytest.approx(val, abs=1e-12)
+                assert model_rows(stepped)[0][w1][w2] == pytest.approx(val, abs=1e-12)
 
     def test_monotone_loglik(self):
         rng = random.Random(37)
@@ -287,8 +291,9 @@ class TestEmStep:
             model, _, _ = mo.em_step(model, train)
         # Neither (4, 3) at skip-1 nor (3, 3) at skip-2 was ever counted.
         assert model.prob((3, 4), 3) == 0.0
-        assert 3 not in model.matrices[0].get(4, {})
-        assert 3 not in model.matrices[1].get(3, {})
+        rows = model_rows(model)
+        assert 3 not in rows[0].get(4, {})
+        assert 3 not in rows[1].get(3, {})
 
     def test_sentence_order_invariance(self):
         rng = random.Random(38)
@@ -300,10 +305,11 @@ class TestEmStep:
         b, ll_b, _ = mo.em_step(model, shuffled)
         assert ll_a == pytest.approx(ll_b, abs=1e-12)
         assert np.allclose(a.lambdas, b.lambdas, atol=1e-12)
+        a_rows, b_rows = model_rows(a), model_rows(b)
         for k in range(3):
-            for w1, row in a.matrices[k].items():
+            for w1, row in a_rows[k].items():
                 for w2, val in row.items():
-                    assert b.matrices[k][w1][w2] == pytest.approx(val, abs=1e-12)
+                    assert b_rows[k][w1][w2] == pytest.approx(val, abs=1e-12)
 
     def test_empty_corpus_rejected(self):
         counts = skip_counts([[3]], 5, 1)
@@ -340,7 +346,7 @@ class TestTrain:
         a, ta = mm.train_mixed(sents, 2, 7, iterations=4)
         b, tb = mm.train_mixed(sents, 2, 7, iterations=4)
         assert np.array_equal(a.lambdas, b.lambdas)
-        assert a.matrices == b.matrices
+        assert model_rows(a) == model_rows(b)
         assert ta.log_likelihoods == tb.log_likelihoods
 
     def test_training_perplexity_non_increasing(self):
@@ -409,6 +415,6 @@ class TestModelFile:
         model.save(path)
         loaded = mm.MixedOrderModel.load(path)
         assert np.array_equal(loaded.lambdas, model.lambdas)
-        assert loaded.matrices == model.matrices
+        assert model_rows(loaded) == model_rows(model)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "MIX-MODEL v1 V=8 m=3"

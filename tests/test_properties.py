@@ -44,7 +44,7 @@ from markovmix.corpus import (
 from markovmix.artifact import ArtifactReader, _table, read_text
 from markovmix.errors import DataError, NumericError, ParameterError
 
-from conftest import count_table, mixed_model
+from conftest import count_table, mixed_model, model_rows, sigma_for
 from corpusgen import generate_lines
 from test_corpus import make_vocab
 
@@ -120,7 +120,7 @@ def naive_event_table(model, sentences):
     m = model.order
     index = [
         {p: i for i, p in enumerate((w1, w2) for w1 in sorted(rows) for w2 in sorted(rows[w1]))}
-        for rows in model.matrices
+        for rows in model_rows(model)
     ]
     ctx_rows, idx_rows = [], []
     for sentence in sentences:
@@ -171,12 +171,11 @@ def dict_event_probs(model, sentences):
     out of the dict rows."""
     m = model.order
     ctx, pair_idx = naive_event_table(model, sentences)
-    pairs = [
-        [(w1, w2) for w1 in sorted(rows) for w2 in sorted(rows[w1])] for rows in model.matrices
-    ]
+    matrices = model_rows(model)
+    pairs = [[(w1, w2) for w1 in sorted(rows) for w2 in sorted(rows[w1])] for rows in matrices]
     vals = [
         np.array([rows[w1][w2] for w1, w2 in stored], dtype=np.float64)
-        for rows, stored in zip(model.matrices, pairs)
+        for rows, stored in zip(matrices, pairs)
     ]
     lam = model.lambdas[ctx, np.arange(m)[None, :]]
     declined = np.cumprod(1.0 - lam, axis=1)
@@ -248,7 +247,7 @@ def test_train_mixed_matches_dict_rebuilding_em(corpus, order, iterations):
     model, trace = mm.train_mixed(sentences, order, V, iterations=iterations)
     ref, ref_trace = dict_train_mixed(sentences, order, V, iterations)
     assert model.lambdas.tolist() == ref.lambdas.tolist()
-    assert model.matrices == ref.matrices
+    assert model_rows(model) == model_rows(ref)
     assert trace == ref_trace
 
 
@@ -266,7 +265,7 @@ def test_train_mixed_matches_dict_rebuilding_em_at_most_components():
     model, trace = mm.train_mixed(sentences, mo.MAX_COMPONENTS, V, iterations=3)
     ref, ref_trace = dict_train_mixed(sentences, mo.MAX_COMPONENTS, V, 3)
     assert model.lambdas.tolist() == ref.lambdas.tolist()
-    assert model.matrices == ref.matrices
+    assert model_rows(model) == model_rows(ref)
     assert trace == ref_trace
 
 
@@ -288,7 +287,7 @@ def test_em_step_matches_dict_rebuilding_em(data, order):
     stepped, ll, skipped = mo.em_step(model, events)
     assert (ll, skipped) == (ref_ll, ref_skipped)
     assert stepped.lambdas.tolist() == ref.lambdas.tolist()
-    assert stepped.matrices == ref.matrices
+    assert model_rows(stepped) == model_rows(ref)
 
 
 @SETTINGS
@@ -297,9 +296,12 @@ def test_from_counts_and_ml_bigram_rows_match_dict_normaliser(corpus, order):
     V, sentences = corpus
     counts = mm.count_ngrams(sentences, range(V), 2, range(1, order + 1))
     model = mo.MixedOrderModel.from_counts(counts, order)
-    assert model.matrices == [dict_normalized_rows(counts.skips[k])[0] for k in range(1, order + 1)]
-    ml = sm.MLBigram(counts.bigrams)
-    assert ml.rows == dict_normalized_rows(counts.bigrams)[0]
+    assert model_rows(model) == [
+        dict_normalized_rows(counts.skips[k])[0] for k in range(1, order + 1)
+    ]
+    ml = sm.MLBigram(counts.bigrams, V)
+    rows = dict_normalized_rows(counts.bigrams)[0]
+    assert ml.pairs == {w1 * V + w2: p for w1, row in rows.items() for w2, p in row.items()}
 
 
 def two_pass_em_step(model, counts, step):
@@ -491,9 +493,10 @@ def padded_walk(sentences, width):
             yield tuple(padded[i - width : i]), padded[i]
 
 
-def loop_fit_interpolation(ml, base, validation, tied):
+def loop_fit_interpolation(ml, base, validation, tied, rows):
     """fit_interpolation over a Counter of padded_walk pairs, with the
-    no-ML-mass rows pinned to 1 after the fit."""
+    no-ML-mass rows, those not among the stored bigram `rows`, pinned to 1
+    after the fit; as (values, fallbacks) of the weights."""
     events = Counter()
     for ctx, w in padded_walk(validation, 1):
         events[(ctx[0], w)] += 1
@@ -506,14 +509,14 @@ def loop_fit_interpolation(ml, base, validation, tied):
     w1, n, a, b = w1[keep], n[keep], a[keep], b[keep]
     s0, _ = sm._sigma_em(a, b, n, np.zeros(len(w1), dtype=np.int64), 1)
     if tied:
-        return {}, float(s0[0])
+        return {}, {1: float(s0[0])}
     n_groups = int(w1.max()) + 1 if len(w1) else 1
     s, seen = sm._sigma_em(a, b, n, w1, n_groups)
-    sigma = {int(w): float(s[w]) for w in np.nonzero(seen)[0]}
-    for w in sigma:
-        if w not in ml.rows:
-            sigma[w] = 1.0
-    return sigma, float(s0[0])
+    sigma = {(1, int(w)): float(s[w]) for w in np.nonzero(seen)[0]}
+    for _, w in sigma:
+        if w not in rows:
+            sigma[(1, w)] = 1.0
+    return sigma, {1: float(s0[0])}
 
 
 def loop_fit_mixed_smoothing(model, lower, validation, tied):
@@ -521,11 +524,12 @@ def loop_fit_mixed_smoothing(model, lower, validation, tied):
     values and its own copy of the component weights."""
     m = model.order
     V = model.vocab_size
+    matrices = model_rows(model)
     ctx_rows, mk_rows, plow_rows = [], [], []
     for ctx, w in padded_walk(validation, m):
         ctx_rows.append([ctx[m - k] for k in range(1, m + 1)])
         mk_rows.append(
-            [model.matrices[k - 1].get(ctx[m - k], {}).get(w, 0.0) for k in range(1, m + 1)]
+            [matrices[k - 1].get(ctx[m - k], {}).get(w, 0.0) for k in range(1, m + 1)]
         )
         plow_rows.append(lower.prob(ctx[1:], w))
     ctx = np.array(ctx_rows, dtype=np.int64)
@@ -576,7 +580,7 @@ def loop_fit_mixed_smoothing(model, lower, validation, tied):
                 values[(k + 1, int(w))] = float(sig[w, k])
     for k in range(m):
         for w in range(V):
-            if w not in model.matrices[k]:
+            if w not in matrices[k]:
                 values[(k + 1, w)] = 1.0
     return values, {k + 1: float(sig0[k]) for k in range(m)}
 
@@ -700,12 +704,13 @@ def test_fits_and_evaluate_match_per_event_loops(corpus, data, tied):
     base, _ = mm.train_aggregate(counts, data.draw(st.integers(1, V)), iterations=2)
     ml = sm.MLBigram.from_counts(counts)
 
-    params, (sigma, sigma0) = paired_runs(
+    rows = {w1 for w1, _ in counts.bigrams}
+    params, (values, fallbacks) = paired_runs(
         base,
         lambda b: sm.fit_interpolation(ml, b, held_out, tied=tied),
-        lambda b: loop_fit_interpolation(ml, b, held_out, tied),
+        lambda b: loop_fit_interpolation(ml, b, held_out, tied, rows),
     )
-    assert (params.sigma, params.sigma0) == (sigma, sigma0)
+    assert (params.values, params.fallbacks) == (values, fallbacks)
 
     lower = sm.InterpolatedBigram(ml, base, params)
     stack = [lower]
@@ -1078,10 +1083,11 @@ def test_katz_rounding_residue_loses_leftover():
 
 
 # Scalar reference formulas: numpy-indexed mixing weights, the aggregate
-# product as cgw[w1] @ wgc[:, w2], interpolation through sigma_for, and Katz
-# levels with the discount rule applied per count.  Each takes the reference
-# function of the level below, so a whole reference cascade is composed of
-# them; every level's prob must equal it bit for bit.
+# product as cgw[w1] @ wgc[:, w2], interpolation through sigma_for, dict rows
+# built from the counts or from a mixed model's key and value arrays, and
+# Katz levels with the discount rule applied per count.  Each takes the
+# reference function of the level below, so a whole reference cascade is
+# composed of them; every level's prob must equal it bit for bit.
 
 
 def ref_aggregate(model):
@@ -1091,15 +1097,17 @@ def ref_aggregate(model):
     return prob
 
 
-def ref_interpolated(level, ref_base):
-    ml, params = level.ml, level.params
+def ref_interpolated(level, ref_base, bigrams):
+    """The interpolated bigram `level` over the ML rows of `bigrams`."""
+    params = level.params
+    rows = dict_normalized_rows(bigrams)[0]
 
     def prob(ctx, w):
         w1 = ctx[-1]
-        s = params.sigma_for(w1)
-        if w1 not in ml.rows:
-            s = 1.0
-        return (1.0 - s) * ml.pair_prob(w1, w) + s * ref_base((w1,), w)
+        row = rows.get(w1)
+        s = sigma_for(params, 1, w1) if row else 1.0
+        p_ml = row.get(w, 0.0) if row else 0.0
+        return (1.0 - s) * p_ml + s * ref_base((w1,), w)
 
     return prob
 
@@ -1107,6 +1115,7 @@ def ref_interpolated(level, ref_base):
 def ref_mixed(level, ref_lower):
     model, params = level.model, level.params
     m = model.order
+    matrices = model_rows(model)
 
     def prob(ctx, w):
         direct = 0.0
@@ -1116,9 +1125,9 @@ def ref_mixed(level, ref_lower):
             w_ctx = ctx[m - k]
             lam = model.lambdas[w_ctx, k - 1]
             weight = declined * lam
-            row = model.matrices[k - 1].get(w_ctx)
+            row = matrices[k - 1].get(w_ctx)
             if row:
-                sigma = params.sigma_for(k, w_ctx)
+                sigma = sigma_for(params, k, w_ctx)
                 direct += (1.0 - sigma) * weight * row.get(w, 0.0)
                 leftover += sigma * weight
             else:
@@ -1188,14 +1197,14 @@ def test_scalar_prob_matches_reference_formulas_bitwise(corpus, data):
     # those above k_gt and take 1 for the missing ones.
     ratio = st.floats(0.05, 1.0)
     discounts = data.draw(st.dictionaries(st.integers(1, k_gt + 2), ratio))
-    # Drawn weights rather than fitted ones, which often sit at 0 or 1.
-    unit, wid = st.floats(0.0, 1.0), st.integers(0, V - 1)
-    level = sm.InterpolatedBigram(
-        sm.MLBigram.from_counts(counts), base,
-        sm.InterpolationParams(data.draw(st.dictionaries(wid, unit)), data.draw(unit)),
-    )
+    # Drawn weights rather than fitted ones, which often sit at 0 or 1; the
+    # levels must ignore those drawn for ids V to V+3.
+    unit, wid = st.floats(0.0, 1.0), st.integers(0, V + 3)
+    values = data.draw(st.dictionaries(st.tuples(st.just(1), wid), unit))
+    params = sm.MixedSmoothingParams(values, {1: data.draw(unit)})
+    level = sm.InterpolatedBigram(sm.MLBigram.from_counts(counts), base, params)
     stack, refs = [base, level], [ref_aggregate(base)]
-    refs.append(ref_interpolated(level, refs[0]))
+    refs.append(ref_interpolated(level, refs[0], counts.bigrams))
     for m in (2, 3):
         model = mm.train_mixed(sentences, m, V, iterations=1)[0]
         values = data.draw(st.dictionaries(st.tuples(st.integers(1, m), wid), unit))
@@ -1255,10 +1264,9 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
         counts = loaded_counts(counts)
     base, _ = mm.train_aggregate(counts, data.draw(st.integers(1, V)), iterations=2)
     unit, wid = st.floats(0.0, 1.0), st.integers(0, V - 1)
-    stack = [base, sm.InterpolatedBigram(
-        sm.MLBigram.from_counts(counts), base,
-        sm.InterpolationParams(data.draw(st.dictionaries(wid, unit)), data.draw(unit)),
-    )]
+    values = data.draw(st.dictionaries(st.tuples(st.just(1), wid), unit))
+    params = sm.MixedSmoothingParams(values, {1: data.draw(unit)})
+    stack = [base, sm.InterpolatedBigram(sm.MLBigram.from_counts(counts), base, params)]
     for m in (2, 3):
         model = mm.train_mixed(sentences, m, V, iterations=1)[0]
         values = data.draw(st.dictionaries(st.tuples(st.integers(1, m), wid), unit))
@@ -1354,7 +1362,7 @@ def test_each_level_scores_each_distinct_row_of_its_width_once(corpus, data):
     counts = mm.count_ngrams(train, make_vocab(*("w%d" % i for i in range(V - 3))), 3)
     base = mm.AggregateModel.random_init(V, 2, seed=0)
     interp = sm.InterpolatedBigram(
-        sm.MLBigram.from_counts(counts), base, sm.InterpolationParams({}, 0.5)
+        sm.MLBigram.from_counts(counts), base, sm.MixedSmoothingParams({}, {1: 0.5})
     )
     mixed = sm.SmoothedMixedLevel(
         mm.train_mixed(train, 2, V, iterations=1)[0],
@@ -1415,7 +1423,7 @@ def test_out_of_range_ids_name_the_first_bad_id(corpus, data):
     base = mm.AggregateModel.random_init(V, 2, seed=0)
     mixed = mm.train_mixed(sentences, 2, V, iterations=1)[0]
     interp = sm.InterpolatedBigram(
-        sm.MLBigram.from_counts(counts), base, sm.InterpolationParams({}, 0.5)
+        sm.MLBigram.from_counts(counts), base, sm.MixedSmoothingParams({}, {1: 0.5})
     )
     level = sm.SmoothedMixedLevel(mixed, sm.MixedSmoothingParams({}, {1: 0.5, 2: 0.5}), interp)
     with warnings.catch_warnings():
@@ -1427,6 +1435,7 @@ def test_out_of_range_ids_name_the_first_bad_id(corpus, data):
     calls = [
         ((u, w), lambda: base.pair_prob(u, w)),
         ((u, w), lambda: base.prob((u,), w)),
+        ((u, w), lambda: interp.prob((u,), w)),
         ((u, v, w), lambda: mixed.prob((u, v), w)),
         ((u, v, w), lambda: level.prob((u, v), w)),
         ((v, w), lambda: katz_bigram.prob((v,), w)),
@@ -1517,8 +1526,6 @@ def test_weight_files_resave_identically(data, m):
     values = data.draw(st.dictionaries(keys, unit))
     params = sm.MixedSmoothingParams(values, fallbacks)
     assert resaved_equal(params, sm.MixedSmoothingParams.load)
-    interp = sm.InterpolationParams(data.draw(st.dictionaries(st.integers(0, 20), unit)), 0.5)
-    assert resaved_equal(interp, sm.InterpolationParams.load)
     discount = st.floats(0.0, 1.0, exclude_min=True)
     discounts = data.draw(st.dictionaries(st.integers(1, 10), discount))
     save = lambda discounts, path: sm.save_discounts(path, discounts)

@@ -13,7 +13,7 @@ from markovmix import smoothing as sm
 from markovmix.corpus import END_ID, START_ID, CountTable, NgramCounts, count_ngrams
 from markovmix.errors import DataError, ParameterError
 
-from conftest import count_table, mixed_model
+from conftest import count_table, mixed_model, sigma_for
 from corpusgen import generate_lines
 from test_corpus import make_vocab
 
@@ -53,7 +53,7 @@ class TestFitInterpolation:
         base = mm.AggregateModel.random_init(5, 1, seed=0)
         # Validation uses only pairs never seen in training: (4, 3).
         params = sm.fit_interpolation(ml, base, [[4, 3]])
-        assert params.sigma_for(4) == 1.0
+        assert sigma_for(params, 1, 4) == 1.0
 
     def test_base_equal_to_ml_keeps_init(self):
         vocab, train = make_vocab(*"ab"), [[3, 4], [4, 3]]
@@ -68,7 +68,7 @@ class TestFitInterpolation:
 
         params = sm.fit_interpolation(ml, MLAsBase(), train)
         for w in (0, 3, 4):
-            assert params.sigma_for(w) == pytest.approx(0.5, abs=1e-12)
+            assert sigma_for(params, 1, w) == pytest.approx(0.5, abs=1e-12)
 
     def test_matched_training_distribution_pushes_sigma_down(self):
         # Validation drawn to match the ML rows exactly; a uniform base can
@@ -79,8 +79,8 @@ class TestFitInterpolation:
         ml = sm.MLBigram.from_counts(counts)
         base = sm.MLUnigram(Counter({w: 1 for w in range(5)}), 5)
         params = sm.fit_interpolation(ml, base, train)
-        assert params.sigma_for(3) < 0.05
-        assert params.sigma_for(4) < 0.05
+        assert sigma_for(params, 1, 3) < 0.05
+        assert sigma_for(params, 1, 4) < 0.05
 
     def test_matches_grid_search_oracle(self):
         rng = random.Random(60)
@@ -93,7 +93,7 @@ class TestFitInterpolation:
         events = validation_events(valid)
         for w1 in {a for (a, _) in events}:
             row_events = Counter({k: n for k, n in events.items() if k[0] == w1})
-            fitted = interp_loglik(ml, base, row_events, lambda _: params.sigma_for(w1))
+            fitted = interp_loglik(ml, base, row_events, lambda _: sigma_for(params, 1, w1))
             grid_best = max(
                 interp_loglik(ml, base, row_events, lambda _: s)
                 for s in np.linspace(0.0, 1.0, 501)
@@ -120,7 +120,7 @@ class TestFitInterpolation:
         assert rows
         for w1 in rows:
             row_events = Counter({k: n for k, n in events.items() if k[0] == w1})
-            fitted = interp_loglik(ml, base, row_events, params.sigma_for)
+            fitted = interp_loglik(ml, base, row_events, lambda w: sigma_for(params, 1, w))
             assert fitted >= interp_loglik(ml, base, row_events, lambda _: 1.0) - 1e-9
             if all(ml.pair_prob(a, b) > 0 for (a, b) in row_events):
                 assert fitted >= interp_loglik(ml, base, row_events, lambda _: 0.0) - 1e-9
@@ -134,8 +134,8 @@ class TestFitInterpolation:
         base = mm.AggregateModel.random_init(8, 2, seed=3)
         a = sm.fit_interpolation(ml, base, valid)
         b = sm.fit_interpolation(ml, base, valid)
-        assert a.sigma == b.sigma
-        assert a.sigma0 == b.sigma0
+        assert a.values == b.values
+        assert a.fallbacks == b.fallbacks
 
     def test_tied_fit_shares_single_weight(self):
         rng = random.Random(59)
@@ -146,10 +146,10 @@ class TestFitInterpolation:
         base = mm.AggregateModel.random_init(8, 2, seed=3)
         tied = sm.fit_interpolation(ml, base, valid, tied=True)
         untied = sm.fit_interpolation(ml, base, valid)
-        assert tied.sigma == {}
-        assert tied.sigma0 == untied.sigma0
+        assert tied.values == {}
+        assert tied.fallbacks == untied.fallbacks
         for w in range(8):
-            assert tied.sigma_for(w) == tied.sigma0
+            assert sigma_for(tied, 1, w) == tied.fallbacks[1]
 
 
 class TestInterpProb:
@@ -162,12 +162,12 @@ class TestInterpProb:
 
     def test_sigma_zero_is_ml(self):
         ml, base = self._setup()
-        params = sm.InterpolationParams({3: 0.0}, 0.5)
+        params = sm.MixedSmoothingParams({(1, 3): 0.0}, {1: 0.5})
         assert sm.InterpolatedBigram(ml, base, params).prob((3,), 4) == ml.pair_prob(3, 4)
 
     def test_sigma_one_is_base(self):
         ml, base = self._setup()
-        level = sm.InterpolatedBigram(ml, base, sm.InterpolationParams({3: 1.0}, 0.5))
+        level = sm.InterpolatedBigram(ml, base, sm.MixedSmoothingParams({(1, 3): 1.0}, {1: 0.5}))
         assert level.prob((3,), 4) == base.prob((3,), 4)
         # Unseen bigram still positive through the base.
         assert level.prob((3,), 0) > 0
@@ -181,9 +181,37 @@ class TestInterpProb:
             def prob(self, context, word):
                 return 0.01
 
-        params = sm.InterpolationParams({4: 0.5}, 0.5)
+        params = sm.MixedSmoothingParams({(1, 4): 0.5}, {1: 0.5})
         # P_ML(3 after 4) = 0, base 0.01: 0.5 * 0 + 0.5 * 0.01.
         assert sm.InterpolatedBigram(ml, PointBase(), params).prob((4,), 3) == pytest.approx(0.005)
+
+    def test_ids_range_checked_over_any_base(self):
+        # The base here checks nothing.  Without the level's own check, -1
+        # would wrap to the last row and (3, 7) would read the pair (4, 1).
+        counts = count_ngrams([[4], [3, 4]], make_vocab(*"abc"), max_order=2, skips=(1,))
+        ml = sm.MLBigram.from_counts(counts)
+        assert ml.pair_prob(4, 1) == 1.0
+
+        class PointBase:
+            context_size = 1
+
+            def prob(self, context, word):
+                return 0.01
+
+        level = sm.InterpolatedBigram(ml, PointBase(), sm.MixedSmoothingParams({}, {1: 0.5}))
+        for ctx, w, bad in [((-1,), 3, -1), ((6,), 0, 6), ((3,), 99, 99), ((3,), 7, 7)]:
+            with pytest.raises(ParameterError, match=r"word id %d out of range \[0, 6\)" % bad):
+                level.prob(ctx, w)
+
+    def test_ml_pair_prob_is_zero_for_ids_out_of_range(self):
+        # (3, 7) and (5, -1) have the int keys of the stored (4, 1) and (4, 5).
+        counts = NgramCounts(6, 2, (1,))
+        counts.bigrams = count_table({(4, 1): 1, (4, 5): 1, (3, 4): 1})
+        ml = sm.MLBigram.from_counts(counts)
+        assert (ml.pair_prob(4, 1), ml.pair_prob(4, 5)) == (0.5, 0.5)
+        for w1, w2 in [(3, 7), (5, -1), (-1, 3), (6, 0), (0, 6)]:
+            assert ml.pair_prob(w1, w2) == 0.0
+            assert ml.prob((w1,), w2) == 0.0
 
     def test_rows_sum_to_one(self):
         rng = random.Random(63)
@@ -192,8 +220,8 @@ class TestInterpProb:
         ml = sm.MLBigram.from_counts(counts)
         base = mm.AggregateModel.random_init(8, 2, seed=5)
         rng2 = random.Random(0)
-        params = sm.InterpolationParams(
-            {w: rng2.random() for w in range(8)}, rng2.random()
+        params = sm.MixedSmoothingParams(
+            {(1, w): rng2.random() for w in range(8)}, {1: rng2.random()}
         )
         level = sm.InterpolatedBigram(ml, base, params)
         for w1 in range(8):
@@ -228,15 +256,16 @@ class TestSmoothedMixedLevel:
             {(w1, w2): rng.randrange(1, 4) for w1 in range(V) for w2 in range(3, V)}
         )
         ml = sm.MLBigram.from_counts(counts)
-        iparams = sm.InterpolationParams({w: rng.random() for w in range(V)}, 0.3)
+        iparams = sm.MixedSmoothingParams({(1, w): rng.random() for w in range(V)}, {1: 0.3})
         level1 = sm.InterpolatedBigram(ml, base, iparams)
         return sm.SmoothedMixedLevel(model, params, level1), model, params, level1
 
     def test_zero_discount_equals_raw_mixture(self):
         rng = random.Random(64)
-        level, model, params, _ = self._random_level(rng)
+        _, model, params, level1 = self._random_level(rng)
         params.values = {k: 0.0 for k in params.values}
         params.fallbacks = {k: 0.0 for k in params.fallbacks}
+        level = sm.SmoothedMixedLevel(model, params, level1)  # reads the weights when built
         for ctx in [(3, 4), (0, 5), (2, 2)]:
             for w in range(6):
                 assert level.prob(ctx, w) == pytest.approx(
@@ -245,9 +274,10 @@ class TestSmoothedMixedLevel:
 
     def test_full_discount_equals_lower_level(self):
         rng = random.Random(65)
-        level, model, params, level1 = self._random_level(rng)
+        _, model, params, level1 = self._random_level(rng)
         params.values = {k: 1.0 for k in params.values}
         params.fallbacks = {k: 1.0 for k in params.fallbacks}
+        level = sm.SmoothedMixedLevel(model, params, level1)  # reads the weights when built
         for ctx in [(3, 4), (0, 5), (2, 2)]:
             for w in range(6):
                 assert level.prob(ctx, w) == pytest.approx(
@@ -337,10 +367,10 @@ class TestFitMixedSmoothing:
         base = mm.AggregateModel.random_init(7, 1, seed=8)
         counts = count_ngrams(train, make_vocab(*"abcd"), max_order=2, skips=(1,))
         ml = sm.MLBigram.from_counts(counts)
-        level1 = sm.InterpolatedBigram(ml, base, sm.InterpolationParams({}, 0.5))
+        level1 = sm.InterpolatedBigram(ml, base, sm.MixedSmoothingParams({}, {1: 0.5}))
         params = sm.fit_mixed_smoothing(model, level1, [[5, 6, 5]])
-        assert params.sigma_for(1, 5) == pytest.approx(1.0, abs=1e-9)
-        assert params.sigma_for(2, 5) == pytest.approx(1.0, abs=1e-9)
+        assert sigma_for(params, 1, 5) == pytest.approx(1.0, abs=1e-9)
+        assert sigma_for(params, 2, 5) == pytest.approx(1.0, abs=1e-9)
 
     def test_fitted_point_is_coordinatewise_optimal(self):
         # At the EM stopping point every interior coordinate should be at
@@ -353,11 +383,9 @@ class TestFitMixedSmoothing:
         fitted_ll = ev.evaluate(level, valid).log_likelihood
 
         def conditional_ll(kw, s):
-            original = params.values[kw]
-            params.values[kw] = float(s)
-            ll = ev.evaluate(level, valid).log_likelihood
-            params.values[kw] = original
-            return ll
+            # A level reads its weights when it is built.
+            probe = sm.MixedSmoothingParams({**params.values, kw: float(s)}, params.fallbacks)
+            return ev.evaluate(sm.SmoothedMixedLevel(model, probe, level1), valid).log_likelihood
 
         probed = 0
         for kw in list(params.values):
@@ -557,8 +585,9 @@ class TestKatzBackoff:
         ]
         assert katz[0].level.seen == katz[1].level.seen
         assert katz[0].level.alphas == katz[1].level.alphas
-        ml = [sm.MLBigram(counter(counts.bigrams)), sm.MLBigram(counts.bigrams)]
-        assert ml[0].rows == ml[1].rows
+        bigrams = (counter(counts.bigrams), counts.bigrams)
+        ml = [sm.MLBigram(table, counts.vocab_size) for table in bigrams]
+        assert ml[0].pairs == ml[1].pairs
         unigram = sm.MLUnigram(counter(counts.unigrams), counts.total)
         assert unigram.probs == sm.MLUnigram.from_counts(counts).probs
         tables = (counter(counts.trigrams), counts.trigrams)
@@ -707,12 +736,12 @@ class TestCascadeAssembly:
             )
 
     def test_sigma_file_round_trips(self, tmp_path):
-        iparams = sm.InterpolationParams({3: 0.25, 5: 1.0}, 0.125)
+        iparams = sm.MixedSmoothingParams({(1, 3): 0.25, (1, 5): 1.0}, {1: 0.125})
         path = tmp_path / "sigma.txt"
         iparams.save(path)
-        loaded = sm.InterpolationParams.load(path)
-        assert loaded.sigma == iparams.sigma
-        assert loaded.sigma0 == iparams.sigma0
+        loaded = sm.MixedSmoothingParams.load(path)
+        assert loaded.values == iparams.values
+        assert loaded.fallbacks == iparams.fallbacks
         assert path.read_text(encoding="utf-8").splitlines()[0] == "SIGMA v1"
 
         mparams = mm.MixedSmoothingParams({(1, 3): 0.5, (2, 0): 0.75}, {1: 0.5, 2: 0.25})
