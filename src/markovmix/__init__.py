@@ -21,7 +21,7 @@ from .corpus import (
     tokenize,
     tokenize_corpus,
 )
-from .evaluation import EvalReport, evaluate, perplexity, sentence_log_prob, unseen_perplexity
+from .evaluation import EvalReport, evaluate
 from .mixedorder import MixedOrderModel, lambda_report, missing_fraction, train_mixed
 from .smoothing import (
     KatzBigram,
@@ -60,11 +60,8 @@ __all__ = [
     "lambda_report",
     "load_cascade",
     "missing_fraction",
-    "perplexity",
-    "sentence_log_prob",
     "tokenize",
     "tokenize_corpus",
     "train_aggregate",
     "train_mixed",
-    "unseen_perplexity",
 ]

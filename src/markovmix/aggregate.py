@@ -269,12 +269,6 @@ def _joint_blocks(cgw: np.ndarray, wgc: np.ndarray, table: _BigramTable):
         yield chunk, block, other
 
 
-def log_likelihood(model: AggregateModel, counts: NgramCounts) -> float:
-    """Count-weighted log-likelihood of the bigram table under the model."""
-    table = _BigramTable(counts, model.vocab_size, model.n_classes)
-    return _log_likelihood_table(model.class_given_word, model.word_given_class, table)
-
-
 def _log_likelihood_table(cgw: np.ndarray, wgc: np.ndarray, table: _BigramTable) -> float:
     ll = 0.0
     for chunk, block, _ in _joint_blocks(cgw, wgc, table):

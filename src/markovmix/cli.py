@@ -253,29 +253,7 @@ def cmd_smooth(cfg: RunConfig) -> None:
         truncation=cfg.truncate,
         tied=cfg.tie_sigma,
     )
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    interp_path = os.path.join(cfg.out_dir, "sigma_bigram.txt")
-    cascade.interp.save(interp_path)
-    level_paths = []
-    for (model, params), model_path in zip(cascade.mixed_levels, mixed_paths):
-        sigma_path = os.path.join(cfg.out_dir, "sigma_mixed%d.txt" % model.order)
-        params.save(sigma_path)
-        level_paths.append((model_path, sigma_path))
-    gt_path = None
-    if cascade.trigram is not None:
-        gt_path = os.path.join(cfg.out_dir, "gt_trigram.txt")
-        smoothing.save_discounts(gt_path, cascade.trigram.level.discounts)
-    smoothing.write_cascade_manifest(
-        cfg.manifest_out,
-        cfg.counts,
-        cfg.agg_model,
-        interp_path,
-        level_paths,
-        gt_path=gt_path,
-        gt_threshold=cfg.gt_threshold,
-        truncation=cfg.truncate,
-    )
+    cascade.save(cfg.manifest_out, cfg.out_dir, cfg.counts, cfg.agg_model, mixed_paths)
 
 
 def _load_eval_model(cfg: RunConfig):

@@ -1,4 +1,4 @@
-"""Sentence scoring and perplexity reports for any conditional model.
+"""Perplexity reports for any conditional model; `evaluate` scores a corpus.
 
 A conditional model exposes `context_size` and `prob(context, word)`; the
 optional `prob_and_backoff` variant additionally reports whether the event
@@ -27,18 +27,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .corpus import NgramCounts, TokenSentence, _distinct_rows, _event_windows, _per_row
 from .errors import NumericError
 from .smoothing import _score_rows
-
-
-class EventFlags(NamedTuple):
-    zero: bool
-    backoff: bool
 
 
 @dataclass
@@ -96,20 +91,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _event_scores(model, sentences: list[TokenSentence]):
-    """Score each distinct event of the sentences once, through the row
-    scorer.
-
-    Returns (rows, inverse, p, backed): the distinct (context..., word) rows
-    of _event_windows in lexicographic order, the index of each event's
-    distinct row in event order, and per distinct row the probability and
-    the backoff flag (False for a model without prob_and_backoff).
-    """
-    rows, inverse = _distinct_rows(_event_windows(sentences, model.context_size))
-    p, backed = _score_rows(model, rows)
-    return rows, inverse, p, backed
-
-
 def _log_probs(p: np.ndarray) -> np.ndarray:
     """math.log of each positive probability, 0.0 for the others."""
     return np.array([math.log(x) if x > 0.0 else 0.0 for x in p.tolist()], dtype=np.float64)
@@ -119,18 +100,6 @@ def _sequential_sum(x: np.ndarray) -> float:
     """x[0] + x[1] + ... added left to right, as a per-event loop adds them;
     np.sum adds pairwise, which can move the last bits."""
     return float(np.cumsum(x)[-1]) if len(x) else 0.0
-
-
-def sentence_log_prob(model, sentence: TokenSentence) -> tuple[float, list[EventFlags]]:
-    """Log probability of one sentence plus per-event flags.
-
-    Zero-probability events contribute a flag instead of -inf and are left
-    out of the returned sum.
-    """
-    _, inverse, p, backed = _event_scores(model, [sentence])
-    zero = ~(p > 0.0)
-    flags = [EventFlags(*f) for f in zip(zero[inverse].tolist(), backed[inverse].tolist())]
-    return _sequential_sum(_log_probs(p)[inverse]), flags
 
 
 def evaluate(
@@ -150,7 +119,11 @@ def evaluate(
     Zero-probability events never join the unseen log-likelihood either;
     they are counted in zero_events.
     """
-    rows, inverse, p, backed = _event_scores(model, sentences)
+    # The distinct (context..., word) rows in lexicographic order, the index
+    # of each event's row in event order, and per row the probability and
+    # backoff flag (False for a model without prob_and_backoff).
+    rows, inverse = _distinct_rows(_event_windows(sentences, model.context_size))
+    p, backed = _score_rows(model, rows)
     positive = (p > 0.0)[inverse]
     logp = _log_probs(p)[inverse]
     scored = int(np.count_nonzero(positive))
@@ -179,21 +152,6 @@ def evaluate(
             report.unseen_log_likelihood = unseen_ll
             report.unseen_perplexity = math.exp(-unseen_ll / unseen_scored)
     return report
-
-
-def perplexity(model, sentences: list[TokenSentence]) -> EvalReport:
-    return evaluate(model, sentences)
-
-
-def unseen_perplexity(
-    model,
-    sentences: list[TokenSentence],
-    seen_predicate: Callable[[tuple[int, ...], int], bool],
-) -> tuple[float | None, float]:
-    """Perplexity restricted to events failing the predicate, plus their
-    fraction of all events.  Returns (None, 0.0) when every event is seen."""
-    report = evaluate(model, sentences, seen_predicate=seen_predicate)
-    return report.unseen_perplexity, report.unseen_fraction or 0.0
 
 
 def bigram_seen_predicate(counts: NgramCounts) -> Callable[[tuple[int, ...], int], bool]:

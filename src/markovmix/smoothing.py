@@ -18,6 +18,9 @@ dicts keyed by corpus._row_keys (corpus._key_dict).
 
 Parameter files use the "SIGMA v1" format (one "k w sigma" triple per line,
 w = -1 holding the per-k fallback) and "GT v1" for discount coefficients.
+A fitted cascade is its weight files plus a "CASCADE v1" manifest naming
+them and its inputs; SmoothedCascade.save and load_cascade are the only
+code that knows these files.
 """
 
 from __future__ import annotations
@@ -701,21 +704,24 @@ class SmoothedCascade:
         self.base = base
         self.ml_bigram = ml_bigram or MLBigram.from_counts(counts)
         self.interp = interp
-        self.mixed_levels = mixed_levels
         self.gt_threshold = gt_threshold
         self.truncation = truncation
-
-        level = InterpolatedBigram(self.ml_bigram, base, interp)
-        self.level_stack = [level]
-        for model, params in mixed_levels:
-            level = SmoothedMixedLevel(model, params, level)
-            self.level_stack.append(level)
+        self.mixed_levels: list[tuple[MixedOrderModel, MixedSmoothingParams]] = []
+        self.level_stack = [InterpolatedBigram(self.ml_bigram, base, interp)]
         self.trigram = None
+        self._stack(mixed_levels, with_trigram, discounts)
+
+    def _stack(self, mixed_levels, with_trigram: bool = False, discounts=None) -> None:
+        """Build the given mixed levels, then the trigram if asked, on the top."""
+        for model, params in mixed_levels:
+            self.level_stack.append(SmoothedMixedLevel(model, params, self.level_stack[-1]))
+            self.mixed_levels.append((model, params))
         if with_trigram:
             self.trigram = build_katz_trigram(
-                counts, level, k_gt=gt_threshold, truncation=truncation, discounts=discounts
+                self.counts, self.level_stack[-1], k_gt=self.gt_threshold,
+                truncation=self.truncation, discounts=discounts,
             )
-        self.top = self.trigram if self.trigram is not None else level
+        self.top = self.trigram if self.trigram is not None else self.level_stack[-1]
         self.context_size = self.top.context_size
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
@@ -738,7 +744,8 @@ class SmoothedCascade:
         truncation: int = 1,
         tied: bool = False,
     ) -> "SmoothedCascade":
-        """Fit all smoothing parameters bottom-up on the validation corpus.
+        """Fit all smoothing parameters bottom-up on the validation corpus,
+        each mixed level's over the level below it.
 
         `mixed_models` must be trained models of consecutive orders 2..m
         (possibly empty for a bigram-only cascade).
@@ -751,45 +758,52 @@ class SmoothedCascade:
             )
         ml = MLBigram.from_counts(counts)
         interp = fit_interpolation(ml, base, validation, tied=tied)
-        mixed_levels = []
+        cascade = cls(counts, base, interp, [], gt_threshold=gt_threshold,
+                      truncation=truncation, ml_bigram=ml)
         for model in mixed_models:
-            lower = cls(counts, base, interp, mixed_levels, ml_bigram=ml).top
-            params = fit_mixed_smoothing(model, lower, validation, tied=tied)
-            mixed_levels.append((model, params))
-        return cls(counts, base, interp, mixed_levels, with_trigram, gt_threshold, truncation,
-                   ml_bigram=ml)
+            params = fit_mixed_smoothing(model, cascade.top, validation, tied=tied)
+            cascade._stack([(model, params)])
+        cascade._stack([], with_trigram)
+        return cascade
 
+    def save(self, manifest_path, out_dir, counts_path, base_path, model_paths) -> None:
+        """Write the cascade's files and its manifest, which load_cascade reads.
 
-def write_cascade_manifest(
-    path,
-    counts_path: str,
-    base_path: str,
-    interp_sigma_path: str,
-    mixed_paths: list[tuple[str, str]],
-    gt_path: str | None = None,
-    gt_threshold: int = DEFAULT_GT_THRESHOLD,
-    truncation: int = 1,
-) -> None:
-    """Write the text manifest tying together the files of a fitted cascade.
+        The weights go into out_dir: sigma_bigram.txt, sigma_mixed<k>.txt for
+        each mixed level k and, with a trigram level, the Good-Turing
+        discounts in gt_trigram.txt.  The counts, the base and the mixed
+        models (`model_paths`, one per mixed level) are files the caller
+        wrote.  The manifest stores every path relative to its own directory;
+        all are checked for whitespace before any file is written.
+        """
+        if len(model_paths) != len(self.mixed_levels):
+            raise ParameterError("expected %d mixed model paths, got %d"
+                                 % (len(self.mixed_levels), len(model_paths)))
+        base_dir = os.path.dirname(os.path.abspath(manifest_path))
 
-    All paths are stored relative to the manifest's directory and must not
-    contain whitespace.
-    """
-    base_dir = os.path.dirname(os.path.abspath(path))
+        def rel(p: str) -> str:
+            r = os.path.relpath(os.path.abspath(p), base_dir)
+            if any(ch.isspace() for ch in r):
+                raise ParameterError("manifest paths must not contain whitespace: %r" % r)
+            return r
 
-    def rel(p: str) -> str:
-        r = os.path.relpath(os.path.abspath(p), base_dir)
-        if any(ch.isspace() for ch in r):
-            raise ParameterError("manifest paths must not contain whitespace: %r" % r)
-        return r
-
-    rows = [("counts", rel(counts_path)), ("base", "aggregate", rel(base_path))]
-    rows.append(("level", 1, "bigram", rel(interp_sigma_path)))
-    for order, (model_path, sigma_path) in enumerate(mixed_paths, start=2):
-        rows.append(("level", order, "mixed", rel(model_path), rel(sigma_path)))
-    if gt_path is not None:
-        rows.append(("trigram", rel(gt_path), "kgt=%d" % gt_threshold, "truncate=%d" % truncation))
-    write_artifact(path, "CASCADE", rows)
+        weights = [self.interp] + [params for _, params in self.mixed_levels]
+        names = ["sigma_bigram.txt"] + ["sigma_mixed%d.txt" % k for k in range(2, len(weights) + 1)]
+        sigma_paths = [os.path.join(out_dir, name) for name in names]
+        gt_path = os.path.join(out_dir, "gt_trigram.txt")
+        rows = [("counts", rel(counts_path)), ("base", "aggregate", rel(base_path)),
+                ("level", 1, "bigram", rel(sigma_paths[0]))]
+        for k, model_path in enumerate(model_paths, start=2):
+            rows.append(("level", k, "mixed", rel(model_path), rel(sigma_paths[k - 1])))
+        if self.trigram is not None:
+            rows.append(("trigram", rel(gt_path), "kgt=%d" % self.gt_threshold,
+                         "truncate=%d" % self.truncation))
+        os.makedirs(out_dir, exist_ok=True)
+        for params, path in zip(weights, sigma_paths):
+            params.save(path)
+        if self.trigram is not None:
+            save_discounts(gt_path, self.trigram.level.discounts)
+        write_artifact(manifest_path, "CASCADE", rows)
 
 
 def _same_file(a, b) -> bool:
@@ -813,7 +827,9 @@ def _load_weights(path, m: int, V: int) -> MixedSmoothingParams:
 
 
 def load_cascade(path, loaded_counts: tuple[str, NgramCounts] | None = None) -> SmoothedCascade:
-    """Assemble a fitted cascade from its manifest and the files it names.
+    """Assemble a fitted cascade from the manifest that SmoothedCascade.save
+    wrote and the files it names; these two are the only code that knows
+    the cascade's files.
 
     Lines come in the order written: counts, base, levels 1, 2, ... and the
     optional trigram.  Level k holds a sigma file with a fallback for each

@@ -528,6 +528,16 @@ class TestSmooth:
         assert run(workdir, *SMOOTH_ARGS) == 0
         assert (workdir / "smooth" / "sigma_bigram.txt").read_bytes() == first
 
+    def test_whitespace_in_a_manifest_path_exits_2_before_writing(self, workdir, capsys):
+        build_pipeline(workdir)
+        capsys.readouterr()
+        args = SMOOTH_ARGS + ["--with-trigram", "--out-dir", "out dir", "--manifest-out", "spaced.txt"]
+        assert run(workdir, *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "whitespace" in err
+        assert not (workdir / "spaced.txt").exists()
+        assert not (workdir / "out dir").exists()
+
     def test_missing_level_model_exits_2(self, workdir):
         prepare(workdir)
         code = run(

@@ -38,15 +38,15 @@ class TableModel:
 class TestSentenceLogProb:
     def test_empty_sentence_scores_end_marker(self):
         table = {(START_ID, END_ID): 0.25}
-        lp, flags = ev.sentence_log_prob(TableModel(table), [])
-        assert lp == pytest.approx(math.log(0.25))
-        assert flags == [ev.EventFlags(False, False)]
+        report = mm.evaluate(TableModel(table), [[]])
+        assert report.log_likelihood == pytest.approx(math.log(0.25))
+        assert (report.total_events, report.zero_events, report.backoff_events) == (1, 0, 0)
 
     def test_uniform_model_closed_form(self):
         model = UniformModel(8)
-        lp, flags = ev.sentence_log_prob(model, [3, 4, 5])
-        assert lp == pytest.approx(-4 * math.log(8), abs=1e-12)
-        assert len(flags) == 4
+        report = mm.evaluate(model, [[3, 4, 5]])
+        assert report.log_likelihood == pytest.approx(-4 * math.log(8), abs=1e-12)
+        assert report.total_events == 4
 
     def test_hand_built_bigram_product(self):
         # Two-sentence corpus scored against explicit bigram probabilities.
@@ -57,23 +57,23 @@ class TestSentenceLogProb:
             (3, END_ID): 0.0625,
         }
         model = TableModel(table)
-        lp1, _ = ev.sentence_log_prob(model, [3, 4])
+        lp1 = mm.evaluate(model, [[3, 4]]).log_likelihood
         assert lp1 == pytest.approx(math.log(0.5 * 0.25 * 0.125), abs=1e-12)
-        lp2, _ = ev.sentence_log_prob(model, [3])
+        lp2 = mm.evaluate(model, [[3]]).log_likelihood
         assert lp2 == pytest.approx(math.log(0.5 * 0.0625), abs=1e-12)
 
     def test_zero_probability_flagged_and_excluded(self):
         table = {(START_ID, 3): 0.5}
-        lp, flags = ev.sentence_log_prob(TableModel(table), [3, 4])
-        assert lp == pytest.approx(math.log(0.5))
-        assert [f.zero for f in flags] == [False, True, True]
+        report = mm.evaluate(TableModel(table), [[3, 4]])
+        assert report.log_likelihood == pytest.approx(math.log(0.5))
+        assert (report.total_events, report.scored_events, report.zero_events) == (3, 1, 2)
 
 
 class TestPerplexity:
     def test_uniform_model_gives_vocab_size(self):
         rng = random.Random(50)
         sents = [[rng.randrange(3, 9) for _ in range(rng.randrange(0, 6))] for _ in range(9)]
-        report = mm.perplexity(UniformModel(9), sents)
+        report = mm.evaluate(UniformModel(9), sents)
         assert report.perplexity == pytest.approx(9.0, rel=1e-12)
         assert report.zero_events == 0
 
@@ -83,7 +83,7 @@ class TestPerplexity:
         sents = [[rng.randrange(3, 8) for _ in range(rng.randrange(1, 7))] for _ in range(12)]
         counts = count_ngrams(sents, vocab, max_order=1, skips=(1,))
         model = MLUnigram.from_counts(counts)
-        report = mm.perplexity(model, sents)
+        report = mm.evaluate(model, sents)
         ll = sum(n * math.log(n / counts.total) for n in counts.unigrams.values())
         assert report.log_likelihood == pytest.approx(ll, rel=1e-12)
         assert report.perplexity == pytest.approx(math.exp(-ll / counts.total), rel=1e-12)
@@ -91,7 +91,7 @@ class TestPerplexity:
     def test_report_arithmetic(self):
         rng = random.Random(52)
         sents = [[rng.randrange(3, 7) for _ in range(3)] for _ in range(5)]
-        report = mm.perplexity(UniformModel(7), sents)
+        report = mm.evaluate(UniformModel(7), sents)
         assert report.perplexity == pytest.approx(
             math.exp(-report.log_likelihood / report.scored_events), rel=1e-12
         )
@@ -102,10 +102,10 @@ class TestPerplexity:
         sents = [[rng.randrange(3, 7) for _ in range(rng.randrange(0, 5))] for _ in range(10)]
         counts = count_ngrams(sents, vocab, max_order=2, skips=(1,))
         model = MLBigram.from_counts(counts)
-        a = mm.perplexity(model, sents)
+        a = mm.evaluate(model, sents)
         shuffled = list(sents)
         random.Random(9).shuffle(shuffled)
-        b = mm.perplexity(model, shuffled)
+        b = mm.evaluate(model, shuffled)
         assert a.perplexity == pytest.approx(b.perplexity, rel=1e-12)
 
     def test_dominance(self):
@@ -113,18 +113,18 @@ class TestPerplexity:
         # perplexity cannot be worse.
         rng = random.Random(54)
         sents = [[rng.randrange(3, 8) for _ in range(4)] for _ in range(8)]
-        a = mm.perplexity(UniformModel(8), sents)
-        b = mm.perplexity(UniformModel(16), sents)
+        a = mm.evaluate(UniformModel(8), sents)
+        b = mm.evaluate(UniformModel(16), sents)
         assert a.perplexity <= b.perplexity
 
     def test_all_zero_events_error(self):
         with pytest.raises(NumericError, match="no scorable events"):
-            mm.perplexity(TableModel({}), [[3, 4]])
+            mm.evaluate(TableModel({}), [[3, 4]])
 
     def test_zero_events_excluded_but_counted(self):
         table = {(START_ID, 3): 0.5, (3, END_ID): 0.25}
         sents = [[3], [4]]
-        report = mm.perplexity(TableModel(table), sents)
+        report = mm.evaluate(TableModel(table), sents)
         assert report.total_events == 4
         assert report.scored_events == 2
         assert report.zero_events == 2
@@ -139,9 +139,10 @@ class TestUnseenPerplexity:
         train = [[3, 4], [4, 3]]
         counts = count_ngrams(train, vocab, max_order=2, skips=(1,))
         seen = ev.bigram_seen_predicate(counts)
-        ppl, frac = mm.unseen_perplexity(MLBigram.from_counts(counts), [[3, 4]], seen)
-        assert ppl is None
-        assert frac == 0.0
+        report = mm.evaluate(MLBigram.from_counts(counts), [[3, 4]], seen_predicate=seen)
+        assert report.unseen_perplexity is None
+        assert report.unseen_events == 0
+        assert report.unseen_fraction == 0.0
 
     def test_single_unseen_event(self):
         table = {
@@ -150,9 +151,9 @@ class TestUnseenPerplexity:
             (4, END_ID): 0.5,
         }
         seen = lambda ctx, w: not (ctx[-1] == 3 and w == 4)
-        ppl, frac = mm.unseen_perplexity(TableModel(table), [[3, 4]], seen)
-        assert ppl == pytest.approx(1 / 0.2, rel=1e-12)
-        assert frac == pytest.approx(1 / 3)
+        report = mm.evaluate(TableModel(table), [[3, 4]], seen_predicate=seen)
+        assert report.unseen_perplexity == pytest.approx(1 / 0.2, rel=1e-12)
+        assert report.unseen_fraction == pytest.approx(1 / 3)
 
     def test_backoff_tracking(self):
         class FlaggingModel(UniformModel):
@@ -170,14 +171,14 @@ class TestReportOutput:
     def test_json_round_trip_keys(self):
         import json
 
-        report = mm.perplexity(UniformModel(4), [[3]])
+        report = mm.evaluate(UniformModel(4), [[3]])
         data = json.loads(report.to_json())
         assert data["total_events"] == 2
         assert data["perplexity"] == pytest.approx(4.0)
         assert "unseen_perplexity" not in data
 
     def test_text_contains_fields(self):
-        report = mm.perplexity(UniformModel(4), [[3]])
+        report = mm.evaluate(UniformModel(4), [[3]])
         text = report.to_text()
         assert "perplexity" in text
         assert "zero_events" in text

@@ -1,6 +1,7 @@
 """Interpolation fitting, cascade algebra, Good-Turing/Katz backoff."""
 
 import math
+import os
 import random
 from collections import Counter
 
@@ -709,23 +710,11 @@ class TestCascadeAssembly:
         base.save(base_path)
         mixed_path = tmp_path / "mix2.txt"
         mixed2.save(mixed_path)
-        interp_path = tmp_path / "sigma_bigram.txt"
-        cascade.interp.save(interp_path)
-        sigma_path = tmp_path / "sigma_mixed2.txt"
-        cascade.mixed_levels[0][1].save(sigma_path)
-        gt_path = tmp_path / "gt.txt"
-        sm.save_discounts(gt_path, cascade.trigram.level.discounts)
         manifest = tmp_path / "cascade.txt"
-        sm.write_cascade_manifest(
-            manifest,
-            str(counts_path),
-            str(base_path),
-            str(interp_path),
-            [(str(mixed_path), str(sigma_path))],
-            gt_path=str(gt_path),
-            gt_threshold=3,
-            truncation=1,
-        )
+        cascade.save(manifest, tmp_path / "weights", counts_path, base_path, [mixed_path])
+        assert sorted(os.listdir(tmp_path / "weights")) == [
+            "gt_trigram.txt", "sigma_bigram.txt", "sigma_mixed2.txt"
+        ]
         loaded = sm.load_cascade(manifest)
         rng2 = random.Random(1)
         for _ in range(60):
@@ -734,6 +723,19 @@ class TestCascadeAssembly:
             assert loaded.prob(ctx, w) == pytest.approx(
                 cascade.prob(ctx, w), abs=1e-12
             )
+
+    def test_save_needs_one_model_path_per_mixed_level(self, tmp_path):
+        rng = random.Random(90)
+        vocab, train = random_corpus(rng, 4, 20)
+        counts = count_ngrams(train, vocab, max_order=2, skips=(1,))
+        base = mm.AggregateModel.random_init(7, 2, seed=3)
+        mixed2, _ = mm.train_mixed(train, 2, 7, iterations=1)
+        cascade = mm.SmoothedCascade.fit(counts, base, [mixed2], train)
+        for model_paths in ([], ["mix2.txt", "mix3.txt"]):
+            with pytest.raises(ParameterError, match="expected 1 mixed model paths"):
+                cascade.save(tmp_path / "cascade.txt", tmp_path / "weights", "counts.txt",
+                              "agg.txt", model_paths)
+        assert os.listdir(tmp_path) == []
 
     def test_sigma_file_round_trips(self, tmp_path):
         iparams = sm.MixedSmoothingParams({(1, 3): 0.25, (1, 5): 1.0}, {1: 0.125})
