@@ -528,6 +528,7 @@ class TestSmooth:
         assert run(workdir, *SMOOTH_ARGS) == 0
         assert (workdir / "smooth" / "sigma_bigram.txt").read_bytes() == first
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # sparse Good-Turing statistics
     def test_whitespace_in_a_manifest_path_exits_2_before_writing(self, workdir, capsys):
         build_pipeline(workdir)
         capsys.readouterr()
