@@ -22,7 +22,7 @@ from .corpus import (
     tokenize_corpus,
 )
 from .evaluation import EvalReport, evaluate
-from .mixedorder import MixedOrderModel, lambda_report, missing_fraction, train_mixed
+from .mixedorder import MixedOrderModel, lambda_report, train_mixed
 from .smoothing import (
     KatzBigram,
     KatzTrigram,
@@ -59,7 +59,6 @@ __all__ = [
     "good_turing_discounts",
     "lambda_report",
     "load_cascade",
-    "missing_fraction",
     "tokenize",
     "tokenize_corpus",
     "train_aggregate",

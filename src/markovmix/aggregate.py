@@ -101,6 +101,8 @@ class AggregateModel:
                 "class count must satisfy 1 <= C <= V, got C=%d V=%d"
                 % (n_classes, vocab_size)
             )
+        if seed < 0:
+            raise ParameterError("seed must be at least 0, got %d" % seed)
         rng = np.random.default_rng(seed)
         cgw = rng.uniform(0.5, 1.5, size=(vocab_size, n_classes))
         cgw /= cgw.sum(axis=1, keepdims=True)

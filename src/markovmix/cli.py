@@ -30,7 +30,7 @@ from .errors import DataError, NumericError, ParameterError
 
 @dataclass
 class RunConfig:
-    """All experiment knobs; round-trips through a key=value file."""
+    """All experiment knobs; --config reads them from a flat key=value file."""
 
     command: str = ""
     input: str = ""
@@ -68,20 +68,6 @@ class RunConfig:
     report_out: str = ""
     csv_out: str = ""
     out: str = ""
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for f in fields(self):
-                value = getattr(self, f.name)
-                if isinstance(value, bool):
-                    value = "true" if value else "false"
-                fh.write("%s=%s\n" % (f.name, value))
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        cfg = cls()
-        cfg.apply(_read_config_file(path))
-        return cfg
 
     def apply(self, mapping: dict[str, str]) -> None:
         converters = {f.name: type(getattr(self, f.name)) for f in fields(self)}

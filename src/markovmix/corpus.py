@@ -78,9 +78,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.ids
-
     def id_of(self, word: str) -> int:
         return self.ids.get(word, UNK_ID)
 

@@ -306,17 +306,6 @@ def train_mixed(
     return MixedOrderModel(lambdas, table.keys, vals), trace
 
 
-def missing_fraction(
-    model: MixedOrderModel, sentences: list[TokenSentence]
-) -> float:
-    """Fraction of prediction events assigned exactly zero probability."""
-    if not sentences:
-        return 0.0
-    table = _EventTable(_event_windows(sentences, model.order), model.vocab_size, model)
-    total, _ = _event_probs(model.lambdas, table.vals, table)
-    return float((total == 0.0).sum() / table.n_events)
-
-
 def lambda_report(
     model: MixedOrderModel,
     top_n: int,

@@ -11,8 +11,10 @@ Three layers are provided, composable bottom-up:
     off, Katz style, either to the classic bigram/unigram chain or to a
     smoothed order-2 cascade.
 
-The weights of every level are a MixedSmoothingParams, the bigram level's
-under k = 1.  A level reads them when it is built, into one list per k
+A SmoothedCascade is the stack of these levels; SmoothedCascade.fit and
+load_cascade are the two builders, and each builds a level on the one below
+it.  The weights of every level are a MixedSmoothingParams, the bigram
+level's under k = 1.  A level reads them when it is built, into one list per k
 holding 1.0 for each row it does not store, and reads its tables as flat
 dicts keyed by corpus._row_keys (corpus._key_dict).
 
@@ -556,9 +558,10 @@ class KatzTrigram:
     Trigrams counted fewer than `truncation` times are not stored (see
     _KatzLevel); with no stored trigram every event backs off, with alpha 1.
     Ids are checked against `vocab_size`, the base of the level's keys.
-    `prob_and_backoff` takes the backoff's prediction as `backoff_p` when
-    the caller has it (the row scorer, _score_rows), and asks the backoff
-    otherwise.
+    The level keeps `k_gt` and `truncation`, which a saved cascade writes,
+    as its _KatzLevel keeps the discounts.  `prob_and_backoff` takes the
+    backoff's prediction as `backoff_p` when the caller has it (the row
+    scorer, _score_rows), and asks the backoff otherwise.
     """
 
     context_size = 2
@@ -578,12 +581,10 @@ class KatzTrigram:
             discounts = good_turing_discounts(trigrams, k_gt)
         self.backoff = backoff
         self.vocab_size = vocab_size
+        self.k_gt = k_gt
+        self.truncation = truncation
         table = CountTable.of(trigrams, 3)
         self.level = _KatzLevel(table, discounts, k_gt, backoff, vocab_size, truncation)
-
-    def _backoff_prob(self, context: tuple[int, int], word: int) -> float:
-        bctx = context[len(context) - self.backoff.context_size :]
-        return self.backoff.prob(bctx, word)
 
     def prob_and_backoff(
         self, context: tuple[int, ...], word: int, backoff_p: float | None = None
@@ -597,7 +598,7 @@ class KatzTrigram:
         if p is not None:
             return p, False
         if backoff_p is None:
-            backoff_p = self._backoff_prob(ctx, word)
+            backoff_p = self.backoff.prob(ctx[2 - self.backoff.context_size :], word)
         return self.level.alphas.get(key, 1.0) * backoff_p, True
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
@@ -681,47 +682,21 @@ def build_katz_trigram(
 class SmoothedCascade:
     """A fitted chain of smoothing levels with an aggregate base.
 
-    Levels from the bottom: aggregate base, interpolated bigram, mixed-order
-    levels of increasing order, and optionally a Katz-discounted trigram
-    (Good-Turing `discounts`, from the counts when None).  The constructor
-    builds every level; `top` is the conditional model implementing the chain.
+    `level_stack` holds the levels from the bottom: an InterpolatedBigram
+    over the aggregate base, then SmoothedMixedLevels of orders 2, 3, ...,
+    each over the one before it; `trigram` is an optional KatzTrigram over
+    the last of them.  The cascade is those levels and the counts they were
+    built from: `base`, `top`, `context_size` and `vocab_size` are read from
+    them.  fit and load_cascade build the levels.
     """
 
-    def __init__(
-        self,
-        counts: NgramCounts,
-        base: AggregateModel,
-        interp: MixedSmoothingParams,
-        mixed_levels: list[tuple[MixedOrderModel, MixedSmoothingParams]],
-        with_trigram: bool = False,
-        gt_threshold: int = DEFAULT_GT_THRESHOLD,
-        truncation: int = 1,
-        discounts: dict[int, float] | None = None,
-        ml_bigram: MLBigram | None = None,
-    ):
+    def __init__(self, counts: NgramCounts, level_stack: list, trigram: KatzTrigram | None = None):
         self.counts = counts
-        self.vocab_size = counts.vocab_size
-        self.base = base
-        self.ml_bigram = ml_bigram or MLBigram.from_counts(counts)
-        self.interp = interp
-        self.gt_threshold = gt_threshold
-        self.truncation = truncation
-        self.mixed_levels: list[tuple[MixedOrderModel, MixedSmoothingParams]] = []
-        self.level_stack = [InterpolatedBigram(self.ml_bigram, base, interp)]
-        self.trigram = None
-        self._stack(mixed_levels, with_trigram, discounts)
-
-    def _stack(self, mixed_levels, with_trigram: bool = False, discounts=None) -> None:
-        """Build the given mixed levels, then the trigram if asked, on the top."""
-        for model, params in mixed_levels:
-            self.level_stack.append(SmoothedMixedLevel(model, params, self.level_stack[-1]))
-            self.mixed_levels.append((model, params))
-        if with_trigram:
-            self.trigram = build_katz_trigram(
-                self.counts, self.level_stack[-1], k_gt=self.gt_threshold,
-                truncation=self.truncation, discounts=discounts,
-            )
-        self.top = self.trigram if self.trigram is not None else self.level_stack[-1]
+        self.level_stack = level_stack
+        self.trigram = trigram
+        self.base = level_stack[0].base
+        self.vocab_size = level_stack[0].ml.vocab_size
+        self.top = level_stack[-1] if trigram is None else trigram
         self.context_size = self.top.context_size
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
@@ -757,14 +732,14 @@ class SmoothedCascade:
                 % orders
             )
         ml = MLBigram.from_counts(counts)
-        interp = fit_interpolation(ml, base, validation, tied=tied)
-        cascade = cls(counts, base, interp, [], gt_threshold=gt_threshold,
-                      truncation=truncation, ml_bigram=ml)
+        levels = [InterpolatedBigram(ml, base, fit_interpolation(ml, base, validation, tied=tied))]
         for model in mixed_models:
-            params = fit_mixed_smoothing(model, cascade.top, validation, tied=tied)
-            cascade._stack([(model, params)])
-        cascade._stack([], with_trigram)
-        return cascade
+            params = fit_mixed_smoothing(model, levels[-1], validation, tied=tied)
+            levels.append(SmoothedMixedLevel(model, params, levels[-1]))
+        trigram = None
+        if with_trigram:
+            trigram = build_katz_trigram(counts, levels[-1], gt_threshold, truncation)
+        return cls(counts, levels, trigram)
 
     def save(self, manifest_path, out_dir, counts_path, base_path, model_paths) -> None:
         """Write the cascade's files and its manifest, which load_cascade reads.
@@ -776,9 +751,9 @@ class SmoothedCascade:
         wrote.  The manifest stores every path relative to its own directory;
         all are checked for whitespace before any file is written.
         """
-        if len(model_paths) != len(self.mixed_levels):
+        if len(model_paths) != len(self.level_stack) - 1:
             raise ParameterError("expected %d mixed model paths, got %d"
-                                 % (len(self.mixed_levels), len(model_paths)))
+                                 % (len(self.level_stack) - 1, len(model_paths)))
         base_dir = os.path.dirname(os.path.abspath(manifest_path))
 
         def rel(p: str) -> str:
@@ -787,7 +762,7 @@ class SmoothedCascade:
                 raise ParameterError("manifest paths must not contain whitespace: %r" % r)
             return r
 
-        weights = [self.interp] + [params for _, params in self.mixed_levels]
+        weights = [level.params for level in self.level_stack]
         names = ["sigma_bigram.txt"] + ["sigma_mixed%d.txt" % k for k in range(2, len(weights) + 1)]
         sigma_paths = [os.path.join(out_dir, name) for name in names]
         gt_path = os.path.join(out_dir, "gt_trigram.txt")
@@ -796,8 +771,8 @@ class SmoothedCascade:
         for k, model_path in enumerate(model_paths, start=2):
             rows.append(("level", k, "mixed", rel(model_path), rel(sigma_paths[k - 1])))
         if self.trigram is not None:
-            rows.append(("trigram", rel(gt_path), "kgt=%d" % self.gt_threshold,
-                         "truncate=%d" % self.truncation))
+            rows.append(("trigram", rel(gt_path), "kgt=%d" % self.trigram.k_gt,
+                         "truncate=%d" % self.trigram.truncation))
         os.makedirs(out_dir, exist_ok=True)
         for params, path in zip(weights, sigma_paths):
             params.save(path)
@@ -832,18 +807,19 @@ def load_cascade(path, loaded_counts: tuple[str, NgramCounts] | None = None) -> 
     the cascade's files.
 
     Lines come in the order written: counts, base, levels 1, 2, ... and the
-    optional trigram.  Level k holds a sigma file with a fallback for each
-    skip distance 1..k and, from k = 2, an order-k mixed model; every model
-    agrees with the counts on the vocabulary size, and every weight names
-    an id below it.  `loaded_counts` is a counts file the caller has read,
-    as (path, table); when the manifest names that same file, its table is
-    used instead of a second read.
+    optional trigram; a line out of that order is a DataError.  Each level
+    is built when its line is read, on the level before it.  Level k holds a
+    sigma file with a fallback for each skip distance 1..k and, from k = 2,
+    an order-k mixed model; every model agrees with the counts on the
+    vocabulary size, and every weight names an id below it.
+    `loaded_counts` is a counts file the caller has read, as (path, table);
+    when the manifest names that same file, its table is used instead of a
+    second read.
     """
     reader = ArtifactReader(path, "CASCADE")
     base_dir = os.path.dirname(os.path.abspath(path))
-    counts = base = interp = None
-    mixed_levels: list[tuple[MixedOrderModel, MixedSmoothingParams]] = []
-    trigram: dict = {}  # SmoothedCascade keywords of the trigram level
+    counts = base = trigram = None
+    levels: list = []
     for lineno, fields in reader.records():
         files = [os.path.join(base_dir, f) for f in fields]
         shape = (fields[0], len(fields))
@@ -857,21 +833,22 @@ def load_cascade(path, loaded_counts: tuple[str, NgramCounts] | None = None) -> 
             if base.vocab_size != counts.vocab_size:
                 sizes = (base.vocab_size, counts.vocab_size)
                 raise reader.error(lineno, "V=%d here but %d in the counts" % sizes)
-        elif shape == ("level", 4) and fields[1:3] == ["1", "bigram"] and base and not interp:
-            interp = _load_weights(files[3], 1, counts.vocab_size)
-        elif shape == ("level", 5) and fields[2] == "mixed" and interp:
-            k, V = 2 + len(mixed_levels), counts.vocab_size
+        elif shape == ("level", 4) and fields[1:3] == ["1", "bigram"] and base and not levels:
+            params = _load_weights(files[3], 1, counts.vocab_size)
+            levels.append(InterpolatedBigram(MLBigram.from_counts(counts), base, params))
+        elif shape == ("level", 5) and fields[2] == "mixed" and levels and not trigram:
+            k, V = 1 + len(levels), counts.vocab_size
             model, params = MixedOrderModel.load(files[3]), _load_weights(files[4], k, V)
             if (fields[1], model.order, model.vocab_size) != (str(k), k, V):
                 expected = "expected level %d: an order-%d model over V=%d" % (k, k, V)
                 raise reader.error(lineno, expected)
-            mixed_levels.append((model, params))
-        elif shape == ("trigram", 4) and interp and not trigram:
+            levels.append(SmoothedMixedLevel(model, params, levels[-1]))
+        elif shape == ("trigram", 4) and levels and not trigram:
             opts = reader.key_values(fields[2:], lineno, kgt=positive, truncate=positive)
-            trigram = dict(with_trigram=True, discounts=load_discounts(files[1]),
-                           gt_threshold=opts["kgt"], truncation=opts["truncate"])
+            trigram = build_katz_trigram(counts, levels[-1], opts["kgt"], opts["truncate"],
+                                         load_discounts(files[1]))
         else:
             raise reader.error(lineno, "unexpected manifest line %r" % " ".join(fields))
-    if interp is None:
+    if not levels:
         raise reader.error(1, "the manifest needs counts, base and level 1 lines")
-    return SmoothedCascade(counts, base, interp, mixed_levels, **trigram)
+    return SmoothedCascade(counts, levels, trigram)

@@ -207,7 +207,7 @@ class TestCriterion06CoverageTrend:
         fractions = []
         for m in (1, 2, 3, 4):
             model, _ = mm.train_mixed(desk.train, m, len(desk.vocab), iterations=4)
-            fractions.append(mm.missing_fraction(model, desk.test))
+            fractions.append(mm.evaluate(model, desk.test).missing_fraction)
         assert all(b <= a for a, b in zip(fractions, fractions[1:]))
         ok(6, "missing fraction non-increasing in m: " + ", ".join("%.4f" % f for f in fractions))
 

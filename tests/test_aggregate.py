@@ -95,6 +95,10 @@ class TestInit:
         with pytest.raises(ParameterError):
             mm.AggregateModel.random_init(5, 6, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            mm.AggregateModel.random_init(5, 3, seed=-1)
+
 
 class TestPairProb:
     def test_single_class_ignores_context(self):

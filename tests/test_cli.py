@@ -14,7 +14,7 @@ import pytest
 
 import markovmix as mm
 from markovmix.artifact import SUM_TOLERANCE
-from markovmix.cli import RunConfig, main
+from markovmix.cli import RunConfig, build_config, main
 
 CORPUS = [
     "the cat sat on the mat .",
@@ -138,6 +138,23 @@ class TestTrainAggregate:
         assert not (workdir / "agg.txt").exists()
         assert not (workdir / "trace.csv").exists()
 
+    def test_negative_seed_exits_2_without_artifacts(self, workdir, capsys):
+        prepare(workdir)
+        code = run(
+            workdir,
+            "train-aggregate",
+            "--counts", "counts.txt",
+            "--classes", "2",
+            "--seed", "-1",
+            "--model-out", "agg.txt",
+            "--trace-out", "trace.csv",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "seed" in err and err.count("\n") == 1
+        assert not (workdir / "agg.txt").exists()
+        assert not (workdir / "trace.csv").exists()
+
 
 def edit_line(pattern, edit):
     """Garble: apply `edit` to the fields of the first line matching `pattern`."""
@@ -173,6 +190,14 @@ def repeat_line(pattern):
         return "\n".join(lines)
 
     return garble
+
+
+def level_after_trigram(text):
+    """Garble: move the manifest's trigram line up above its last level line."""
+    lines = text.split("\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith("trigram "))
+    lines.insert(i - 1, lines.pop(i))
+    return "\n".join(lines)
 
 
 def cut(text):
@@ -290,6 +315,7 @@ GARBLES = {
     "cascade-truncated": ("cascade.txt", cut),
     "cascade-level_gap": ("cascade.txt", edit_line("level 2 ", lambda f: [f[0], "3"] + f[2:])),
     "cascade-vocab_mismatch": ("cascade.txt", lambda text: text.replace("agg.txt", "agg9.txt")),
+    "cascade-level_after_trigram": ("cascade.txt", level_after_trigram),
     "vocab-no_reserved": ("vocab.txt", lambda text: text.split("\n", 1)[1]),
     "vocab-duplicate": ("vocab.txt", lambda text: text + "the\n"),
     "vocab-size_mismatch": ("vocab.txt", lambda text: text + "zebra\n"),
@@ -428,6 +454,33 @@ class TestMalformedCounts:
         assert code == 3, err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (workdir / "cascade.txt").exists()
+
+    @pytest.mark.parametrize(
+        "args, v9_file",
+        [
+            (("sweep-truncate", "--counts", "counts.txt", "--vocab", "vocab9.txt",
+              "--cascade", "cascade_nt.txt", "--test", "test.txt", "--csv-out", "out.csv"),
+             "vocab9.txt"),
+            (("report-classes", "--agg-model", "agg9.txt", "--vocab", "vocab.txt",
+              "--counts", "counts.txt", "--csv-out", "out.csv"), "agg9.txt"),
+            (("report-lambda", "--model", "mix9.txt", "--vocab", "vocab.txt",
+              "--counts", "counts.txt", "--out", "out.csv"), "mix9.txt"),
+        ],
+        ids=["sweep", "report_classes", "report_lambda"],
+    )
+    def test_vocab_size_mismatch_exits_3(self, pipeline_dir, tmp_path, capsys, args, v9_file):
+        workdir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, workdir)
+        # sweep-truncate takes a cascade without a trigram level.
+        manifest = (workdir / "cascade.txt").read_text(encoding="utf-8")
+        without = "".join(l for l in manifest.splitlines(True) if not l.startswith("trigram "))
+        (workdir / "cascade_nt.txt").write_text(without, encoding="utf-8")
+        code = run(workdir, *args)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error: vocabulary sizes disagree: ") and err.count("\n") == 1
+        assert re.search(r"[ =]9 in %s( |$)" % re.escape(v9_file), err, re.M), err
+        assert not (workdir / "out.csv").exists()
 
     def test_eval_unseen_bigram_counts_size_mismatch_exits_3(self, pipeline_dir, capsys):
         code = run(
@@ -780,12 +833,15 @@ class TestReports:
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
-        cfg = RunConfig(command="prepare", input="a.txt", vocab_size=123, valid_frac=0.125,
-                        with_trigram=True, skips="1,2,3")
         path = tmp_path / "run.cfg"
-        cfg.save(path)
-        loaded = RunConfig.load(path)
-        assert loaded == cfg
+        path.write_text(
+            "# a comment\ninput = a.txt\nvocab_size=123\n\nvalid_frac=0.125\n"
+            "with_trigram=true\nskips=1,2,3\n",
+            encoding="utf-8",
+        )
+        loaded = build_config(["prepare", "--config", str(path)])
+        assert loaded == RunConfig(command="prepare", input="a.txt", vocab_size=123,
+                                   valid_frac=0.125, with_trigram=True, skips="1,2,3")
 
     def test_flags_override_config(self, workdir):
         (workdir / "run.cfg").write_text(

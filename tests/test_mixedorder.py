@@ -362,14 +362,16 @@ class TestMissingFraction:
         rng = random.Random(42)
         sents = random_sentences(rng, n_words=4, n_sentences=6)
         model, _ = mm.train_mixed(sents, 2, 7, iterations=2)
-        assert mm.missing_fraction(model, sents) == 0.0
+        assert mm.evaluate(model, sents).missing_fraction == 0.0
 
     def test_unseen_events_counted(self):
         model, _ = mm.train_mixed([[3, 4]], 1, 6, iterations=1)
-        # Sentence [5, 5]: events (3->5), (5->5), (5->end) all unseen.
-        assert mm.missing_fraction(model, [[5, 5]]) == 1.0
+        # Sentence [5, 5]: events (3->5), (5->5), (5->end) all unseen, so
+        # none can be scored.
+        with pytest.raises(NumericError):
+            mm.evaluate(model, [[5, 5]])
         # Mixed corpus: [3, 4] contributes 3 covered events.
-        assert mm.missing_fraction(model, [[3, 4], [5, 5]]) == pytest.approx(0.5)
+        assert mm.evaluate(model, [[3, 4], [5, 5]]).missing_fraction == pytest.approx(0.5)
 
 
 class TestLambdaReport:

@@ -1381,12 +1381,12 @@ def test_each_level_scores_each_distinct_row_of_its_width_once(corpus, data):
         assert_evaluation_scores_once(trigram, trigram, chain, test)
 
     # A cascade is scored as its top level.
+    levels = [sm.InterpolatedBigram(interp.ml, base, interp.params)]
+    levels.append(sm.SmoothedMixedLevel(mixed.model, mixed.params, levels[0]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cascade = sm.SmoothedCascade(
-            counts, base, interp.params, [(mixed.model, mixed.params)], with_trigram=True,
-            gt_threshold=2, truncation=truncation,
-        )
+        trigram = sm.build_katz_trigram(counts, levels[1], 2, truncation)
+    cascade = sm.SmoothedCascade(counts, levels, trigram)
     chain = [(level, record_calls(level, "prob")) for level in [*cascade.level_stack[::-1], base]]
     assert_evaluation_scores_once(cascade, cascade.trigram, chain, test)
 
@@ -1530,9 +1530,9 @@ def save_cascade(cascade, d):
     cascade.counts.save(path("counts.txt"))
     cascade.base.save(path("agg.txt"))
     model_paths = []
-    for model, _ in cascade.mixed_levels:
-        model_paths.append(path("mix%d.txt" % model.order))
-        model.save(model_paths[-1])
+    for level in cascade.level_stack[1:]:
+        model_paths.append(path("mix%d.txt" % level.model.order))
+        level.model.save(model_paths[-1])
     cascade.save(path("cascade.txt"), d, path("counts.txt"), path("agg.txt"), model_paths)
 
 
