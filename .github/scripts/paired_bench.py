@@ -15,7 +15,8 @@ many pairs the change won.
 
 Then each side runs once traced (`--trace 1 --seconds 3`) per workload on
 input sets 0 and 5; each output must pass check_bench_result.py, and the
-per-layer counts are recorded.  Last, one operation per workload and input
+per-layer counts are recorded, with every count that differs between the
+sides as [parent, change].  Last, one operation per workload and input
 set is run in-process on each side, and every checked output is compared
 bit for bit, and the cli-files artifacts byte for byte.  The record also
 holds each side's line count of `src/markovmix`, so that a change in the
@@ -152,12 +153,15 @@ def paired(sides: dict[str, Path], workload: str, seconds: float, metrics: list[
 
 
 def traced(sides: dict[str, Path], workloads: list[str], work: Path, per_layer: list[dict]):
-    """Per-layer counts of one traced run per side, workload and traced seed."""
+    """Per-layer counts of one traced run per side, workload and traced seed,
+    and under "differ" every count whose value differs between the sides, as
+    {name: [parent, change]} (None where a side lacks it)."""
     counts = [m["name"] for m in per_layer if m["unit"] == "count"]
     out = {"command": "python3 bench/run.py --workload W --seed {0,5} --seconds 3 --trace 1",
            "check_bench_result": {side: True for side in sides}}
     for seed in TRACED_SEEDS:
-        out["seed%d" % seed] = {side: {} for side in sides}
+        found = out["seed%d" % seed] = {side: {} for side in sides}
+        found["differ"] = {}
         for workload in workloads:
             for side, path in sides.items():
                 last, _, text = bench_run(path, workload, seed, 3, 1)
@@ -171,9 +175,14 @@ def traced(sides: dict[str, Path], workloads: list[str], work: Path, per_layer: 
                     out["check_bench_result"][side] = False
                     print(check.stdout, file=sys.stderr)
                 metrics = last["metrics"]
-                out["seed%d" % seed][side][workload] = {
+                found[side][workload] = {
                     name: metrics[name]["value"] for name in counts if name in metrics
                 }
+            pair = [found["parent"][workload], found["change"][workload]]
+            found["differ"][workload] = {
+                name: [record.get(name) for record in pair]
+                for name in counts if pair[0].get(name) != pair[1].get(name)
+            }
     return out
 
 

@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import aggregate, evaluation, mixedorder, smoothing
+from .artifact import read_utf8
 from .corpus import (
     NgramCounts,
     Vocabulary,
@@ -88,16 +89,21 @@ class RunConfig:
 
 
 def _read_config_file(path) -> dict[str, str]:
+    """The key=value lines of a config file; a file that is not UTF-8 text
+    is a ParameterError, like any other bad config line."""
+    try:
+        text = read_utf8(path)
+    except DataError as exc:
+        raise ParameterError(str(exc)) from None
     mapping = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError("config lines must be key=value, got %r" % line)
-            key, value = line.split("=", 1)
-            mapping[key.strip()] = value.strip()
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParameterError("config lines must be key=value, got %r" % line)
+        key, value = line.split("=", 1)
+        mapping[key.strip()] = value.strip()
     return mapping
 
 

@@ -13,7 +13,9 @@ each cascade level scores each distinct row of its own context width once:
 a mixed level's lower level each distinct truncated event, a Katz trigram's
 backoff each distinct truncation of the events it has not stored.  A
 SmoothedCascade is scored as its top level, so this holds for it too.
-Every level still makes one scalar call per row it scores.  Counts and
+Every level still makes one scalar call per row it scores here, and the
+bench counts those calls per class; the weight fits and the Katz builds
+use the levels' batch scorers (`probs`) instead.  Counts and
 log-likelihoods (summed in event order) equal those of scoring every event
 in turn.
 

@@ -14,9 +14,18 @@ Three layers are provided, composable bottom-up:
 A SmoothedCascade is the stack of these levels; SmoothedCascade.fit and
 load_cascade are the two builders, and each builds a level on the one below
 it.  The weights of every level are a MixedSmoothingParams, the bigram
-level's under k = 1.  A level reads them when it is built, into one list per k
-holding 1.0 for each row it does not store, and reads its tables as flat
-dicts keyed by corpus._row_keys (corpus._key_dict).
+level's under k = 1.  A level reads them when it is built, into one array
+per k holding 1.0 for each row it does not store.
+
+Each level scores in two ways.  The scalar `prob(context, word)` reads the
+weights as lists of Python floats and the tables as flat dicts keyed by
+corpus._row_keys (corpus._key_dict); evaluation (_score_rows) calls it
+once per distinct row.  The batch `probs(rows)` of the ML levels, the
+interpolated bigram, the mixed levels and the Katz bigram reads the same
+values as arrays, and finds table entries in sorted int64 keys
+(corpus._find); both weight fits and the Katz builds score their lower
+levels with it (_batch_probs).  It repeats the scalar float operations
+elementwise in the same order, so both give the same bits.
 
 Parameter files use the "SIGMA v1" format (one "k w sigma" triple per line,
 w = -1 holding the per-k fallback) and "GT v1" for discount coefficients.
@@ -50,26 +59,34 @@ DEFAULT_GT_THRESHOLD = 5
 
 
 class MLUnigram:
-    """Maximum-likelihood unigram distribution over predicted tokens."""
+    """Maximum-likelihood unigram distribution over predicted tokens: the
+    sorted ids `keys` with their probabilities `vals`, and the flat dict
+    `words` {w: p} of both; other ids yield zero."""
 
     context_size = 0
 
     def __init__(self, unigrams: Mapping[int, int], total: int):
         if total <= 0:
             raise DataError("no unigram events")
-        self.probs = {w: n / total for w, n in unigrams.items()}
+        table = CountTable.of(unigrams, 1)
+        self.keys, self.vals = table.ids[:, 0], table.n / total
+        self.words = _key_dict(self.keys, self.vals)
 
     @classmethod
     def from_counts(cls, counts: NgramCounts) -> "MLUnigram":
         return cls(counts.unigrams, counts.total)
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
-        return self.probs.get(word, 0.0)
+        return self.words.get(word, 0.0)
+
+    def probs(self, rows: np.ndarray) -> np.ndarray:
+        return _lookup(self.keys, self.vals, rows[:, -1])
 
 
 class MLBigram:
-    """Maximum-likelihood bigrams as one flat dict `pairs` {w1*V + w2: p};
-    unseen pairs and rows, and ids outside [0, V), yield zero."""
+    """Maximum-likelihood bigrams: the sorted keys w1*V + w2 of the stored
+    pairs `keys` with their probabilities `vals`, and the flat dict `pairs`
+    of both; unseen pairs and rows, and ids outside [0, V), yield zero."""
 
     context_size = 1
 
@@ -78,8 +95,9 @@ class MLBigram:
         _check_ids(table.ids, vocab_size)
         _check_key_room(vocab_size, 2)
         self.vocab_size = vocab_size
-        keys = _row_keys(table.ids, 0, vocab_size)
-        self.pairs = _key_dict(keys, _row_normalised(table.ids[:, 0], table.n))
+        self.keys = _row_keys(table.ids, 0, vocab_size)
+        self.vals = _row_normalised(table.ids[:, 0], table.n)
+        self.pairs = _key_dict(self.keys, self.vals)
 
     @classmethod
     def from_counts(cls, counts: NgramCounts) -> "MLBigram":
@@ -95,6 +113,13 @@ class MLBigram:
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         return self.pair_prob(context[-1], word)
+
+    def probs(self, rows: np.ndarray) -> np.ndarray:
+        V = self.vocab_size
+        inside = ((rows >= 0) & (rows < V)).all(axis=1)
+        p = np.zeros(len(rows))
+        p[inside] = _lookup(self.keys, self.vals, _row_keys(rows[inside], 0, V))
+        return p
 
 
 class MixedSmoothingParams:
@@ -128,19 +153,28 @@ class MixedSmoothingParams:
         return cls(dict(zip(keys, s[~pooled].tolist())), fallbacks)
 
 
-def _row_weights(params: MixedSmoothingParams, k: int, pairs: dict[int, float], V: int):
-    """sigma_k(w) for w = 0..V-1, as a list of Python floats: the weight of
-    `params`, or its k fallback, where the level stores row w (a key w*V +
-    w2 of `pairs`), and 1.0 where it does not.  Weights of ids outside
-    [0, V) are ignored."""
+def _row_weights(params: MixedSmoothingParams, k: int, keys: np.ndarray, V: int) -> np.ndarray:
+    """sigma_k(w) for w = 0..V-1: the weight of `params`, or its k fallback,
+    where the level stores row w (a pair key w*V + w2 in `keys`), and 1.0
+    where it does not.  Weights of ids outside [0, V) are ignored."""
     weights = np.full(V, params.fallbacks[k])
     for (j, w), sigma in params.values.items():
         if j == k and 0 <= w < V:
             weights[w] = sigma
     stored = np.zeros(V, dtype=bool)
-    stored[np.fromiter(pairs, np.int64, len(pairs)) // V] = True
+    stored[keys // V] = True
     weights[~stored] = 1.0
-    return weights.tolist()
+    return weights
+
+
+def _lookup(keys: np.ndarray, vals: np.ndarray, query: np.ndarray, default: float = 0.0):
+    """vals at each query key found in the sorted int64 `keys`
+    (corpus._find), and `default` where it is not stored."""
+    pos = _find(keys, query)
+    out = np.full(len(query), default)
+    hit = pos >= 0
+    out[hit] = vals[pos[hit]]
+    return out
 
 
 def _sigma_em(a: np.ndarray, b: np.ndarray, n: np.ndarray, groups, n_groups: int):
@@ -206,8 +240,7 @@ def fit_interpolation(
     # The distinct (w1, w2) rows in sorted order, with their counts.
     pairs, inverse = _distinct_rows(windows)
     w1, n = pairs[:, 0], np.bincount(inverse, minlength=len(pairs)).astype(np.float64)
-    a, _ = _score_rows(ml, pairs)
-    b, _ = _score_rows(base, pairs)
+    a, b = _batch_probs(ml, pairs), _batch_probs(base, pairs)
     keep = (a > 0.0) | (b > 0.0)
     w1, n, a, b = w1[keep], n[keep], a[keep], b[keep]
 
@@ -231,7 +264,8 @@ class InterpolatedBigram:
         self.ml = ml
         self.base = base
         self.params = params
-        self._sigma = _row_weights(params, 1, ml.pairs, ml.vocab_size)
+        self._sigmas = _row_weights(params, 1, ml.keys, ml.vocab_size)
+        self._sigma = self._sigmas.tolist()
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         w1 = context[-1]
@@ -240,6 +274,11 @@ class InterpolatedBigram:
             raise id_out_of_range((w1, word), V)
         s = self._sigma[w1]
         return (1.0 - s) * self.ml.pairs.get(w1 * V + word, 0.0) + s * self.base.prob((w1,), word)
+
+    def probs(self, rows: np.ndarray) -> np.ndarray:
+        _check_row_ids(rows, self.ml.vocab_size)
+        s = self._sigmas[rows[:, 0]]
+        return (1.0 - s) * self.ml.probs(rows) + s * _batch_probs(self.base, rows)
 
 
 class SmoothedMixedLevel:
@@ -254,7 +293,8 @@ class SmoothedMixedLevel:
     (_row_weights) and the vocabulary size that bounds its ids when it is
     built; later changes to them do not reach it.  `prob` takes the lower
     level's prediction as `lower_p` when the caller has it (the row scorer,
-    _score_rows), and asks the lower level otherwise.
+    _score_rows), and asks the lower level otherwise; `probs` scores the
+    lower level on its rows in one batch (_batch_probs).
     """
 
     def __init__(self, model: MixedOrderModel, params: MixedSmoothingParams, lower):
@@ -267,10 +307,15 @@ class SmoothedMixedLevel:
         self.lower = lower
         self.context_size = model.order
         self._vocab_size = V = model.vocab_size
-        # Per k: lambda_k(w) and sigma_k(w) as Python floats, and the skip-k pairs.
+        # Per k: lambda_k(w), sigma_k(w) and the skip-k pairs, as arrays for
+        # probs and as Python floats and a flat dict for prob.
+        self._columns = [
+            (model.lambdas[:, k - 1].copy(), _row_weights(params, k, keys, V), keys, vals)
+            for k, (keys, vals) in enumerate(zip(model.keys, model.vals), start=1)
+        ]
         self._skips = [
-            (model.lambdas[:, k - 1].tolist(), _row_weights(params, k, pairs, V), pairs)
-            for k, pairs in enumerate(model.pairs, start=1)
+            (lambdas.tolist(), sigmas.tolist(), pairs)
+            for (lambdas, sigmas, _, _), pairs in zip(self._columns, model.pairs)
         ]
 
     def prob(self, context: tuple[int, ...], word: int, lower_p: float | None = None) -> float:
@@ -297,6 +342,21 @@ class SmoothedMixedLevel:
             lower_p = self.lower.prob(context[1:], word)
         return direct + leftover * lower_p
 
+    def probs(self, rows: np.ndarray) -> np.ndarray:
+        m, V = self.context_size, self._vocab_size
+        _check_row_ids(rows, V)
+        words = rows[:, m]
+        direct, leftover, declined = np.zeros(len(rows)), np.zeros(len(rows)), np.ones(len(rows))
+        for k, (lambdas, sigmas, keys, vals) in enumerate(self._columns, start=1):
+            w_ctx = rows[:, m - k]
+            lam = lambdas[w_ctx]
+            weight = declined * lam
+            sigma = sigmas[w_ctx]
+            direct += (1.0 - sigma) * weight * _lookup(keys, vals, w_ctx * V + words)
+            leftover += sigma * weight
+            declined *= 1.0 - lam
+        return direct + leftover * _batch_probs(self.lower, rows)
+
 
 def fit_mixed_smoothing(
     model: MixedOrderModel,
@@ -315,7 +375,8 @@ def fit_mixed_smoothing(
     The weights are held as an (m, V) array and every per-event array is
     component-major, (m, events), like the event table; the per-event total
     over components keeps the bits of a row-major `.sum(axis=1)`
-    (aggregate._class_sums).
+    (aggregate._class_sums).  The lower level scores each distinct truncated
+    event once, in one batch (_batch_probs).
     """
     m = model.order
     V = model.vocab_size
@@ -324,8 +385,7 @@ def fit_mixed_smoothing(
         raise DataError("empty validation corpus")
     table = _EventTable(windows, V, model)
     weight, mk = _components(model.lambdas, table.vals, table)
-    # The lower level scores each distinct truncated event once.
-    plow, _ = _score_rows(lower, windows)
+    plow = _batch_probs(lower, windows)
     ctx = table.ctx
     rows = np.arange(m)[:, None]
 
@@ -441,11 +501,13 @@ class _KatzLevel:
     ML distribution over their stored successors, with alpha 0, so the row
     still sums to one.
 
-    The backoff model scores each stored n-gram once, through the row
-    scorer, when the level is built.  `keys` are the sorted keys of the
-    stored n-grams, kept for the row scorer's search (corpus._find).  A
-    table may be empty; an id outside [0, V) is a ParameterError, as it
-    would alias another n-gram's key.
+    The backoff model scores each stored n-gram once, in one batch
+    (_batch_probs), when the level is built.  `keys` are the sorted keys of
+    the stored n-grams, for the searches of the row and batch scorers
+    (corpus._find); `key_p` holds their probabilities in that order, and
+    `context_keys` and `context_alphas` the sorted context keys and their
+    alphas.  A table may be empty; an id outside [0, V) is a
+    ParameterError, as it would alias another n-gram's key.
     """
 
     def __init__(
@@ -469,7 +531,7 @@ class _KatzLevel:
             ranked, n, total = ranked[kept], n[kept], total[kept]
             starts, lengths = _runs(ranked)
             self.keys = self.keys[table.n >= truncation]
-        backoff_p, _ = _score_rows(backoff, ranked)
+        backoff_p = _batch_probs(backoff, ranked)
         keys = _row_keys(ranked, 0, vocab_size)
         del ranked  # the rest reads counts, keys and row starts only
         # Counts above k_gt, and counts with no ratio, are not discounted.
@@ -493,6 +555,8 @@ class _KatzLevel:
         p[ml] = n[ml] / np.repeat(np.add.reduceat(n, starts), lengths)[ml]
         self.seen = _key_dict(keys, p)
         self.alphas = _key_dict(keys[starts] // vocab_size, alphas)
+        self.key_p = p[np.argsort(keys)]
+        self.context_keys, self.context_alphas = keys[starts] // vocab_size, alphas
 
 
 def _runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -548,6 +612,18 @@ class KatzBigram:
         if p is not None:
             return p
         return self.level.alphas.get(v, 1.0) * self.unigram.prob((), word)
+
+    def probs(self, rows: np.ndarray) -> np.ndarray:
+        V, level = self.vocab_size, self.level
+        _check_row_ids(rows, V)
+        pos = _find(level.keys, _row_keys(rows, 0, V))
+        seen = pos >= 0
+        p = np.empty(len(rows))
+        p[seen] = level.key_p[pos[seen]]
+        unseen = rows[~seen]
+        alphas = _lookup(level.context_keys, level.context_alphas, unseen[:, 0], 1.0)
+        p[~seen] = alphas * self.unigram.probs(unseen[:, 1:])
+        return p
 
 
 class KatzTrigram:
@@ -609,7 +685,8 @@ _SCORE = np.dtype([("p", np.float64), ("backed", np.bool_)])
 
 
 def _score_rows(model, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and backoff flags of int64 rows (context..., word).
+    """Probabilities and backoff flags of int64 rows (context..., word), one
+    scalar call per row and level: evaluation's scoring path.
 
     A SmoothedCascade is scored as its top level, which gives the values
     and flags of its prob_and_backoff.  Rows wider than the model's
@@ -647,6 +724,23 @@ def _score_rows(model, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.fromiter(_per_row(model.prob, rows), np.float64, n), np.zeros(n, bool)
     scores = np.fromiter(_per_row(scorer, rows), _SCORE, n)
     return scores["p"], scores["backed"]
+
+
+def _batch_probs(model, rows: np.ndarray) -> np.ndarray:
+    """The probability of each int64 row (context..., word) under `model`.
+
+    Rows wider than the model's context_size + 1 keep their last columns,
+    and their distinct truncations are scored once and gathered back, as
+    _score_rows does.  A model with a batch scorer `probs` scores them in
+    one call; any other model (the aggregate base, a Katz trigram, a
+    cascade) goes through _score_rows, one scalar call per row.
+    """
+    width = model.context_size + 1
+    if rows.shape[1] > width:
+        narrow, inverse = _distinct_rows(rows[:, rows.shape[1] - width :])
+        return _batch_probs(model, narrow)[inverse]
+    scorer = getattr(model, "probs", None)
+    return _score_rows(model, rows)[0] if scorer is None else scorer(rows)
 
 
 def _check_row_ids(rows: np.ndarray, vocab_size: int) -> None:

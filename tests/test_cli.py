@@ -863,6 +863,13 @@ class TestConfig:
         code = run(workdir, "prepare", "--config", "bad.cfg")
         assert code == 2
 
+    def test_config_that_is_not_utf8_exits_2_and_names_the_file(self, workdir, capsys):
+        (workdir / "bad.cfg").write_bytes(b"input=train.txt\nvocab_size=\xff\n")
+        code = run(workdir, "prepare", "--config", "bad.cfg")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad.cfg: not UTF-8 text") and err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_end_to_end_byte_identical(self, tmp_path):

@@ -7,7 +7,8 @@ plain loop references, the distinct-row helper and the artifact key check
 against numpy's unique, the sorted-key search against a dict lookup and
 the Katz run sums against a left-to-right loop; every level's scalar prob and
 the Katz alphas against reference formulas, bit for bit, the row scorer
-against the scalar calls, bit for bit, and how often it calls each level;
+and every level's batch scorer against the scalar calls, bit for bit, and
+how often the row scorer and the Katz builds call each level;
 the messages for out-of-range ids; row normalisation of every cascade level
 and Katz mass conservation; and save -> load -> save byte identity of every
 artifact type."""
@@ -1298,6 +1299,61 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
         assert (trigram.level.alphas, trigram.level.seen) == (alphas, seen)
 
 
+def scalar_or_error(level, rows):
+    """The scalar prob of each row, or the message of the first row whose
+    scalar call raises a ParameterError."""
+    out = []
+    for row in rows.tolist():
+        try:
+            out.append(level.prob(tuple(row[:-1]), row[-1]))
+        except ParameterError as exc:
+            return str(exc)
+    return np.array(out, dtype=np.float64).tobytes()
+
+
+def batch_or_error(level, rows):
+    try:
+        return level.probs(rows).tobytes()
+    except ParameterError as exc:
+        return str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(corpora(min_sentences=2), st.data(), st.booleans())
+def test_batch_scorers_match_scalar_calls_bitwise(corpus, data, from_file):
+    V, sentences = corpus
+    counts = mm.count_ngrams(sentences, make_vocab(*("w%d" % i for i in range(V - 3))), 3)
+    if from_file:
+        counts = loaded_counts(counts)
+    base, _ = mm.train_aggregate(counts, data.draw(st.integers(1, V)), iterations=2)
+    unit, wid = st.floats(0.0, 1.0), st.integers(0, V - 1)
+    values = data.draw(st.dictionaries(st.tuples(st.just(1), wid), unit))
+    params = sm.MixedSmoothingParams(values, {1: data.draw(unit)})
+    ml = sm.MLBigram.from_counts(counts)
+    stack = [sm.InterpolatedBigram(ml, base, params)]
+    for m in (2, 3):
+        model = mm.train_mixed(sentences, m, V, iterations=1)[0]
+        values = data.draw(st.dictionaries(st.tuples(st.integers(1, m), wid), unit))
+        params = sm.MixedSmoothingParams(values, {k: data.draw(unit) for k in range(1, m + 1)})
+        stack.append(sm.SmoothedMixedLevel(model, params, stack[-1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sparse Good-Turing statistics
+        katz_bigram = sm.KatzBigram(counts, k_gt=data.draw(st.integers(1, 3)))
+    extra = data.draw(st.lists(st.tuples(*[wid] * 4), max_size=20))
+    rows = np.concatenate([_event_windows(sentences, 3), np.array(extra, np.int64).reshape(-1, 4)])
+    outside = st.integers(-3, V + 2)
+    for level in [sm.MLUnigram.from_counts(counts), ml, *stack, katz_bigram]:
+        width = level.context_size + 1
+        narrow, _ = _distinct_rows(rows[:, 4 - width :])
+        assert batch_or_error(level, narrow) == scalar_or_error(level, narrow)
+        assert level.probs(narrow[:0]).tobytes() == b""
+        # Ids outside [0, V): the first bad row's error, or 0.0 from the ML
+        # levels, whose scalar calls yield zero there.
+        drawn = data.draw(st.lists(st.tuples(*[outside] * width), min_size=1, max_size=8))
+        drawn = np.array(drawn, dtype=np.int64)
+        assert batch_or_error(level, drawn) == scalar_or_error(level, drawn)
+
+
 def record_calls(obj, method):
     """Log obj.method's (context, word) calls in the returned list."""
     calls, original = [], getattr(obj, method)
@@ -1369,7 +1425,7 @@ def test_each_level_scores_each_distinct_row_of_its_width_once(corpus, data):
     with warnings.catch_warnings(), mock.patch.object(sm.MLUnigram, "prob", logged_unigram):
         warnings.simplefilter("ignore")  # sparse Good-Turing statistics
         katz_bigram = sm.KatzBigram(counts, k_gt=2)
-    assert unigram_calls == sorted(set(counts.bigrams.ids[:, 1].tolist()))
+    assert unigram_calls == []  # scored in one batch (MLUnigram.probs)
 
     truncation = data.draw(st.integers(1, 2))
     for backoff, levels in ((katz_bigram, [katz_bigram]), (mixed, [mixed, interp, base])):
@@ -1377,7 +1433,12 @@ def test_each_level_scores_each_distinct_row_of_its_width_once(corpus, data):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             trigram = sm.build_katz_trigram(counts, backoff, 2, truncation)
-        assert_once_per_distinct_row(chain, stored_trigrams(trigram))
+        # A build scores its backoff in batches; only the aggregate base,
+        # which has no batch scorer, makes scalar calls: one per distinct
+        # bigram row of the stored trigrams.
+        bigrams = sorted({row[1:] for row in stored_trigrams(trigram)})
+        for level, calls in chain:
+            assert sorted(calls) == (bigrams if level is base else []), type(level).__name__
         assert_evaluation_scores_once(trigram, trigram, chain, test)
 
     # A cascade is scored as its top level.

@@ -590,7 +590,7 @@ class TestKatzBackoff:
         ml = [sm.MLBigram(table, counts.vocab_size) for table in bigrams]
         assert ml[0].pairs == ml[1].pairs
         unigram = sm.MLUnigram(counter(counts.unigrams), counts.total)
-        assert unigram.probs == sm.MLUnigram.from_counts(counts).probs
+        assert unigram.words == sm.MLUnigram.from_counts(counts).words
         tables = (counter(counts.trigrams), counts.trigrams)
         assert sm.good_turing_discounts(tables[0], 3) == sm.good_turing_discounts(tables[1], 3)
 
