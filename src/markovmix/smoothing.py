@@ -553,10 +553,10 @@ class _KatzLevel:
         alphas[useful] = leftover[useful] / unseen[useful]
         ml = np.repeat(ml, lengths)
         p[ml] = n[ml] / np.repeat(np.add.reduceat(n, starts), lengths)[ml]
-        self.seen = _key_dict(keys, p)
-        self.alphas = _key_dict(keys[starts] // vocab_size, alphas)
         self.key_p = p[np.argsort(keys)]
         self.context_keys, self.context_alphas = keys[starts] // vocab_size, alphas
+        self.seen = _key_dict(keys, p)
+        self.alphas = _key_dict(self.context_keys, alphas)
 
 
 def _runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
