@@ -1241,6 +1241,25 @@ def scalar_scores(level, rows):
     return out
 
 
+def scalar_or_error(level, rows):
+    """The scalar prob of each row, or the message of the first row whose
+    scalar call raises a ParameterError."""
+    out = []
+    for row in rows.tolist():
+        try:
+            out.append(level.prob(tuple(row[:-1]), row[-1]))
+        except ParameterError as exc:
+            return str(exc)
+    return np.array(out, dtype=np.float64).tobytes()
+
+
+def batch_or_error(level, rows):
+    try:
+        return level.probs(rows).tobytes()
+    except ParameterError as exc:
+        return str(exc)
+
+
 def loaded_counts(counts):
     """counts saved to a file and read back."""
     with tempfile.TemporaryDirectory() as d:
@@ -1284,6 +1303,18 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
         assert backed.tolist() == [bool(r[1]) for r in ref]
         p, backed = sm._score_rows(level, rows[:0])
         assert (len(p), len(backed)) == (0, 0)
+    # Each batch scorer on the distinct rows of its width, on no rows, and on
+    # drawn rows with ids outside [0, V): the first bad row's error, or the
+    # 0.0 that the ML levels' scalar calls give there.
+    outside = st.integers(-3, V + 2)
+    for level in [sm.MLUnigram.from_counts(counts), stack[1].ml, *stack[1:], katz_bigram]:
+        width = level.context_size + 1
+        narrow, _ = _distinct_rows(rows[:, 4 - width :])
+        assert batch_or_error(level, narrow) == scalar_or_error(level, narrow)
+        assert level.probs(narrow[:0]).tobytes() == b""
+        drawn = data.draw(st.lists(st.tuples(*[outside] * width), min_size=1, max_size=8))
+        drawn = np.array(drawn, dtype=np.int64)
+        assert batch_or_error(level, drawn) == scalar_or_error(level, drawn)
 
     alphas, seen, _ = ref_katz(
         counts.bigrams, 1, katz_bigram.level.discounts, 2,
@@ -1297,61 +1328,6 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
             lambda ctx, w: backoff.prob(ctx[2 - size :], w), V,
         )
         assert (trigram.level.alphas, trigram.level.seen) == (alphas, seen)
-
-
-def scalar_or_error(level, rows):
-    """The scalar prob of each row, or the message of the first row whose
-    scalar call raises a ParameterError."""
-    out = []
-    for row in rows.tolist():
-        try:
-            out.append(level.prob(tuple(row[:-1]), row[-1]))
-        except ParameterError as exc:
-            return str(exc)
-    return np.array(out, dtype=np.float64).tobytes()
-
-
-def batch_or_error(level, rows):
-    try:
-        return level.probs(rows).tobytes()
-    except ParameterError as exc:
-        return str(exc)
-
-
-@settings(max_examples=25, deadline=None)
-@given(corpora(min_sentences=2), st.data(), st.booleans())
-def test_batch_scorers_match_scalar_calls_bitwise(corpus, data, from_file):
-    V, sentences = corpus
-    counts = mm.count_ngrams(sentences, make_vocab(*("w%d" % i for i in range(V - 3))), 3)
-    if from_file:
-        counts = loaded_counts(counts)
-    base, _ = mm.train_aggregate(counts, data.draw(st.integers(1, V)), iterations=2)
-    unit, wid = st.floats(0.0, 1.0), st.integers(0, V - 1)
-    values = data.draw(st.dictionaries(st.tuples(st.just(1), wid), unit))
-    params = sm.MixedSmoothingParams(values, {1: data.draw(unit)})
-    ml = sm.MLBigram.from_counts(counts)
-    stack = [sm.InterpolatedBigram(ml, base, params)]
-    for m in (2, 3):
-        model = mm.train_mixed(sentences, m, V, iterations=1)[0]
-        values = data.draw(st.dictionaries(st.tuples(st.integers(1, m), wid), unit))
-        params = sm.MixedSmoothingParams(values, {k: data.draw(unit) for k in range(1, m + 1)})
-        stack.append(sm.SmoothedMixedLevel(model, params, stack[-1]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # sparse Good-Turing statistics
-        katz_bigram = sm.KatzBigram(counts, k_gt=data.draw(st.integers(1, 3)))
-    extra = data.draw(st.lists(st.tuples(*[wid] * 4), max_size=20))
-    rows = np.concatenate([_event_windows(sentences, 3), np.array(extra, np.int64).reshape(-1, 4)])
-    outside = st.integers(-3, V + 2)
-    for level in [sm.MLUnigram.from_counts(counts), ml, *stack, katz_bigram]:
-        width = level.context_size + 1
-        narrow, _ = _distinct_rows(rows[:, 4 - width :])
-        assert batch_or_error(level, narrow) == scalar_or_error(level, narrow)
-        assert level.probs(narrow[:0]).tobytes() == b""
-        # Ids outside [0, V): the first bad row's error, or 0.0 from the ML
-        # levels, whose scalar calls yield zero there.
-        drawn = data.draw(st.lists(st.tuples(*[outside] * width), min_size=1, max_size=8))
-        drawn = np.array(drawn, dtype=np.int64)
-        assert batch_or_error(level, drawn) == scalar_or_error(level, drawn)
 
 
 def record_calls(obj, method):

@@ -210,9 +210,11 @@ class TestInterpProb:
         counts.bigrams = count_table({(4, 1): 1, (4, 5): 1, (3, 4): 1})
         ml = sm.MLBigram.from_counts(counts)
         assert (ml.pair_prob(4, 1), ml.pair_prob(4, 5)) == (0.5, 0.5)
-        for w1, w2 in [(3, 7), (5, -1), (-1, 3), (6, 0), (0, 6)]:
+        outside = [(3, 7), (5, -1), (-1, 3), (6, 0), (0, 6)]
+        for w1, w2 in outside:
             assert ml.pair_prob(w1, w2) == 0.0
             assert ml.prob((w1,), w2) == 0.0
+        assert ml.probs(np.array([(4, 1), *outside, (4, 5)])).tolist() == [0.5] + [0.0] * 5 + [0.5]
 
     def test_rows_sum_to_one(self):
         rng = random.Random(63)
