@@ -332,20 +332,23 @@ def cmd_sweep_truncate(cfg: RunConfig) -> None:
     vocab = Vocabulary.load(cfg.vocab)
     _check_vocab_sizes((cfg.vocab, len(vocab)), (cfg.counts, counts.vocab_size),
                        (cfg.cascade, cascade.vocab_size))
-    sentences = _load_sentences(cfg.test, vocab)
+    events, inverse = evaluation.event_rows(_load_sentences(cfg.test, vocab), 2)
     katz_bigram = smoothing.KatzBigram(counts, k_gt=cfg.gt_threshold)
     discounts = smoothing.good_turing_discounts(counts.trigrams, cfg.gt_threshold)
+    # Each backoff scores the test events once, for every t.
+    backoffs = [(backoff, smoothing.sweep_backoff_probs(counts, backoff, events, cfg.t_max))
+                for backoff in (katz_bigram, cascade.top)]
     rows = []
     for t in range(1, cfg.t_max + 1):
-        baseline = smoothing.build_katz_trigram(
-            counts, katz_bigram, k_gt=cfg.gt_threshold, truncation=t, discounts=discounts
-        )
-        mixed = smoothing.build_katz_trigram(
-            counts, cascade.top, k_gt=cfg.gt_threshold, truncation=t, discounts=discounts
-        )
+        reports = []
+        for backoff, backoff_p in backoffs:
+            level = smoothing.build_katz_trigram(
+                counts, backoff, k_gt=cfg.gt_threshold, truncation=t, discounts=discounts
+            )
+            p, backed = level.probs_and_backoff(events, backoff_p)
+            reports.append(evaluation.EvalReport.of_rows(p, backed, inverse))
+        rep_base, rep_mixed = reports
         n_trigrams = int((counts.trigrams.n >= t).sum())
-        rep_base = evaluation.evaluate(baseline, sentences, unseen_from_backoff=True)
-        rep_mixed = evaluation.evaluate(mixed, sentences, unseen_from_backoff=True)
         rows.append(
             (t, rep_base.perplexity, rep_mixed.perplexity, n_trigrams, rep_base.backoff_fraction)
         )

@@ -14,10 +14,17 @@ a mixed level's lower level each distinct truncated event, a Katz trigram's
 backoff each distinct truncation of the events it has not stored.  A
 SmoothedCascade is scored as its top level, so this holds for it too.
 Every level still makes one scalar call per row it scores here, and the
-bench counts those calls per class; the weight fits and the Katz builds
-use the levels' batch scorers (`probs`) instead.  Counts and
-log-likelihoods (summed in event order) equal those of scoring every event
-in turn.
+bench counts those calls per class; the weight fits, the Katz builds and
+the truncation sweep use the levels' batch scorers (`probs`) instead.
+Counts and log-likelihoods (summed in event order) equal those of scoring
+every event in turn.
+
+`event_rows` gives a corpus's distinct event rows and the index of each
+event's row; `EvalReport.of_rows` turns per-row scores into a report.
+`evaluate` is the two with the row scorer between them, and the
+truncation sweep (cli sweep-truncate) uses them around each Katz trigram's
+batch scorer.  A corpus with no events is a DataError, and one whose every
+event scores zero a NumericError.
 
 Events assigned exactly zero probability are excluded from the
 log-likelihood but counted, so perplexity stays finite and the coverage gap
@@ -34,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .corpus import NgramCounts, TokenSentence, _distinct_rows, _event_windows, _per_row
-from .errors import NumericError
+from .errors import DataError, NumericError
 from .smoothing import _score_rows
 
 
@@ -65,6 +72,40 @@ class EvalReport:
         if self.unseen_events is None or not self.total_events:
             return None
         return self.unseen_events / self.total_events
+
+    @classmethod
+    def of_rows(
+        cls, p: np.ndarray, backed: np.ndarray, inverse: np.ndarray,
+        unseen: np.ndarray | None = None,
+    ) -> "EvalReport":
+        """The report of events whose distinct rows (event_rows) score `p`,
+        with backoff flags `backed`; `inverse` gives each event's row, in
+        event order.  `unseen`, one flag per row, marks the unseen subset.
+        The log-likelihoods are summed in event order."""
+        positive = (p > 0.0)[inverse]
+        logp = _log_probs(p)[inverse]
+        scored = int(np.count_nonzero(positive))
+        if scored == 0:
+            raise NumericError("no scorable events")
+        ll = _sequential_sum(logp)
+        report = cls(
+            total_events=len(inverse),
+            scored_events=scored,
+            log_likelihood=ll,
+            perplexity=math.exp(-ll / scored),
+            zero_events=len(inverse) - scored,
+            backoff_events=int(np.count_nonzero(backed[inverse])),
+        )
+        if unseen is not None:
+            unseen = unseen[inverse]
+            report.unseen_events = int(np.count_nonzero(unseen))
+            unseen_scored = int(np.count_nonzero(unseen & positive))
+            if unseen_scored:
+                # Zero events hold 0.0 in logp, so adding them changes nothing.
+                unseen_ll = _sequential_sum(logp[unseen])
+                report.unseen_log_likelihood = unseen_ll
+                report.unseen_perplexity = math.exp(-unseen_ll / unseen_scored)
+        return report
 
     def to_dict(self) -> dict:
         out = {
@@ -104,6 +145,16 @@ def _sequential_sum(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
+def event_rows(sentences: list[TokenSentence], context_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (context..., word) rows of a corpus's events in
+    lexicographic order, and the index of each event's row in event order.
+    A corpus with no events (no sentences) is a DataError."""
+    rows, inverse = _distinct_rows(_event_windows(sentences, context_size))
+    if not len(inverse):
+        raise DataError("no events to score: the corpus has no sentences")
+    return rows, inverse
+
+
 def evaluate(
     model,
     sentences: list[TokenSentence],
@@ -119,41 +170,19 @@ def evaluate(
     delegated to its backoff.  The predicate is called once per distinct
     event, so it must be a pure function of (context, word).
     Zero-probability events never join the unseen log-likelihood either;
-    they are counted in zero_events.
+    they are counted in zero_events.  A corpus with no events is a
+    DataError, and one whose every event scores zero a NumericError.
     """
-    # The distinct (context..., word) rows in lexicographic order, the index
-    # of each event's row in event order, and per row the probability and
-    # backoff flag (False for a model without prob_and_backoff).
-    rows, inverse = _distinct_rows(_event_windows(sentences, model.context_size))
+    rows, inverse = event_rows(sentences, model.context_size)
+    # Per row the probability and backoff flag (False for a model without
+    # prob_and_backoff).
     p, backed = _score_rows(model, rows)
-    positive = (p > 0.0)[inverse]
-    logp = _log_probs(p)[inverse]
-    scored = int(np.count_nonzero(positive))
-    if scored == 0:
-        raise NumericError("no scorable events")
-    ll = _sequential_sum(logp)
-    report = EvalReport(
-        total_events=len(inverse),
-        scored_events=scored,
-        log_likelihood=ll,
-        perplexity=math.exp(-ll / scored),
-        zero_events=len(inverse) - scored,
-        backoff_events=int(np.count_nonzero(backed[inverse])),
-    )
-    if unseen_from_backoff or seen_predicate is not None:
-        if unseen_from_backoff:
-            unseen = backed
-        else:
-            unseen = ~np.fromiter(_per_row(seen_predicate, rows), bool, len(rows))
-        unseen = unseen[inverse]
-        report.unseen_events = int(np.count_nonzero(unseen))
-        unseen_scored = int(np.count_nonzero(unseen & positive))
-        if unseen_scored:
-            # Zero events hold 0.0 in logp, so adding them changes nothing.
-            unseen_ll = _sequential_sum(logp[unseen])
-            report.unseen_log_likelihood = unseen_ll
-            report.unseen_perplexity = math.exp(-unseen_ll / unseen_scored)
-    return report
+    unseen = None
+    if unseen_from_backoff:
+        unseen = backed
+    elif seen_predicate is not None:
+        unseen = ~np.fromiter(_per_row(seen_predicate, rows), bool, len(rows))
+    return EvalReport.of_rows(p, backed, inverse, unseen)
 
 
 def bigram_seen_predicate(counts: NgramCounts) -> Callable[[tuple[int, ...], int], bool]:

@@ -15,9 +15,10 @@ A model stores, per skip distance, the sorted int64 pair keys w1*V + w2 of
 its stored pairs and one float64 value array: the form that training works
 on (_EventTable) and that save writes.  Training also holds component-major
 (m, events) event arrays, so that each component's work reads one
-contiguous row.  The flat dicts {w1*V + w2: p} that scalar scoring reads
-are built from the arrays on first use, once per model
-(MixedOrderModel.pairs).
+contiguous row.  The flat dicts {w1*V + w2: p} that the model's scalar
+prob reads are built from the arrays on first use, once per model
+(MixedOrderModel.pairs); a smoothed level over the model builds its own
+on its first scalar call (smoothing.SmoothedMixedLevel).
 """
 
 from __future__ import annotations

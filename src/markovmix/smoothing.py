@@ -17,15 +17,18 @@ it.  The weights of every level are a MixedSmoothingParams, the bigram
 level's under k = 1.  A level reads them when it is built, into one array
 per k holding 1.0 for each row it does not store.
 
-Each level scores in two ways.  The scalar `prob(context, word)` reads the
-weights as lists of Python floats and the tables as flat dicts keyed by
-corpus._row_keys (corpus._key_dict); evaluation (_score_rows) calls it
-once per distinct row.  The batch `probs(rows)` of the ML levels, the
-interpolated bigram, the mixed levels and the Katz bigram reads the same
-values as arrays, and finds table entries in sorted int64 keys
-(corpus._find); both weight fits and the Katz builds score their lower
-levels with it (_batch_probs).  It repeats the scalar float operations
-elementwise in the same order, so both give the same bits.
+Each level scores in two ways.  The batch `probs(rows)` of every level
+reads the weights and tables as arrays, and finds table entries in sorted
+int64 keys (corpus._find); both weight fits and the Katz builds score
+their lower levels with it (_batch_probs), and the truncation sweep scores
+each Katz trigram with its `probs_and_backoff`.  The scalar
+`prob(context, word)` reads the same values as lists of Python floats and
+flat dicts keyed by corpus._row_keys (corpus._key_dict); evaluation
+(_score_rows) calls it once per distinct row.  A level builds those lists
+and dicts from its arrays on its first scalar call (functools
+.cached_property), so a level that only scores in batches never holds
+them.  The batch scorers repeat the scalar float operations elementwise in
+the same order, so both give the same bits.
 
 Parameter files use the "SIGMA v1" format (one "k w sigma" triple per line,
 w = -1 holding the per-k fallback) and "GT v1" for discount coefficients.
@@ -36,6 +39,7 @@ code that knows these files.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import warnings
@@ -61,7 +65,7 @@ DEFAULT_GT_THRESHOLD = 5
 class MLUnigram:
     """Maximum-likelihood unigram distribution over predicted tokens: the
     sorted ids `keys` with their probabilities `vals`, and the flat dict
-    `words` {w: p} of both; other ids yield zero."""
+    `words` {w: p} of both, built on first use; other ids yield zero."""
 
     context_size = 0
 
@@ -70,7 +74,10 @@ class MLUnigram:
             raise DataError("no unigram events")
         table = CountTable.of(unigrams, 1)
         self.keys, self.vals = table.ids[:, 0], table.n / total
-        self.words = _key_dict(self.keys, self.vals)
+
+    @functools.cached_property
+    def words(self) -> dict[int, float]:
+        return _key_dict(self.keys, self.vals)
 
     @classmethod
     def from_counts(cls, counts: NgramCounts) -> "MLUnigram":
@@ -86,7 +93,8 @@ class MLUnigram:
 class MLBigram:
     """Maximum-likelihood bigrams: the sorted keys w1*V + w2 of the stored
     pairs `keys` with their probabilities `vals`, and the flat dict `pairs`
-    of both; unseen pairs and rows, and ids outside [0, V), yield zero."""
+    of both, built on first use; unseen pairs and rows, and ids outside
+    [0, V), yield zero."""
 
     context_size = 1
 
@@ -97,7 +105,10 @@ class MLBigram:
         self.vocab_size = vocab_size
         self.keys = _row_keys(table.ids, 0, vocab_size)
         self.vals = _row_normalised(table.ids[:, 0], table.n)
-        self.pairs = _key_dict(self.keys, self.vals)
+
+    @functools.cached_property
+    def pairs(self) -> dict[int, float]:
+        return _key_dict(self.keys, self.vals)
 
     @classmethod
     def from_counts(cls, counts: NgramCounts) -> "MLBigram":
@@ -265,7 +276,10 @@ class InterpolatedBigram:
         self.base = base
         self.params = params
         self._sigmas = _row_weights(params, 1, ml.keys, ml.vocab_size)
-        self._sigma = self._sigmas.tolist()
+
+    @functools.cached_property
+    def _sigma(self) -> list[float]:
+        return self._sigmas.tolist()
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         w1 = context[-1]
@@ -308,14 +322,17 @@ class SmoothedMixedLevel:
         self.context_size = model.order
         self._vocab_size = V = model.vocab_size
         # Per k: lambda_k(w), sigma_k(w) and the skip-k pairs, as arrays for
-        # probs and as Python floats and a flat dict for prob.
+        # probs; _skips holds them as Python floats and a flat dict for prob.
         self._columns = [
             (model.lambdas[:, k - 1].copy(), _row_weights(params, k, keys, V), keys, vals)
             for k, (keys, vals) in enumerate(zip(model.keys, model.vals), start=1)
         ]
-        self._skips = [
-            (lambdas.tolist(), sigmas.tolist(), pairs)
-            for (lambdas, sigmas, _, _), pairs in zip(self._columns, model.pairs)
+
+    @functools.cached_property
+    def _skips(self) -> list[tuple[list[float], list[float], dict[int, float]]]:
+        return [
+            (lambdas.tolist(), sigmas.tolist(), _key_dict(keys, vals))
+            for lambdas, sigmas, keys, vals in self._columns
         ]
 
     def prob(self, context: tuple[int, ...], word: int, lower_p: float | None = None) -> float:
@@ -489,10 +506,9 @@ class _KatzLevel:
     """Shared discounted-count machinery for Katz backoff levels.
 
     One pass over the table's entries in summation order (CountTable.ranked)
-    gives each stored n-gram its probability, `seen`, and each context its
-    backoff weight, `alphas`: flat dicts (corpus._key_dict) keyed by the
-    base-V int key of their ids (corpus._row_keys), as counting keys them.
-    Entries counted fewer than `truncation` times are dropped after the
+    gives each stored n-gram its probability and each context its backoff
+    weight, alpha, keyed by the base-V int key of their ids
+    (corpus._row_keys), as counting keys them.  Entries counted fewer than `truncation` times are dropped after the
     context totals are taken from the whole table, so their mass goes to
     the backoff model rather than to the survivors.
 
@@ -506,8 +522,11 @@ class _KatzLevel:
     the stored n-grams, for the searches of the row and batch scorers
     (corpus._find); `key_p` holds their probabilities in that order, and
     `context_keys` and `context_alphas` the sorted context keys and their
-    alphas.  A table may be empty; an id outside [0, V) is a
-    ParameterError, as it would alias another n-gram's key.
+    alphas.  The batch scorers read these arrays.  The scalar calls read
+    the flat dicts `seen` {key: p} and `alphas` {context key: alpha}
+    (corpus._key_dict), built from the arrays on first use.  A table may be
+    empty; an id outside [0, V) is a ParameterError, as it would alias
+    another n-gram's key.
     """
 
     def __init__(
@@ -555,8 +574,14 @@ class _KatzLevel:
         p[ml] = n[ml] / np.repeat(np.add.reduceat(n, starts), lengths)[ml]
         self.key_p = p[np.argsort(keys)]
         self.context_keys, self.context_alphas = keys[starts] // vocab_size, alphas
-        self.seen = _key_dict(keys, p)
-        self.alphas = _key_dict(self.context_keys, alphas)
+
+    @functools.cached_property
+    def seen(self) -> dict[int, float]:
+        return _key_dict(self.keys, self.key_p)
+
+    @functools.cached_property
+    def alphas(self) -> dict[int, float]:
+        return _key_dict(self.context_keys, self.context_alphas)
 
 
 def _runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -638,6 +663,14 @@ class KatzTrigram:
     as its _KatzLevel keeps the discounts.  `prob_and_backoff` takes the
     backoff's prediction as `backoff_p` when the caller has it (the row
     scorer, _score_rows), and asks the backoff otherwise.
+
+    `probs_and_backoff(rows, backoff_p=None)` is its batch twin: the
+    probabilities and backoff flags of distinct int64 rows (u, v, w), by
+    the same float operations, so with the same bits.  `backoff_p` holds
+    one backoff probability per row, read only at the rows the level does
+    not store (a truncation sweep scores them once for every threshold,
+    sweep_backoff_probs); without it the backoff scores those rows in one
+    batch (_batch_probs).  `probs` is its probabilities alone.
     """
 
     context_size = 2
@@ -679,6 +712,27 @@ class KatzTrigram:
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         return self.prob_and_backoff(context, word)[0]
+
+    def probs_and_backoff(
+        self, rows: np.ndarray, backoff_p: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        V, level = self.vocab_size, self.level
+        _check_row_ids(rows, V)
+        keys = _row_keys(rows, 0, V)
+        pos = _find(level.keys, keys)
+        backed = pos < 0
+        p = np.empty(len(rows))
+        p[~backed] = level.key_p[pos[~backed]]
+        if backoff_p is None:
+            lower = _batch_probs(self.backoff, rows[backed])
+        else:
+            lower = backoff_p[backed]
+        alphas = _lookup(level.context_keys, level.context_alphas, keys[backed] // V, 1.0)
+        p[backed] = alphas * lower
+        return p, backed
+
+    def probs(self, rows: np.ndarray) -> np.ndarray:
+        return self.probs_and_backoff(rows)[0]
 
 
 _SCORE = np.dtype([("p", np.float64), ("backed", np.bool_)])
@@ -732,8 +786,8 @@ def _batch_probs(model, rows: np.ndarray) -> np.ndarray:
     Rows wider than the model's context_size + 1 keep their last columns,
     and their distinct truncations are scored once and gathered back, as
     _score_rows does.  A model with a batch scorer `probs` scores them in
-    one call; any other model (the aggregate base, a Katz trigram, a
-    cascade) goes through _score_rows, one scalar call per row.
+    one call; any other model (the aggregate base, a cascade) goes through
+    _score_rows, one scalar call per row.
     """
     width = model.context_size + 1
     if rows.shape[1] > width:
@@ -771,6 +825,21 @@ def build_katz_trigram(
     if not counts.trigrams:
         raise DataError("empty trigram table")
     return KatzTrigram(counts.trigrams, backoff, counts.vocab_size, k_gt, discounts, truncation)
+
+
+def sweep_backoff_probs(counts: NgramCounts, backoff, rows: np.ndarray, t_max: int) -> np.ndarray:
+    """`backoff`'s probability of each distinct trigram row that a Katz
+    trigram truncated at some t <= t_max does not store: the rows counted
+    fewer than t_max times.  The other rows hold NaN; no such level reads
+    them (KatzTrigram.probs_and_backoff), so one array serves every t."""
+    V = counts.vocab_size
+    _check_key_room(V, 3)
+    table = counts.trigrams
+    stored = _lookup(_row_keys(table.ids, 0, V), table.n, _row_keys(rows, 0, V))
+    backs_off = stored < t_max
+    p = np.full(len(rows), np.nan)
+    p[backs_off] = _batch_probs(backoff, rows[backs_off])
+    return p
 
 
 class SmoothedCascade:

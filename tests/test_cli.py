@@ -1,5 +1,7 @@
 """Command-line pipeline: argument handling, artifacts, and determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,14 +9,21 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import markovmix as mm
+from markovmix import smoothing as sm
 from markovmix.artifact import SUM_TOLERANCE
 from markovmix.cli import RunConfig, build_config, main
+from markovmix.corpus import read_lines
+from markovmix.errors import DataError, NumericError
 
 CORPUS = [
     "the cat sat on the mat .",
@@ -607,7 +616,25 @@ class TestSmooth:
         assert code == 2
 
 
+NO_EVENTS = "error: no events to score: the corpus has no sentences\n"
+
+
 class TestEval:
+    @pytest.mark.parametrize(
+        "model_args",
+        [("--cascade", "cascade.txt"), ("--agg-model", "agg.txt"), ("--counts", "counts.txt")],
+        ids=["cascade", "agg_model", "counts"],
+    )
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # sparse Good-Turing statistics
+    def test_empty_test_corpus_exits_3(self, workdir, capsys, model_args):
+        build_pipeline(workdir, with_trigram=True)
+        (workdir / "empty.txt").write_text("", encoding="utf-8")
+        capsys.readouterr()
+        code = run(workdir, "eval", "--test", "empty.txt", "--vocab", "vocab.txt", *model_args)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err == NO_EVENTS
+
     def test_cascade_report_fields(self, workdir):
         build_pipeline(workdir, with_trigram=True)
         code = run(
@@ -688,7 +715,118 @@ class TestEval:
         assert code == 4
 
 
+def reference_sweep(workdir, t_max, k_gt=5):
+    """The rows sweep-truncate writes for the files of `workdir` (counts.txt,
+    vocab.txt, cascade.txt, test.txt), from one pair of build_katz_trigram
+    calls and evaluate calls per t."""
+    counts = mm.NgramCounts.load(str(workdir / "counts.txt"))
+    vocab = mm.Vocabulary.load(str(workdir / "vocab.txt"))
+    test = mm.tokenize_corpus(read_lines(workdir / "test.txt"), vocab)
+    cascade = mm.load_cascade(str(workdir / "cascade.txt"))
+    katz_bigram = mm.KatzBigram(counts, k_gt=k_gt)
+    discounts = mm.good_turing_discounts(counts.trigrams, k_gt)
+    rows = []
+    for t in range(1, t_max + 1):
+        base, mixed = (
+            mm.evaluate(sm.build_katz_trigram(counts, backoff, k_gt, t, discounts), test,
+                        unseen_from_backoff=True)
+            for backoff in (katz_bigram, cascade.top)
+        )
+        n_trigrams = int((counts.trigrams.n >= t).sum())
+        rows.append("%d,%r,%r,%d,%r" % (t, base.perplexity, mixed.perplexity, n_trigrams,
+                                        base.backoff_fraction))
+    return rows
+
+
+def run_with_errors(workdir, *args):
+    """run's exit code and the lines beginning with "error:" that it wrote
+    to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(workdir, *args)
+    return code, [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+
+
+def text_lines(words, max_lines):
+    return st.lists(st.lists(st.sampled_from(words), max_size=6).map(" ".join), max_size=max_lines)
+
+
+TINY_WORDS = "a b c d e".split()
+
+
 class TestSweep:
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # sparse Good-Turing statistics
+    def test_rows_equal_katz_builds_and_evaluate_at_each_t(self, workdir):
+        build_pipeline(workdir)
+        code = run(workdir, "sweep-truncate", "--counts", "counts.txt", "--vocab", "vocab.txt",
+                   "--cascade", "cascade.txt", "--test", "test.txt", "--t-max", "4",
+                   "--gt-threshold", "2", "--csv-out", "sweep.csv")
+        assert code == 0
+        rows = (workdir / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1:] == reference_sweep(workdir, 4, k_gt=2)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # sparse Good-Turing statistics
+    def test_empty_test_corpus_exits_3_before_any_katz_build(self, workdir, capsys):
+        build_pipeline(workdir)
+        (workdir / "empty.txt").write_text("", encoding="utf-8")
+        capsys.readouterr()
+        with mock.patch.object(sm, "build_katz_trigram") as build, \
+                mock.patch.object(sm, "KatzBigram") as katz_bigram:
+            code = run(workdir, "sweep-truncate", "--counts", "counts.txt", "--vocab", "vocab.txt",
+                       "--cascade", "cascade.txt", "--test", "empty.txt", "--csv-out", "sweep.csv")
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err == NO_EVENTS
+        assert (build.call_count, katz_bigram.call_count) == (0, 0)
+        assert not (workdir / "sweep.csv").exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        text_lines(TINY_WORDS, 10),
+        text_lines(TINY_WORDS, 4),
+        st.one_of(text_lines(TINY_WORDS + ["zz", "qq"], 4), st.lists(st.just(""), max_size=3)),
+        st.integers(-1, 2),
+    )
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # sparse Good-Turing statistics
+    def test_sweep_equals_per_threshold_evaluation_on_tiny_corpora(self, train, valid, test, above):
+        # Test words may be out of the vocabulary, the test file may hold
+        # only blank lines or none, and t_max may pass the largest count.
+        steps = [
+            ["prepare", "--input", "train.txt", "--vocab-size", "7", "--max-order", "3",
+             "--skips", "1,2", "--vocab-out", "vocab.txt", "--counts-out", "counts.txt"],
+            ["train-aggregate", "--counts", "counts.txt", "--classes", "2", "--iters", "2",
+             "--seed", "0", "--model-out", "agg.txt", "--trace-out", "agg_trace.csv"],
+            ["train-mixed", "--input", "train.txt", "--vocab", "vocab.txt", "--order", "2",
+             "--iters", "1", "--model-out", "mix2.txt", "--trace-out", "mix2_trace.csv"],
+            ["smooth", "--counts", "counts.txt", "--vocab", "vocab.txt", "--agg-model", "agg.txt",
+             "--mixed-models", "mix2.txt", "--valid", "valid.txt", "--out-dir", "smooth",
+             "--manifest-out", "cascade.txt"],
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp)
+            for name, lines in (("train", train), ("valid", valid), ("test", test)):
+                (workdir / (name + ".txt")).write_text("".join(l + "\n" for l in lines),
+                                                       encoding="utf-8")
+            for args in steps:
+                code, errors = run_with_errors(workdir, *args)
+                assert code in (0, 2, 3, 4) and len(errors) == (code != 0), (args[0], errors)
+                if code:
+                    return
+            largest = max(mm.NgramCounts.load(str(workdir / "counts.txt")).trigrams.values())
+            t_max = max(1, largest + above)
+            code, errors = run_with_errors(
+                workdir, "sweep-truncate", "--counts", "counts.txt", "--vocab", "vocab.txt",
+                "--cascade", "cascade.txt", "--test", "test.txt", "--t-max", str(t_max),
+                "--csv-out", "sweep.csv",
+            )
+            assert code in (0, 3, 4) and len(errors) == (code != 0), errors
+            if code == 0:
+                rows = (workdir / "sweep.csv").read_text(encoding="utf-8").splitlines()
+                assert rows[1:] == reference_sweep(workdir, t_max)
+            else:
+                with pytest.raises({3: DataError, 4: NumericError}[code]):
+                    reference_sweep(workdir, t_max)
+
     def test_truncation_csv_shape(self, workdir):
         build_pipeline(workdir)
         code = run(

@@ -8,7 +8,7 @@ import pytest
 import markovmix as mm
 from markovmix import evaluation as ev
 from markovmix.corpus import END_ID, START_ID, count_ngrams
-from markovmix.errors import NumericError
+from markovmix.errors import DataError, NumericError
 from markovmix.smoothing import MLBigram, MLUnigram
 
 from test_corpus import make_vocab
@@ -120,6 +120,12 @@ class TestPerplexity:
     def test_all_zero_events_error(self):
         with pytest.raises(NumericError, match="no scorable events"):
             mm.evaluate(TableModel({}), [[3, 4]])
+
+    def test_corpus_without_events_is_a_data_error(self):
+        # No sentence, so no event; an empty sentence still has its end event.
+        with pytest.raises(DataError, match="no events to score"):
+            mm.evaluate(UniformModel(8), [])
+        assert mm.evaluate(UniformModel(8), [[]]).total_events == 1
 
     def test_zero_events_excluded_but_counted(self):
         table = {(START_ID, 3): 0.5, (3, END_ID): 0.25}

@@ -1307,7 +1307,8 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
     # drawn rows with ids outside [0, V): the first bad row's error, or the
     # 0.0 that the ML levels' scalar calls give there.
     outside = st.integers(-3, V + 2)
-    for level in [sm.MLUnigram.from_counts(counts), stack[1].ml, *stack[1:], katz_bigram]:
+    for level in [sm.MLUnigram.from_counts(counts), stack[1].ml, *stack[1:], katz_bigram,
+                  *(t for t, _, _ in trigrams)]:
         width = level.context_size + 1
         narrow, _ = _distinct_rows(rows[:, 4 - width :])
         assert batch_or_error(level, narrow) == scalar_or_error(level, narrow)
@@ -1315,6 +1316,21 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
         drawn = data.draw(st.lists(st.tuples(*[outside] * width), min_size=1, max_size=8))
         drawn = np.array(drawn, dtype=np.int64)
         assert batch_or_error(level, drawn) == scalar_or_error(level, drawn)
+    # A Katz trigram's batch twin of prob_and_backoff, which scores its
+    # backoff itself or reads a caller's score at each row it has not stored
+    # (NaN at the others, which it must not read).
+    narrow, _ = _distinct_rows(rows[:, 1:])
+    for trigram, backoff, _ in trigrams:
+        ref = scalar_scores(trigram, narrow)
+        ref_p = np.array([p for p, _ in ref], dtype=np.float64).tobytes()
+        stored = _find(trigram.level.keys, narrow @ np.array([V * V, V, 1])) >= 0
+        passed = np.where(stored, np.nan, sm._batch_probs(backoff, narrow))
+        for backoff_p in (None, passed):
+            p, backed = trigram.probs_and_backoff(narrow, backoff_p)
+            assert p.tobytes() == ref_p
+            assert backed.tolist() == [flag for _, flag in ref]
+            p, backed = trigram.probs_and_backoff(narrow[:0], None if backoff_p is None else passed[:0])
+            assert (p.tobytes(), backed.tolist()) == (b"", [])
 
     alphas, seen, _ = ref_katz(
         counts.bigrams, 1, katz_bigram.level.discounts, 2,

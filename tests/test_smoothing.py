@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import markovmix as mm
 from markovmix import evaluation as ev
 from markovmix import smoothing as sm
-from markovmix.corpus import END_ID, START_ID, CountTable, NgramCounts, count_ngrams
+from markovmix.corpus import END_ID, START_ID, CountTable, NgramCounts, _key_dict, count_ngrams
 from markovmix.errors import DataError, ParameterError
 
 from conftest import count_table, mixed_model, sigma_for
@@ -679,6 +680,75 @@ class TestTruncation:
         counts.trigrams = count_table({(3, 4, 3): 2, (3, 4, 4): 3, (3, 4, 5): 1})
         trigram = sm.build_katz_trigram(counts, TwoWords(), truncation=2, discounts={})
         assert [trigram.prob((3, 4), w) for w in (3, 4, 5)] == [2 / 5, 3 / 5, 0.0]
+
+
+def scalar_indexes(level):
+    """(owner, name, value) of each attribute that only the scalar calls of
+    `level` and of the levels below it read, with the value it must hold:
+    the arrays that the batch scorers read, in the scalar form."""
+    if isinstance(level, mm.SmoothedCascade):
+        levels = [*level.level_stack, level.trigram]
+        return [found for lvl in levels if lvl is not None for found in scalar_indexes(lvl)]
+    if isinstance(level, sm.InterpolatedBigram):
+        ml = level.ml
+        return [(level, "_sigma", level._sigmas.tolist()),
+                (ml, "pairs", _key_dict(ml.keys, ml.vals))]
+    if isinstance(level, sm.SmoothedMixedLevel):
+        skips = [(lam.tolist(), sigma.tolist(), _key_dict(keys, vals))
+                 for lam, sigma, keys, vals in level._columns]
+        return [(level, "_skips", skips)]
+    katz = level.level
+    found = [(katz, "seen", _key_dict(katz.keys, katz.key_p)),
+             (katz, "alphas", _key_dict(katz.context_keys, katz.context_alphas))]
+    if isinstance(level, sm.KatzBigram):
+        unigram = level.unigram
+        return found + [(unigram, "words", _key_dict(unigram.keys, unigram.vals))]
+    return found + scalar_indexes(level.backoff)
+
+
+class TestScalarIndexes:
+    def test_built_by_the_first_scalar_call_and_not_before(self, tmp_path):
+        # Sparse training text, so that the test text holds unseen bigrams.
+        rng = random.Random(91)
+        vocab, train = random_corpus(rng, 5, 12)
+        _, valid = random_corpus(rng, 5, 10)
+        _, test = random_corpus(rng, 5, 10)
+        counts = count_ngrams(train, vocab, max_order=3, skips=(1, 2))
+        base, _ = mm.train_aggregate(counts, 2, iterations=4, seed=1)
+        mixed2, _ = mm.train_mixed(train, 2, len(vocab), iterations=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # sparse Good-Turing statistics
+            cascade = mm.SmoothedCascade.fit(
+                counts, base, [mixed2], valid, with_trigram=True, gt_threshold=3
+            )
+            baseline = sm.build_katz_trigram(counts, sm.KatzBigram(counts, k_gt=3), k_gt=3)
+        counts.save(tmp_path / "counts.txt")
+        base.save(tmp_path / "agg.txt")
+        mixed2.save(tmp_path / "mix2.txt")
+        cascade.save(tmp_path / "cascade.txt", tmp_path, tmp_path / "counts.txt",
+                     tmp_path / "agg.txt", [tmp_path / "mix2.txt"])
+        loaded = sm.load_cascade(tmp_path / "cascade.txt")
+        for model in (cascade, loaded, baseline):
+            indexes = scalar_indexes(model)
+            assert [name for owner, name, _ in indexes if name in vars(owner)] == []
+            report = mm.evaluate(model, test)
+            assert 0 < report.backoff_events < report.total_events
+            for owner, name, value in indexes:
+                assert vars(owner).get(name) == value, name
+        # A mixed level holds its own dicts; its model does not build them.
+        assert "pairs" not in vars(mixed2)
+
+    def test_batch_scoring_builds_none(self):
+        rng = random.Random(92)
+        vocab, train = random_corpus(rng, 5, 40)
+        counts = count_ngrams(train, vocab, max_order=3, skips=(1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # sparse Good-Turing statistics
+            trigram = sm.build_katz_trigram(counts, sm.KatzBigram(counts, k_gt=3), k_gt=3)
+        rows = np.array([[3, 4, 5], [7, 7, 7], [0, 3, 1]], dtype=np.int64)
+        trigram.probs_and_backoff(rows)
+        indexes = scalar_indexes(trigram)
+        assert [name for owner, name, _ in indexes if name in vars(owner)] == []
 
 
 class TestCascadeAssembly:
