@@ -508,9 +508,10 @@ class _KatzLevel:
     One pass over the table's entries in summation order (CountTable.ranked)
     gives each stored n-gram its probability and each context its backoff
     weight, alpha, keyed by the base-V int key of their ids
-    (corpus._row_keys), as counting keys them.  Entries counted fewer than `truncation` times are dropped after the
-    context totals are taken from the whole table, so their mass goes to
-    the backoff model rather than to the survivors.
+    (corpus._row_keys), as counting keys them.  Entries counted fewer than
+    `truncation` times are dropped after the context totals are taken from
+    the whole table, so their mass goes to the backoff model rather than to
+    the survivors.
 
     Contexts whose backoff puts no mass at all outside the seen successors
     have nowhere to send the discounted leftover; they revert to the plain
@@ -723,10 +724,7 @@ class KatzTrigram:
         backed = pos < 0
         p = np.empty(len(rows))
         p[~backed] = level.key_p[pos[~backed]]
-        if backoff_p is None:
-            lower = _batch_probs(self.backoff, rows[backed])
-        else:
-            lower = backoff_p[backed]
+        lower = _batch_probs(self.backoff, rows[backed]) if backoff_p is None else backoff_p[backed]
         alphas = _lookup(level.context_keys, level.context_alphas, keys[backed] // V, 1.0)
         p[backed] = alphas * lower
         return p, backed

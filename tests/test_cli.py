@@ -756,16 +756,6 @@ TINY_WORDS = "a b c d e".split()
 
 class TestSweep:
     @pytest.mark.filterwarnings("ignore::UserWarning")  # sparse Good-Turing statistics
-    def test_rows_equal_katz_builds_and_evaluate_at_each_t(self, workdir):
-        build_pipeline(workdir)
-        code = run(workdir, "sweep-truncate", "--counts", "counts.txt", "--vocab", "vocab.txt",
-                   "--cascade", "cascade.txt", "--test", "test.txt", "--t-max", "4",
-                   "--gt-threshold", "2", "--csv-out", "sweep.csv")
-        assert code == 0
-        rows = (workdir / "sweep.csv").read_text(encoding="utf-8").splitlines()
-        assert rows[1:] == reference_sweep(workdir, 4, k_gt=2)
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")  # sparse Good-Turing statistics
     def test_empty_test_corpus_exits_3_before_any_katz_build(self, workdir, capsys):
         build_pipeline(workdir)
         (workdir / "empty.txt").write_text("", encoding="utf-8")
@@ -847,6 +837,7 @@ class TestSweep:
         trigram_counts = [int(r.split(",")[3]) for r in rows[1:]]
         for a, b in zip(trigram_counts, trigram_counts[1:]):
             assert b <= a
+        assert rows[1:] == reference_sweep(workdir, 5, k_gt=2)
 
     def test_threshold_no_trigram_reaches_writes_a_backoff_only_row(self, workdir, capsys):
         # Every trigram of this corpus occurs once, so t=2 keeps none: every

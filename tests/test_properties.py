@@ -1329,7 +1329,8 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
             p, backed = trigram.probs_and_backoff(narrow, backoff_p)
             assert p.tobytes() == ref_p
             assert backed.tolist() == [flag for _, flag in ref]
-            p, backed = trigram.probs_and_backoff(narrow[:0], None if backoff_p is None else passed[:0])
+            none_passed = None if backoff_p is None else passed[:0]
+            p, backed = trigram.probs_and_backoff(narrow[:0], none_passed)
             assert (p.tobytes(), backed.tolist()) == (b"", [])
 
     alphas, seen, _ = ref_katz(
