@@ -9,9 +9,11 @@ For every workload of BENCHMARK.json and seeds 1-10 the two sides run
 and the change first on even ones, so that a slow phase of the machine
 falls on both.  Per end-to-end metric the record holds each side's runs,
 median and quartiles, how many pairs the change won, the relative change
-of the median and whether it lies within the bound of BENCHMARK.json.  Per
-phase of the operation the record holds each side's median time and how
-many pairs the change won.
+of the median, whether it lies within the bound of BENCHMARK.json, and
+`gain_shown`: whether the change won at least 9 of 10 pairs and its median
+beats the parent's by more than the parent's quartile spread (recorded,
+not a gate).  Per phase of the operation the record holds each side's
+median time and how many pairs the change won.
 
 Then each side runs once traced (`--trace 1 --seconds 3`) per workload on
 input sets 0 and 5; each output must pass check_bench_result.py, and the
@@ -131,15 +133,19 @@ def paired(sides: dict[str, Path], workload: str, seconds: float, metrics: list[
                   for side in runs}
         parent, change = stats(values["parent"]), stats(values["change"])
         median_change = change["median"] / parent["median"] - 1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        parent_iqr = round(parent["q3"] - parent["q1"], 4)
         out["metrics"][name] = {
             "parent": parent,
             "change": change,
-            "change_wins": sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"])),
+            "change_wins": wins,
             "pairs": len(SEEDS),
             "median_change": round(median_change, 4),
-            "parent_iqr": round(parent["q3"] - parent["q1"], 4),
+            "parent_iqr": parent_iqr,
             "bound": metric["bound"],
             "within_bound": sign * median_change <= metric["bound"],
+            "gain_shown": (wins * 10 >= 9 * len(SEEDS)
+                           and sign * (parent["median"] - change["median"]) > parent_iqr),
         }
     phases = [k for k in runs["parent"][0][1].get("named", {}) if k.endswith("_s_median")]
     for key in phases:

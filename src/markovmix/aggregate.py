@@ -121,19 +121,22 @@ class AggregateModel:
         return cls(cgw, wgc)
 
     def pair_prob(self, w1: int, w2: int) -> float:
-        """P(w2|w1) = sum_c P(w2|c) P(c|w1)."""
-        rows = self._rows
-        V = len(rows)
-        if not 0 <= w1 < V > w2 >= 0:
-            raise id_out_of_range((w1, w2), V)
-        # The strided dot of cgw[w1] @ wgc[:, w2]; a contiguous copy of the
-        # columns may take another BLAS kernel and change the last bit.
-        return float(rows[w1].dot(self._cols[w2]))
+        """P(w2|w1), as prob((w1,), w2)."""
+        return self.prob((w1,), w2)
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
-        if len(context) != 1:
-            raise ParameterError("aggregate model conditions on exactly one word")
-        return self.pair_prob(context[0], word)
+        """P(word|w1) = sum_c P(word|c) P(c|w1) for the context (w1,)."""
+        try:
+            (w1,) = context
+        except ValueError:
+            raise ParameterError("aggregate model conditions on exactly one word") from None
+        rows = self._rows
+        V = len(rows)
+        if not 0 <= w1 < V > word >= 0:
+            raise id_out_of_range((w1, word), V)
+        # The strided dot of cgw[w1] @ wgc[:, word]; a contiguous copy of the
+        # columns may take another BLAS kernel and change the last bit.
+        return float(rows[w1].dot(self._cols[word]))
 
     def class_assignments(self) -> list[tuple[int, int, float]]:
         """Per word: (word id, most probable class, its probability).

@@ -17,9 +17,11 @@ requires, so a skip-k pair is defined at every event position.
 
 _event_windows is the one walk over these events: counting, mixed-order EM,
 both smoothing-weight fits and evaluation read its rows, and the fits and
-evaluation score each distinct row (_distinct_rows) once, reading the rows
-as Python ints block by block (_per_row).  The tests keep a per-sentence
-counting loop as the reference that count_ngrams must match.
+evaluation score each distinct row (_distinct_rows) once.  Evaluation's
+scalar calls get the rows as Python ints, converted one block of rows at a
+time and column by column, with each context zipped from its columns
+(_per_row).  The tests keep a per-sentence counting loop as the reference
+that count_ngrams must match.
 
 Every count table is a CountTable of sorted int64 id columns, a form
 only this module knows.  One key form, _row_keys, folds a row of ids into
@@ -390,17 +392,18 @@ def _per_row(call, rows: np.ndarray, *values: np.ndarray):
     """An iterator over call(context, word, *row values) for each (context...,
     word) row of `rows`, in Python ints, with the row's item of each array in
     `values`.  It converts one block of _BLOCK rows at a time to Python
-    objects, so that a whole table is never held as Python objects at once."""
-    blocks = range(0, len(rows), _BLOCK)
-    return itertools.chain.from_iterable(
-        map(
-            call,
-            map(tuple, rows[i : i + _BLOCK, :-1].tolist()),
-            rows[i : i + _BLOCK, -1].tolist(),
-            *(v[i : i + _BLOCK].tolist() for v in values),
-        )
-        for i in blocks
-    )
+    objects, column by column, so that a whole table is never held as Python
+    objects at once.  The contexts are zipped from the context columns (the
+    empty tuple, repeated, when there are none), so no list or tuple is made
+    per row, and zip reuses its tuple when the callee does not keep it."""
+
+    def block(i: int):
+        columns = rows[i : i + _BLOCK].T.tolist()
+        word = columns.pop()
+        contexts = zip(*columns) if columns else itertools.repeat(())
+        return map(call, contexts, word, *(v[i : i + _BLOCK].tolist() for v in values))
+
+    return itertools.chain.from_iterable(map(block, range(0, len(rows), _BLOCK)))
 
 
 def _row_normalised(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -449,8 +452,11 @@ def count_ngrams(
 
     Each n-gram and skip pair is encoded as one int64 key, (w1*V + w2)*V + w3
     for a trigram, and the keys are counted with np.unique, whose sorted
-    keys become the tables' sorted id columns.  Raises ParameterError for an
-    id outside [0, V), which would otherwise alias another key.
+    keys become the tables' sorted id columns.  The skip-1 pairs are read
+    from the bigrams' two columns, so when max_order >= 2 the skip-1 table
+    is the bigram table itself (no table is ever mutated).
+    Raises ParameterError for an id outside [0, V), which would otherwise
+    alias another key.
     """
     counts = NgramCounts(len(vocab), max_order, tuple(skips))
     V, pad = counts.vocab_size, counts.pad
@@ -464,6 +470,7 @@ def count_ngrams(
     if counts.max_order >= 3:
         counts.trigrams = _counted(windows[:, pad - 2 :], V)
     for k in counts.skip_ks:
-        counts.skips[k] = _counted(windows[:, [pad - k, pad]], V)
+        same = k == 1 and counts.max_order >= 2
+        counts.skips[k] = counts.bigrams if same else _counted(windows[:, [pad - k, pad]], V)
     counts.total = len(windows)
     return counts

@@ -28,7 +28,8 @@ event scores zero a NumericError.
 
 Events assigned exactly zero probability are excluded from the
 log-likelihood but counted, so perplexity stays finite and the coverage gap
-is reported separately.
+is reported separately.  The log of each positive row score is math.log's
+(numpy's SIMD log can differ in the last bit), taken once per distinct row.
 """
 
 from __future__ import annotations
@@ -135,8 +136,13 @@ class EvalReport:
 
 
 def _log_probs(p: np.ndarray) -> np.ndarray:
-    """math.log of each positive probability, 0.0 for the others."""
-    return np.array([math.log(x) if x > 0.0 else 0.0 for x in p.tolist()], dtype=np.float64)
+    """math.log of each positive probability, 0.0 for the others.  Not
+    np.log: its SIMD loops can differ from math.log in the last bit."""
+    out = np.zeros(len(p))
+    positive = p > 0.0
+    x = p[positive]
+    out[positive] = np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
+    return out
 
 
 def _sequential_sum(x: np.ndarray) -> float:

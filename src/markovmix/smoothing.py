@@ -282,12 +282,17 @@ class InterpolatedBigram:
         return self._sigmas.tolist()
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
-        w1 = context[-1]
-        V = self.ml.vocab_size
+        try:
+            (w1,) = context
+        except ValueError:  # a longer context: the level reads its last id
+            w1 = context[-1]
+            context = (w1,)
+        ml = self.ml
+        V = ml.vocab_size
         if not 0 <= w1 < V > word >= 0:
             raise id_out_of_range((w1, word), V)
         s = self._sigma[w1]
-        return (1.0 - s) * self.ml.pairs.get(w1 * V + word, 0.0) + s * self.base.prob((w1,), word)
+        return (1.0 - s) * ml.pairs.get(w1 * V + word, 0.0) + s * self.base.prob(context, word)
 
     def probs(self, rows: np.ndarray) -> np.ndarray:
         _check_row_ids(rows, self.ml.vocab_size)
@@ -699,17 +704,18 @@ class KatzTrigram:
     def prob_and_backoff(
         self, context: tuple[int, ...], word: int, backoff_p: float | None = None
     ) -> tuple[float, bool]:
-        ctx = u, v = context[-2], context[-1]
+        u, v = context[-2], context[-1]
         V = self.vocab_size
         if not 0 <= u < V > v >= 0 <= word < V:  # all three in [0, V)
             raise id_out_of_range((u, v, word), V)
         key = u * V + v
-        p = self.level.seen.get(key * V + word)
+        level = self.level
+        p = level.seen.get(key * V + word)
         if p is not None:
             return p, False
         if backoff_p is None:
-            backoff_p = self.backoff.prob(ctx[2 - self.backoff.context_size :], word)
-        return self.level.alphas.get(key, 1.0) * backoff_p, True
+            backoff_p = self.backoff.prob((u, v)[2 - self.backoff.context_size :], word)
+        return level.alphas.get(key, 1.0) * backoff_p, True
 
     def prob(self, context: tuple[int, ...], word: int) -> float:
         return self.prob_and_backoff(context, word)[0]

@@ -33,6 +33,7 @@ from markovmix import evaluation as ev
 from markovmix import mixedorder as mo
 from markovmix import smoothing as sm
 from markovmix.corpus import (
+    _BLOCK,
     _RESERVED,
     END_ID,
     START_ID,
@@ -1296,7 +1297,8 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
     extra = data.draw(st.lists(st.tuples(*[wid] * 4), max_size=20))
     rows = np.concatenate([_event_windows(sentences, 3), np.array(extra, np.int64).reshape(-1, 4)])
     rows, _ = _distinct_rows(rows)
-    for level in [*stack, katz_bigram, *(t for t, _, _ in trigrams)]:
+    unigram = sm.MLUnigram.from_counts(counts)  # zero-width contexts
+    for level in [unigram, *stack, katz_bigram, *(t for t, _, _ in trigrams)]:
         p, backed = sm._score_rows(level, rows)
         ref = scalar_scores(level, rows)
         assert p.tobytes() == np.array([r[0] for r in ref], dtype=np.float64).tobytes()
@@ -1307,8 +1309,7 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
     # drawn rows with ids outside [0, V): the first bad row's error, or the
     # 0.0 that the ML levels' scalar calls give there.
     outside = st.integers(-3, V + 2)
-    for level in [sm.MLUnigram.from_counts(counts), stack[1].ml, *stack[1:], katz_bigram,
-                  *(t for t, _, _ in trigrams)]:
+    for level in [unigram, stack[1].ml, *stack[1:], katz_bigram, *(t for t, _, _ in trigrams)]:
         width = level.context_size + 1
         narrow, _ = _distinct_rows(rows[:, 4 - width :])
         assert batch_or_error(level, narrow) == scalar_or_error(level, narrow)
@@ -1345,6 +1346,50 @@ def test_row_scorer_matches_scalar_calls_bitwise(corpus, data, from_file):
             lambda ctx, w: backoff.prob(ctx[2 - size :], w), V,
         )
         assert (trigram.level.alphas, trigram.level.seen) == (alphas, seen)
+
+
+def corpusgen_katz_cascade():
+    """(test sentences, [interpolated bigram, mixed m=2 level over it, Katz
+    trigram over that]) of corpusgen text; the test text has more distinct
+    trigram events than one block of corpus._per_row."""
+    V, train = corpusgen_sentences(101, 400)
+    _, test = corpusgen_sentences(303, 1500)
+    counts = mm.count_ngrams(train, range(V), 3, (1, 2))
+    base, _ = mm.train_aggregate(counts, 4, iterations=2)
+    interp = sm.InterpolatedBigram(
+        sm.MLBigram.from_counts(counts), base, sm.MixedSmoothingParams({}, {1: 0.3})
+    )
+    mixed = sm.SmoothedMixedLevel(
+        mm.train_mixed(train, 2, V, iterations=1)[0],
+        sm.MixedSmoothingParams({}, {1: 0.4, 2: 0.6}), interp,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sparse Good-Turing statistics
+        trigram = sm.build_katz_trigram(counts, mixed)
+    return test, [interp, mixed, trigram]
+
+
+def test_row_scorer_matches_scalar_calls_across_blocks():
+    # More distinct rows than one block, through the levels that pass a
+    # value array into their scalar calls: the mixed level's lower_p and the
+    # Katz trigram's backoff_p, read at rows of later blocks.
+    test, levels = corpusgen_katz_cascade()
+    rows, _ = _distinct_rows(_event_windows(test, 2))
+    assert len(rows) > _BLOCK
+    for level in levels:
+        p, backed = sm._score_rows(level, rows)
+        ref = scalar_scores(level, rows)
+        assert p.tobytes() == np.array([r[0] for r in ref], dtype=np.float64).tobytes()
+        assert backed.tolist() == [bool(r[1]) for r in ref]
+    assert 0 < np.count_nonzero(backed) < len(rows)
+
+
+def test_log_probs_are_math_log_bit_for_bit():
+    test, levels = corpusgen_katz_cascade()
+    p, _ = sm._score_rows(levels[-1], ev.event_rows(test, 2)[0])
+    values = np.concatenate([[0.0, 5e-324, 1.0], p])
+    ref = [math.log(x) if x > 0.0 else 0.0 for x in values.tolist()]
+    assert ev._log_probs(values).tobytes() == np.array(ref, dtype=np.float64).tobytes()
 
 
 def record_calls(obj, method):
